@@ -60,6 +60,7 @@ from .instances import (
     profit_partition,
     profit_phi,
     profit_phi_bar,
+    suffix_coefficients,
     validate_instance,
 )
 from .modularize import (
@@ -91,14 +92,12 @@ from .serialize import (
     save_instance,
 )
 from .solvers import (
-    IkInstance,
     SolveLimits,
     SolveResult,
     brute_force_chains,
     iter_feasible_chains,
     solve_exact,
     solve_heuristic,
-    suffix_coefficients,
 )
 
 __version__ = "0.1.0"

@@ -6,7 +6,9 @@ invocations produce identical files; elapsed_ms is the only
 nondeterministic report field.
 
 Exit codes for solve: 0 success, 2 oracle-contract violation, 3 size or
-budget limits exceeded.  verify exits 1 on any mismatch.
+budget limits exceeded.  verify exits 1 on any mismatch.  Both exit 4 on
+malformed input: an instance that fails validation, a file missing a key,
+or a chain whose insertion times are out of range or of the wrong length.
 """
 
 from __future__ import annotations
@@ -15,13 +17,12 @@ import argparse
 import csv
 import random
 import sys
-from dataclasses import dataclass, field
 from pathlib import Path
 
 from .errors import BadFamily, BudgetExceeded, LimitsExceeded, OracleViolation
 from .generators import FAMILIES, make_family_instance
 from .hardness import build_reduction, read_edge_list
-from .instances import Chain, profit_partition, profit_phi_bar
+from .instances import Chain, ensure_valid, profit_partition, profit_phi_bar
 from .modularize import solve_ik_aon, verify_solution
 from .serialize import (
     chain_from_obj,
@@ -31,43 +32,33 @@ from .serialize import (
     report_to_obj,
     save_instance,
 )
-from .solvers import Chain, SolveLimits, brute_force_chains
+from .solvers import SolveLimits, brute_force_chains
 
 DEFAULT_SEED = 2024
 
-
-@dataclass
-class RunConfig:
-    """One parsed invocation; unknown limits keys are rejected at parse time."""
-
-    command: str
-    instance: Path | None = None
-    out: Path | None = None
-    solver: str = "auto"
-    seed: int = DEFAULT_SEED
-    limits: SolveLimits = field(default_factory=SolveLimits)
-    quiet: bool = False
-    family: str | None = None
-    n: int = 8
-    horizon: int = 2
-    graph: Path | None = None
-    k: int = 1
-    report: Path | None = None
-    instances_dir: Path | None = None
-    solvers: tuple[str, ...] = ("exact",)
+# What decoding a malformed instance or report file raises.
+MALFORMED = (KeyError, TypeError, ValueError)
 
 
-def _parse_limits(text: str, parser: argparse.ArgumentParser) -> SolveLimits:
+def _limits(text: str) -> SolveLimits:
+    """argparse type for --limits: comma-separated key=value pairs."""
     pairs = {}
     for part in filter(None, (p.strip() for p in text.split(","))):
-        if "=" not in part:
-            parser.error(f"--limits entries must look like key=value, got {part!r}")
-        key, value = part.split("=", 1)
+        key, sep, value = part.partition("=")
+        if not sep:
+            raise argparse.ArgumentTypeError(
+                f"entries must look like key=value, got {part!r}"
+            )
         pairs[key.strip()] = value.strip()
     try:
         return SolveLimits.from_mapping(pairs)
     except (KeyError, ValueError) as exc:
-        parser.error(str(exc))
+        raise argparse.ArgumentTypeError(exc.args[0]) from None
+
+
+def _names(text: str) -> tuple[str, ...]:
+    """argparse type for --solvers: a comma-separated list."""
+    return tuple(filter(None, (s.strip() for s in text.split(","))))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -78,6 +69,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     gen = sub.add_parser("generate", help="write a random instance file")
+    gen.set_defaults(run=cmd_generate)
     gen.add_argument("--family", required=True,
                      choices=sorted(FAMILIES) + ["vc-reduction"])
     gen.add_argument("--n", type=int, default=8)
@@ -89,82 +81,78 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--quiet", action="store_true")
 
     solve = sub.add_parser("solve", help="run the full pipeline on an instance file")
+    solve.set_defaults(run=cmd_solve)
     solve.add_argument("--instance", type=Path, required=True)
     solve.add_argument("--solver", default="auto",
                        choices=["auto", "exact", "heuristic", "brute"])
     solve.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    solve.add_argument("--limits", type=str, default="")
+    solve.add_argument("--limits", type=_limits, default="")
     solve.add_argument("--out", type=Path, help="report path (stdout if omitted)")
     solve.add_argument("--quiet", action="store_true")
 
     verify = sub.add_parser("verify", help="recheck a solve report against its instance")
+    verify.set_defaults(run=cmd_verify)
     verify.add_argument("--instance", type=Path, required=True)
     verify.add_argument("--report", type=Path, required=True)
     verify.add_argument("--quiet", action="store_true")
 
     reduce = sub.add_parser("reduce-vc", help="build an instance from a graph file")
+    reduce.set_defaults(run=cmd_reduce)
     reduce.add_argument("--graph", type=Path, required=True)
     reduce.add_argument("--k", type=int, required=True)
     reduce.add_argument("--out", type=Path, required=True)
     reduce.add_argument("--quiet", action="store_true")
 
     bench = sub.add_parser("bench", help="run solvers over a directory of instances")
+    bench.set_defaults(run=cmd_bench)
     bench.add_argument("--instances", type=Path, required=True)
-    bench.add_argument("--solvers", default="exact,heuristic")
+    bench.add_argument("--solvers", type=_names, default="exact,heuristic")
     bench.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    bench.add_argument("--limits", type=str, default="")
+    bench.add_argument("--limits", type=_limits, default="")
     bench.add_argument("--out", type=Path, required=True)
     bench.add_argument("--quiet", action="store_true")
     return parser
 
 
-def _config_from_args(args: argparse.Namespace, parser: argparse.ArgumentParser) -> RunConfig:
-    cfg = RunConfig(command=args.command)
-    cfg.quiet = getattr(args, "quiet", False)
-    cfg.seed = getattr(args, "seed", DEFAULT_SEED)
-    if getattr(args, "limits", ""):
-        cfg.limits = _parse_limits(args.limits, parser)
-    for name in ("instance", "out", "solver", "family", "n", "graph", "k", "report"):
-        if hasattr(args, name):
-            setattr(cfg, name, getattr(args, name))
-    if hasattr(args, "horizon"):
-        cfg.horizon = args.horizon
-    if hasattr(args, "instances"):
-        cfg.instances_dir = args.instances
-    if hasattr(args, "solvers"):
-        cfg.solvers = tuple(filter(None, (s.strip() for s in args.solvers.split(","))))
-    return cfg
-
-
-def _say(cfg: RunConfig, message: str) -> None:
-    if not cfg.quiet:
+def _say(args: argparse.Namespace, message: str) -> None:
+    if not args.quiet:
         print(message)
 
 
-def cmd_generate(cfg: RunConfig) -> int:
-    if cfg.family == "vc-reduction":
-        if cfg.graph is None:
+def _malformed(exc: Exception) -> int:
+    detail = f"missing key {exc}" if isinstance(exc, KeyError) else exc
+    print(f"malformed input: {detail}", file=sys.stderr)
+    return 4
+
+
+def cmd_generate(args: argparse.Namespace) -> int:
+    if args.family == "vc-reduction":
+        if args.graph is None:
             print("error: --graph is required for vc-reduction", file=sys.stderr)
             return 1
-        graph = read_edge_list(cfg.graph)
-        inst = build_reduction(graph, cfg.k).instance
+        graph = read_edge_list(args.graph)
+        inst = build_reduction(graph, args.k).instance
     else:
-        rng = random.Random(cfg.seed)
-        inst = make_family_instance(cfg.family, cfg.n, cfg.horizon, rng)
-    save_instance(inst, cfg.out)
+        rng = random.Random(args.seed)
+        inst = make_family_instance(args.family, args.n, args.horizon, rng)
+    save_instance(inst, args.out)
     classes = len(profit_partition(inst))
     _say(
-        cfg,
-        f"{cfg.family}: n={len(inst)} T={inst.horizon} classes={classes} "
-        f"oracle={inst.oracle.descriptor['kind']} -> {cfg.out}",
+        args,
+        f"{args.family}: n={len(inst)} T={inst.horizon} classes={classes} "
+        f"oracle={inst.oracle.descriptor['kind']} -> {args.out}",
     )
     return 0
 
 
-def cmd_solve(cfg: RunConfig) -> int:
-    inst = load_instance(cfg.instance)
+def cmd_solve(args: argparse.Namespace) -> int:
     try:
-        report = solve_ik_aon(inst, solver=cfg.solver, limits=cfg.limits, seed=cfg.seed)
+        inst = load_instance(args.instance)
+        ensure_valid(inst)
+    except MALFORMED as exc:
+        return _malformed(exc)
+    try:
+        report = solve_ik_aon(inst, solver=args.solver, limits=args.limits, seed=args.seed)
     except OracleViolation as exc:
         print(f"oracle-contract violation: {exc}", file=sys.stderr)
         return 2
@@ -172,61 +160,67 @@ def cmd_solve(cfg: RunConfig) -> int:
         print(f"limits exceeded: {exc}", file=sys.stderr)
         return 3
     payload = dumps_canonical(report_to_obj(report, inst.item_ids))
-    if cfg.out is None:
+    if args.out is None:
         sys.stdout.write(payload)
     else:
-        cfg.out.write_text(payload, encoding="utf-8")
+        args.out.write_text(payload, encoding="utf-8")
         _say(
-            cfg,
+            args,
             f"solved with {report.solver}: phi={report.phi} "
-            f"oracle_calls={report.oracle_calls} -> {cfg.out}",
+            f"oracle_calls={report.oracle_calls} -> {args.out}",
         )
     return 0
 
 
-def cmd_verify(cfg: RunConfig) -> int:
-    inst = load_instance(cfg.instance)
-    report = load_report(cfg.report)
-    chain = chain_from_obj(report["chain"], inst.item_ids, inst.horizon)
-    outcome = verify_solution(inst, chain, report["phi"])
+def cmd_verify(args: argparse.Namespace) -> int:
+    try:
+        inst = load_instance(args.instance)
+        ensure_valid(inst)
+        report = load_report(args.report)
+        chain = chain_from_obj(report["chain"], inst.item_ids, inst.horizon)
+        claimed_phi, claimed_phi_bar = report["phi"], report["phi_bar"]
+    except MALFORMED as exc:
+        return _malformed(exc)
+    outcome = verify_solution(inst, chain, claimed_phi)
     problems = list(outcome.mismatches)
-    if outcome.nested and isinstance(chain, Chain):
-        phi_bar = profit_phi_bar(inst.profits_by_id, inst.deltas, chain)
-        if phi_bar != report["phi_bar"]:
+    if outcome.nested:
+        nested = chain if isinstance(chain, Chain) else Chain.from_sets(chain)
+        phi_bar = profit_phi_bar(inst.profits_by_id, inst.deltas, nested)
+        if phi_bar != claimed_phi_bar:
             problems.append(
-                f"PhiBarMismatch: recomputed {phi_bar} != claimed {report['phi_bar']}"
+                f"PhiBarMismatch: recomputed {phi_bar} != claimed {claimed_phi_bar}"
             )
     if problems:
         for line in problems:
             print(line, file=sys.stderr)
         return 1
-    _say(cfg, f"report verified: phi={outcome.phi}, chain feasible")
+    _say(args, f"report verified: phi={outcome.phi}, chain feasible")
     return 0
 
 
-def cmd_reduce(cfg: RunConfig) -> int:
-    graph = read_edge_list(cfg.graph)
-    reduction = build_reduction(graph, cfg.k)
-    save_instance(reduction.instance, cfg.out)
+def cmd_reduce(args: argparse.Namespace) -> int:
+    graph = read_edge_list(args.graph)
+    reduction = build_reduction(graph, args.k)
+    save_instance(reduction.instance, args.out)
     _say(
-        cfg,
-        f"vc-reduction: |V|={graph.n_vertices} |E|={len(graph.edges)} k={cfg.k} "
-        f"-> {cfg.out}",
+        args,
+        f"vc-reduction: |V|={graph.n_vertices} |E|={len(graph.edges)} k={args.k} "
+        f"-> {args.out}",
     )
     return 0
 
 
-def cmd_bench(cfg: RunConfig) -> int:
-    paths = sorted(cfg.instances_dir.glob("*.json"))
+def cmd_bench(args: argparse.Namespace) -> int:
+    paths = sorted(args.instances.glob("*.json"))
     rows: list[dict] = []
     failures = 0
     for path in paths:
         inst = load_instance(path)
         try:
-            brute_value, _ = brute_force_chains(inst, cfg.limits.max_states_brute)
+            brute_value, _ = brute_force_chains(inst, args.limits.max_states_brute)
         except BudgetExceeded:
             brute_value = None
-        for solver in cfg.solvers:
+        for solver in args.solvers:
             row = {
                 "instance": path.name,
                 "solver": solver,
@@ -238,7 +232,7 @@ def cmd_bench(cfg: RunConfig) -> int:
             }
             try:
                 report = solve_ik_aon(
-                    inst, solver=solver, limits=cfg.limits, seed=cfg.seed
+                    inst, solver=solver, limits=args.limits, seed=args.seed
                 )
             except Exception as exc:  # record per-row, keep going
                 row["status"] = f"error:{type(exc).__name__}"
@@ -254,37 +248,24 @@ def cmd_bench(cfg: RunConfig) -> int:
             rows.append(row)
     fields = ["instance", "solver", "value", "ratio_to_brute",
               "oracle_calls", "elapsed_ms", "status"]
-    with open(cfg.out, "w", encoding="utf-8", newline="") as fh:
+    with open(args.out, "w", encoding="utf-8", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=fields)
         writer.writeheader()
         writer.writerows(rows)
-    _say(cfg, f"wrote {len(rows)} rows -> {cfg.out}")
+    _say(args, f"wrote {len(rows)} rows -> {args.out}")
     return 1 if rows and failures == len(rows) else 0
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    cfg = _config_from_args(args, parser)
+    args = build_parser().parse_args(argv)
     try:
-        if cfg.command == "generate":
-            return cmd_generate(cfg)
-        if cfg.command == "solve":
-            return cmd_solve(cfg)
-        if cfg.command == "verify":
-            return cmd_verify(cfg)
-        if cfg.command == "reduce-vc":
-            return cmd_reduce(cfg)
-        if cfg.command == "bench":
-            return cmd_bench(cfg)
+        return args.run(args)
     except BadFamily as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)
         return 1
-    parser.error(f"unknown command {cfg.command!r}")
-    return 2
 
 
 if __name__ == "__main__":

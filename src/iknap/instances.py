@@ -150,10 +150,6 @@ class Instance:
     def profits_by_id(self) -> dict[int, int]:
         return {it.id: it.profit for it in self.items}
 
-    @property
-    def weights_by_id(self) -> dict[int, int]:
-        return {it.id: it.weight for it in self.items}
-
     def total_weight(self, ids: Iterable[int]) -> int:
         return sum(self.weight_of(i) for i in ids)
 
@@ -181,6 +177,11 @@ class ProfitPartition:
         return self.classes[index][1]
 
 
+def _is_int(value) -> bool:
+    # bool is an int subclass, but JSON true is not a weight.
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def validate_instance(inst: Instance) -> list[str]:
     """Check every structural invariant; returns a (possibly empty) report.
 
@@ -204,7 +205,7 @@ def validate_instance(inst: Instance) -> list[str]:
         if it.id in seen:
             problems.append(f"DuplicateItemId: id {it.id} at position {pos}")
         seen.add(it.id)
-        if not isinstance(it.weight, int) or not isinstance(it.profit, int):
+        if not _is_int(it.weight) or not _is_int(it.profit):
             problems.append(f"NonIntegerField: item {it.id} weight/profit must be int")
             continue
         if it.profit < 1:
@@ -213,7 +214,7 @@ def validate_instance(inst: Instance) -> list[str]:
             problems.append(f"NegativeWeight: item {it.id} has w={it.weight}")
     prev = 0
     for t, w in enumerate(inst.capacities, start=1):
-        if not isinstance(w, int):
+        if not _is_int(w):
             problems.append(f"NonIntegerField: W_{t} must be int")
             continue
         if w < 0:
@@ -222,7 +223,7 @@ def validate_instance(inst: Instance) -> list[str]:
             problems.append(f"NonMonotoneCapacities: W_{t}={w} < W_{t - 1}={prev}")
         prev = w
     for t, d in enumerate(inst.deltas, start=1):
-        if not isinstance(d, int):
+        if not _is_int(d):
             problems.append(f"NonIntegerField: delta_{t} must be int")
         elif d < 0:
             problems.append(f"NegativeDelta: delta_{t}={d}")
@@ -235,7 +236,11 @@ def ensure_valid(inst: Instance) -> None:
         raise InvalidInstance(problems)
 
 
-def _check_known(inst: Instance, chain: Chain) -> None:
+def _check_chain(inst: Instance, chain: Chain) -> None:
+    if chain.horizon != inst.horizon:
+        raise ValueError(
+            f"chain horizon {chain.horizon} != instance horizon {inst.horizon}"
+        )
     unknown = chain.final_set - set(inst.item_ids)
     if unknown:
         raise UnknownItemId(f"chain references unknown item ids {sorted(unknown)}")
@@ -243,11 +248,7 @@ def _check_known(inst: Instance, chain: Chain) -> None:
 
 def is_feasible(inst: Instance, chain: Chain) -> bool:
     """True iff w(S_t) <= W_t for every period (nestedness is structural)."""
-    if chain.horizon != inst.horizon:
-        raise ValueError(
-            f"chain horizon {chain.horizon} != instance horizon {inst.horizon}"
-        )
-    _check_known(inst, chain)
+    _check_chain(inst, chain)
     added = [0] * (inst.horizon + 1)
     for i, t in chain.times.items():
         added[t] += inst.weight_of(i)
@@ -265,11 +266,7 @@ def profit_phi(inst: Instance, chain: Chain) -> int:
     Makes one oracle call per period, reusing the previous value whenever
     S_t == S_{t-1}, so consecutive duplicates cost nothing extra.
     """
-    if chain.horizon != inst.horizon:
-        raise ValueError(
-            f"chain horizon {chain.horizon} != instance horizon {inst.horizon}"
-        )
-    _check_known(inst, chain)
+    _check_chain(inst, chain)
     total = 0
     prev: frozenset | None = None
     value = 0
@@ -279,6 +276,19 @@ def profit_phi(inst: Instance, chain: Chain) -> int:
         total += inst.deltas[t_index] * value
         prev = s
     return total
+
+
+def suffix_coefficients(deltas: Sequence[int]) -> tuple[int, ...]:
+    """D[j] = deltas[j] + ... + deltas[T-1] (0-based), with D[T] = 0.
+
+    An item inserted at 0-based period j earns p * D[j], so D collapses the
+    chain objective into independent per-item terms.  D is non-increasing.
+    """
+    horizon = len(deltas)
+    out = [0] * (horizon + 1)
+    for j in range(horizon - 1, -1, -1):
+        out[j] = deltas[j] + out[j + 1]
+    return tuple(out)
 
 
 def profit_phi_bar(
@@ -292,9 +302,7 @@ def profit_phi_bar(
     horizon = len(deltas)
     if chain.horizon != horizon:
         raise ValueError(f"chain horizon {chain.horizon} != len(deltas)={horizon}")
-    suffix = [0] * (horizon + 1)
-    for j in range(horizon - 1, -1, -1):
-        suffix[j] = deltas[j] + suffix[j + 1]
+    suffix = suffix_coefficients(deltas)
     total = 0
     for i, t in chain.times.items():
         if i not in profits:

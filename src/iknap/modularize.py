@@ -13,20 +13,20 @@ import time
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .errors import InfeasibleInternal, InvalidInstance, OracleViolation, SolverFailure
+from .errors import InfeasibleInternal, OracleViolation, SolverFailure
 from .independence import ClassBasis, IndependenceContext, min_weight_basis
 from .instances import (
     Chain,
     Instance,
+    ensure_valid,
     is_feasible,
     preprocess_singletons,
     profit_partition,
     profit_phi,
     profit_phi_bar,
-    validate_instance,
 )
+from .oracles import modular_oracle
 from .solvers import (
-    IkInstance,
     SolveLimits,
     SolveResult,
     brute_force_chains,
@@ -37,14 +37,14 @@ from .solvers import (
 
 @dataclass(frozen=True)
 class ModularizedInstance:
-    """The modular instance over the kept items, with the original alongside.
+    """The kept items priced by their plain profit sum, with the original alongside.
 
     Kept items keep their original ids, weights, and profits, so chains of
     the modular instance are directly chains of the original one.
     """
 
     original: Instance
-    ik: IkInstance
+    ik: Instance
     kept_ids: tuple[int, ...]
     bases: tuple[ClassBasis, ...]
 
@@ -62,9 +62,9 @@ def modularize(inst: Instance) -> ModularizedInstance:
         for index, (_, members) in enumerate(partition.classes, start=1)
     )
     kept = sorted(i for basis in bases for i in basis.members)
-    ik = IkInstance(
-        [inst.item(i) for i in kept], inst.horizon, inst.capacities, inst.deltas
-    )
+    items = [inst.item(i) for i in kept]
+    oracle = modular_oracle({it.id: it.profit for it in items})
+    ik = Instance(items, inst.horizon, inst.capacities, inst.deltas, oracle)
     return ModularizedInstance(original=inst, ik=ik, kept_ids=tuple(kept), bases=bases)
 
 
@@ -83,7 +83,7 @@ class SolveReport:
 
 
 def _run_ik_solver(
-    name: str, ik: IkInstance, limits: SolveLimits, seed: int
+    name: str, ik: Instance, limits: SolveLimits, seed: int
 ) -> SolveResult:
     if name == "exact":
         return solve_exact(ik, limits)
@@ -113,9 +113,7 @@ def solve_ik_aon(
     limits = limits or SolveLimits()
     started = time.perf_counter()
     calls_before = inst.oracle.call_count
-    problems = validate_instance(inst)
-    if problems:
-        raise InvalidInstance(problems)
+    ensure_valid(inst)
     reduced, dropped = preprocess_singletons(inst)
     mod = modularize(reduced)
     name = solver

@@ -37,12 +37,13 @@ def instance_to_obj(inst: Instance) -> dict:
 
 
 def instance_from_obj(obj: dict) -> Instance:
+    """Decode an instance; item fields pass through uncoerced for validation."""
     n = int(obj["n"])
     weights = obj["weights"]
     profits = obj["profits"]
     if len(weights) != n or len(profits) != n:
         raise ValueError(f"weights/profits arrays must have length n={n}")
-    items = [Item(i + 1, int(weights[i]), int(profits[i])) for i in range(n)]
+    items = [Item(i + 1, weights[i], profits[i]) for i in range(n)]
     oracle = oracle_from_descriptor(obj["oracle"], {it.id: it.profit for it in items})
     return Instance(items, int(obj["T"]), obj["capacities"], obj["deltas"], oracle)
 
@@ -70,7 +71,13 @@ def chain_from_obj(obj: dict, item_ids: Sequence[int], horizon: int):
     diagnose that).
     """
     if "sets" in obj:
-        return [set(s) for s in obj["sets"]]
+        sets = [set(s) for s in obj["sets"]]
+        if len(sets) != horizon:
+            raise ValueError(f"sets has {len(sets)} entries for T={horizon}")
+        unknown = set().union(*sets) - set(item_ids)
+        if unknown:
+            raise ValueError(f"sets reference unknown item ids {sorted(unknown)}")
+        return sets
     raw = obj["insertion_times"]
     if len(raw) != len(item_ids):
         raise ValueError(
@@ -90,11 +97,6 @@ def report_to_obj(report: SolveReport, item_ids: Sequence[int]) -> dict:
         "solver": report.solver,
         "elapsed_ms": report.elapsed_ms,
     }
-
-
-def save_report(report: SolveReport, item_ids: Sequence[int], path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(dumps_canonical(report_to_obj(report, item_ids)))
 
 
 def load_report(path) -> dict:

@@ -1,5 +1,7 @@
 """Solvers for modular incremental knapsack instances.
 
+A modular instance is an Instance priced by the plain profit sum; the
+solvers read only its items, horizon, capacities and coefficients.
 solve_exact is a depth-first branch-and-bound over per-item insertion
 times; solve_heuristic is a density greedy plus seeded local search;
 brute_force_chains is the deliberately unoptimized enumeration that serves
@@ -14,53 +16,23 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from math import floor
-from typing import Iterator
+from typing import Iterator, Sequence
 
 from .errors import BudgetExceeded, LimitsExceeded
-from .instances import Chain, Instance, Item
+from .instances import Chain, Instance, Item, suffix_coefficients
 
 
-class IkInstance:
-    """A modular incremental knapsack instance (no oracle: gamma(S) = p(S))."""
-
-    __slots__ = ("items", "horizon", "capacities", "deltas", "_by_id")
-
-    def __init__(self, items, horizon, capacities, deltas):
-        self.items: tuple[Item, ...] = tuple(items)
-        self.horizon = int(horizon)
-        self.capacities: tuple[int, ...] = tuple(capacities)
-        self.deltas: tuple[int, ...] = tuple(deltas)
-        self._by_id = {it.id: it for it in self.items}
-
-    def __len__(self) -> int:
-        return len(self.items)
-
-    @property
-    def item_ids(self) -> tuple[int, ...]:
-        return tuple(it.id for it in self.items)
-
-    @property
-    def profits_by_id(self) -> dict[int, int]:
-        return {it.id: it.profit for it in self.items}
-
-    def __repr__(self) -> str:
-        return (
-            f"IkInstance(n={len(self.items)}, T={self.horizon}, "
-            f"W={list(self.capacities)}, deltas={list(self.deltas)})"
-        )
+def earliest_period(resid: Sequence[int], w: int) -> int | None:
+    """First 0-based period from which on weight w fits every residual, or None."""
+    t = len(resid)
+    while t and resid[t - 1] >= w:
+        t -= 1
+    return t if t < len(resid) else None
 
 
-def suffix_coefficients(deltas) -> tuple[int, ...]:
-    """D[j] = deltas[j] + ... + deltas[T-1] (0-based), with D[T] = 0.
-
-    An item inserted at 0-based period j earns p * D[j], so D collapses the
-    chain objective into independent per-item terms.  D is non-increasing.
-    """
-    horizon = len(deltas)
-    out = [0] * (horizon + 1)
-    for j in range(horizon - 1, -1, -1):
-        out[j] = deltas[j] + out[j + 1]
-    return tuple(out)
+def _chain(horizon: int, ids: Sequence[int], times: Sequence[int]) -> Chain:
+    """Chain from 0-based per-item periods, where period `horizon` means never."""
+    return Chain(horizon, {ids[k]: t + 1 for k, t in enumerate(times) if t < horizon})
 
 
 @dataclass
@@ -94,7 +66,7 @@ class SolveResult:
     solver: str
 
 
-def solve_exact(ik: IkInstance, limits: SolveLimits | None = None) -> SolveResult:
+def solve_exact(ik: Instance, limits: SolveLimits | None = None) -> SolveResult:
     """Optimal chain by branch-and-bound over per-item insertion times.
 
     Items are assigned a period in 1..T or "never", in descending p*D_1
@@ -203,15 +175,12 @@ def solve_exact(ik: IkInstance, limits: SolveLimits | None = None) -> SolveResul
         assigned[idx] = False
 
     dfs(0, 0)
-    chain = Chain(
-        horizon,
-        {order[i].id: t + 1 for i, t in enumerate(best_times) if t < never},
-    )
+    chain = _chain(horizon, [it.id for it in order], best_times)
     return SolveResult(chain=chain, value=best_val, optimal=True, nodes=nodes, solver="exact")
 
 
 def solve_heuristic(
-    ik: IkInstance, seed: int = 0, limits: SolveLimits | None = None
+    ik: Instance, seed: int = 0, limits: SolveLimits | None = None
 ) -> SolveResult:
     """Density greedy plus first-improvement local search.
 
@@ -232,15 +201,6 @@ def solve_heuristic(
     resid = caps[:]
     time_of: dict[int, int] = {}
 
-    def earliest_feasible(w: int) -> int | None:
-        best = None
-        low = None
-        for t in range(horizon - 1, -1, -1):
-            low = resid[t] if low is None or resid[t] < low else low
-            if low >= w:
-                best = t
-        return best
-
     def insert(i: int, t: int) -> None:
         w = active[i].weight
         for s in range(t, horizon):
@@ -260,7 +220,7 @@ def solve_heuristic(
         return (1, -Fraction(it.profit * dsum[0], it.weight), it.id)
 
     for it in sorted(active.values(), key=density_key):
-        t = earliest_feasible(it.weight)
+        t = earliest_period(resid, it.weight)
         if t is not None:
             insert(it.id, t)
 
@@ -296,7 +256,7 @@ def solve_heuristic(
                     break
                 insert(a, old)
             elif kind == "insert":
-                t = earliest_feasible(active[a].weight)
+                t = earliest_period(resid, active[a].weight)
                 if t is not None and active[a].profit * dsum[t] > 0:
                     insert(a, t)
                     current += active[a].profit * dsum[t]
@@ -304,7 +264,7 @@ def solve_heuristic(
                     break
             else:  # swap a (inserted) for b (outside)
                 old = remove(a)
-                t = earliest_feasible(active[b].weight)
+                t = earliest_period(resid, active[b].weight)
                 gain = (active[b].profit * dsum[t] if t is not None else 0) - active[
                     a
                 ].profit * dsum[old]
@@ -327,146 +287,88 @@ def _bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
+def _feasible_vectors(
+    inst: Instance, max_states: int | None
+) -> tuple[list[int], Iterator[tuple[list[int], list[int]]]]:
+    """Item ids and a DFS over every feasible insertion-time vector.
+
+    Items are taken in id order and periods are 0-based with "never" = T,
+    so vectors come in lexicographic order with "never" last.  Each vector
+    comes with masks[t], the bitmask of the items (bit k = k-th id) inserted
+    at period t.  Only provably infeasible prefixes are pruned.  Both lists
+    are updated in place between yields; copy them to keep them.
+    """
+    horizon = inst.horizon
+    n = len(inst.items)
+    budget = max_states if max_states is not None else SolveLimits().max_states_brute
+    if (horizon + 1) ** n > budget:
+        raise BudgetExceeded(
+            f"(T+1)^n = {(horizon + 1) ** n} assignments exceed budget {budget}"
+        )
+    items = sorted(inst.items, key=lambda it: it.id)
+    ws = [it.weight for it in items]
+    resid = list(inst.capacities)
+    times = [horizon] * n
+    masks = [0] * horizon
+
+    def rec(idx: int) -> Iterator[tuple[list[int], list[int]]]:
+        if idx == n:
+            yield times, masks
+            return
+        w = ws[idx]
+        earliest = earliest_period(resid, w)
+        if earliest is not None:
+            bit = 1 << idx
+            for s in range(earliest, horizon):
+                resid[s] -= w
+            for t in range(earliest, horizon):
+                times[idx] = t
+                masks[t] |= bit
+                yield from rec(idx + 1)
+                masks[t] ^= bit
+                resid[t] += w  # move the insertion one period later
+            times[idx] = horizon
+        yield from rec(idx + 1)
+
+    return [it.id for it in items], rec(0)
+
+
 def brute_force_chains(
-    inst: "Instance | IkInstance", max_states: int | None = None
+    inst: Instance, max_states: int | None = None
 ) -> tuple[int, Chain]:
     """Ground-truth optimum by exhaustive insertion-time enumeration.
 
-    Enumerates every assignment of a period in 1..T or "never" to every
-    item (pruning only provably infeasible prefixes), evaluates the profit
-    through the aggregation oracle for full instances or the modular
-    formula for IkInstances, and returns the maximum value with the
-    lexicographically smallest optimal insertion-time vector ("never"
-    ordered last).  Oracle values are cached per distinct set within a run.
+    Evaluates every feasible insertion-time vector through the aggregation
+    oracle and returns the maximum value with the lexicographically smallest
+    optimal vector ("never" ordered last).  Oracle values are cached per
+    distinct set within a run.  Shares no bound with solve_exact.
     """
-    with_oracle = isinstance(inst, Instance)
-    horizon = inst.horizon
-    n = len(inst.items)
-    budget = max_states if max_states is not None else SolveLimits().max_states_brute
-    if (horizon + 1) ** n > budget:
-        raise BudgetExceeded(
-            f"(T+1)^n = {(horizon + 1) ** n} assignments exceed budget {budget}"
-        )
-    items = sorted(inst.items, key=lambda it: it.id)
-    ids = [it.id for it in items]
-    ws = [it.weight for it in items]
-    caps = list(inst.capacities)
-    deltas = list(inst.deltas)
-    dsum = suffix_coefficients(deltas)
-    never = horizon
-
-    resid = caps[:]
-    times = [never] * n
+    ids, vectors = _feasible_vectors(inst, max_states)
+    oracle = inst.oracle
+    memo: dict[int, int] = {0: 0}
     best_val = -1
-    best_times = times[:]
-
-    if with_oracle:
-        oracle = inst.oracle
-        group_mask = [0] * horizon
-        memo: dict[int, int] = {0: 0}
-
-        def leaf_value(_cur: int) -> int:
-            total = 0
-            mask = 0
-            for t in range(horizon):
-                gm = group_mask[t]
-                if gm:
-                    mask |= gm
-                d = deltas[t]
-                if d:
-                    v = memo.get(mask)
-                    if v is None:
-                        v = oracle.evaluate(frozenset(ids[b] for b in _bits(mask)))
-                        memo[mask] = v
-                    total += d * v
-            return total
-
-    else:
-        contrib = [[it.profit * dsum[t] for t in range(horizon)] for it in items]
-
-        def leaf_value(cur: int) -> int:
-            return cur
-
-    def dfs(idx: int, cur_val: int) -> None:
-        nonlocal best_val, best_times
-        if idx == n:
-            v = leaf_value(cur_val)
-            if v > best_val:
-                best_val = v
-                best_times = times[:]
-            return
-        w = ws[idx]
-        earliest = None
-        low = None
-        for t in range(horizon - 1, -1, -1):
-            low = resid[t] if low is None or resid[t] < low else low
-            if low >= w:
-                earliest = t
-        if earliest is not None:
-            bit = 1 << idx
-            for t in range(earliest, horizon):
-                for s in range(t, horizon):
-                    resid[s] -= w
-                times[idx] = t
-                if with_oracle:
-                    group_mask[t] |= bit
-                    dfs(idx + 1, 0)
-                    group_mask[t] ^= bit
-                else:
-                    dfs(idx + 1, cur_val + contrib[idx][t])
-                for s in range(t, horizon):
-                    resid[s] += w
-            times[idx] = never
-        dfs(idx + 1, cur_val)
-
-    dfs(0, 0)
-    chain = Chain(
-        horizon, {ids[i]: t + 1 for i, t in enumerate(best_times) if t < never}
-    )
-    return best_val, chain
+    best_times: list[int] = []
+    for times, masks in vectors:
+        total = 0
+        mask = 0
+        for t, d in enumerate(inst.deltas):
+            mask |= masks[t]
+            if d:
+                v = memo.get(mask)
+                if v is None:
+                    v = oracle.evaluate(frozenset(ids[b] for b in _bits(mask)))
+                    memo[mask] = v
+                total += d * v
+        if total > best_val:
+            best_val = total
+            best_times = times[:]
+    return best_val, _chain(inst.horizon, ids, best_times)
 
 
 def iter_feasible_chains(
-    inst: "Instance | IkInstance", max_states: int | None = None
+    inst: Instance, max_states: int | None = None
 ) -> Iterator[Chain]:
     """Yield every feasible chain of a small instance (test utility)."""
-    horizon = inst.horizon
-    n = len(inst.items)
-    budget = max_states if max_states is not None else SolveLimits().max_states_brute
-    if (horizon + 1) ** n > budget:
-        raise BudgetExceeded(
-            f"(T+1)^n = {(horizon + 1) ** n} assignments exceed budget {budget}"
-        )
-    items = sorted(inst.items, key=lambda it: it.id)
-    ids = [it.id for it in items]
-    ws = [it.weight for it in items]
-    caps = list(inst.capacities)
-    never = horizon
-    resid = caps[:]
-    times = [never] * n
-
-    def rec(idx: int) -> Iterator[Chain]:
-        if idx == n:
-            yield Chain(
-                horizon, {ids[i]: t + 1 for i, t in enumerate(times) if t < never}
-            )
-            return
-        w = ws[idx]
-        earliest = None
-        low = None
-        for t in range(horizon - 1, -1, -1):
-            low = resid[t] if low is None or resid[t] < low else low
-            if low >= w:
-                earliest = t
-        if earliest is not None:
-            for t in range(earliest, horizon):
-                for s in range(t, horizon):
-                    resid[s] -= w
-                times[idx] = t
-                yield from rec(idx + 1)
-                for s in range(t, horizon):
-                    resid[s] += w
-            times[idx] = never
-        yield from rec(idx + 1)
-
-    yield from rec(0)
+    ids, vectors = _feasible_vectors(inst, max_states)
+    for times, _ in vectors:
+        yield _chain(inst.horizon, ids, times)

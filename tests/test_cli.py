@@ -10,12 +10,18 @@ import json
 import pytest
 
 from iknap.cli import main
-from iknap.serialize import load_instance
+from iknap.serialize import chain_from_obj, load_instance
 from iknap import validate_instance
 
 
 def run(*argv):
     return main([str(a) for a in argv])
+
+
+def edit_json(path, edit):
+    obj = json.loads(path.read_text())
+    edit(obj)
+    path.write_text(json.dumps(obj))
 
 
 K3_EDGES = "3 3\n0 1\n1 2\n0 2\n"
@@ -89,6 +95,25 @@ class TestSolveAndVerify:
         assert run("verify", "--instance", toy_instance, "--report", report_path) == 1
         assert "PhiMismatch" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("form", ["insertion_times", "sets"])
+    def test_tampered_phi_bar_fails_verification(
+        self, toy_instance, tmp_path, capsys, form
+    ):
+        report_path = tmp_path / "report.json"
+        run("solve", "--instance", toy_instance, "--out", report_path, "--quiet")
+        report = json.loads(report_path.read_text())
+        if form == "sets":
+            inst = load_instance(toy_instance)
+            chain = chain_from_obj(report["chain"], inst.item_ids, inst.horizon)
+            report["chain"] = {"sets": [sorted(s) for s in chain.sets()]}
+        report_path.write_text(json.dumps(report))
+        assert run("verify", "--instance", toy_instance, "--report", report_path,
+                   "--quiet") == 0
+        report["phi_bar"] += 999
+        report_path.write_text(json.dumps(report))
+        assert run("verify", "--instance", toy_instance, "--report", report_path) == 1
+        assert "PhiBarMismatch" in capsys.readouterr().err
+
     def test_non_nested_chain_fails_verification(self, toy_instance, tmp_path, capsys):
         report_path = tmp_path / "report.json"
         run("solve", "--instance", toy_instance, "--out", report_path, "--quiet")
@@ -122,6 +147,75 @@ class TestSolveAndVerify:
         with pytest.raises(SystemExit):
             run("solve", "--instance", toy_instance, "--limits", "bogus=1",
                 "--out", tmp_path / "r.json")
+
+
+def negative_weight(instance):
+    instance["weights"][0] = -1
+
+
+def missing_instance_key(instance):
+    del instance["deltas"]
+
+
+def insertion_time_out_of_range(report):
+    report["chain"]["insertion_times"][0] = 3  # the toy instance has T = 2
+
+
+def insertion_times_wrong_length(report):
+    report["chain"]["insertion_times"].append(None)
+
+
+def missing_report_key(report):
+    del report["phi_bar"]
+
+
+def sets_for_wrong_horizon(report):
+    report["chain"] = {"sets": [[1]]}
+
+
+def sets_with_unknown_item(report):
+    report["chain"] = {"sets": [[], [99]]}
+
+
+class TestMalformedInputExits4:
+    @pytest.fixture
+    def report_path(self, toy_instance, tmp_path):
+        path = tmp_path / "report.json"
+        assert run("solve", "--instance", toy_instance, "--out", path, "--quiet") == 0
+        return path
+
+    def assert_exit_4(self, capsys, *argv):
+        assert run(*argv) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("malformed input: ") and err.count("\n") == 1
+        return err
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (negative_weight, "NegativeWeight"),
+            (missing_instance_key, "missing key 'deltas'"),
+        ],
+        ids=["negative_weight", "missing_instance_key"],
+    )
+    def test_instance(self, toy_instance, report_path, tmp_path, capsys, edit, message):
+        edit_json(toy_instance, edit)
+        solve = ["solve", "--out", tmp_path / "r.json"]
+        verify = ["verify", "--report", report_path]
+        for argv in (solve, verify):
+            err = self.assert_exit_4(capsys, *argv, "--instance", toy_instance)
+            assert message in err
+
+    @pytest.mark.parametrize(
+        "edit",
+        [insertion_time_out_of_range, insertion_times_wrong_length, missing_report_key,
+         sets_for_wrong_horizon, sets_with_unknown_item],
+        ids=lambda f: f.__name__,
+    )
+    def test_report(self, toy_instance, report_path, capsys, edit):
+        edit_json(report_path, edit)
+        self.assert_exit_4(capsys, "verify", "--instance", toy_instance,
+                           "--report", report_path)
 
 
 class TestReduceVc:

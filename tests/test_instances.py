@@ -57,6 +57,13 @@ class TestValidation:
         assert any(v.startswith("NegativeDelta") for v in report)
         assert any(v.startswith("DuplicateItemId") for v in report)
 
+    @pytest.mark.parametrize("field", range(4), ids=["weight", "profit", "capacity", "delta"])
+    def test_booleans_are_not_integers(self, field):
+        fields = [[1], [3], [5], [1]]  # weights, profits, capacities, deltas
+        fields[field][0] = True
+        inst = modular_instance(*fields)
+        assert any(v.startswith("NonIntegerField") for v in validate_instance(inst))
+
     def test_zero_capacity_prefix_allowed(self):
         inst = modular_instance([1, 2], [3, 4], [0, 5], [1, 1])
         assert validate_instance(inst) == []

@@ -14,7 +14,6 @@ from iknap import (
     solve_exact,
     brute_force_chains,
 )
-from iknap.solvers import IkInstance
 
 
 @st.composite
@@ -77,5 +76,6 @@ def test_phi_equals_phi_bar_under_modular_oracle(inst, rng):
 @settings(max_examples=60, deadline=None)
 @given(modular_instances(max_n=7))
 def test_exact_solver_agrees_with_enumeration(inst):
-    ik = IkInstance(inst.items, inst.horizon, inst.capacities, inst.deltas)
+    oracle = modular_oracle(inst.profits_by_id)
+    ik = Instance(inst.items, inst.horizon, inst.capacities, inst.deltas, oracle)
     assert solve_exact(ik).value == brute_force_chains(ik)[0]

@@ -14,6 +14,7 @@ from iknap import (
     instance_from_obj,
     instance_to_obj,
     modular_oracle,
+    validate_instance,
 )
 from iknap.generators import FAMILIES
 from iknap.serialize import dumps_canonical
@@ -33,6 +34,15 @@ class TestInstanceCodec:
             for _ in range(20):
                 s = {i for i in inst.item_ids if rng.random() < 0.5}
                 assert rebuilt.oracle.evaluate(s) == inst.oracle.evaluate(s)
+
+    @pytest.mark.parametrize("field", ["weights", "profits"])
+    @pytest.mark.parametrize("raw", [2.7, True, "3"], ids=["float", "bool", "string"])
+    def test_item_fields_pass_through_for_validation(self, field, raw):
+        obj = instance_to_obj(FAMILIES["modular"](3, 2, random.Random(5)))
+        obj[field][0] = raw
+        inst = instance_from_obj(obj)
+        assert getattr(inst.items[0], field[:-1]) is raw
+        assert any(v.startswith("NonIntegerField") for v in validate_instance(inst))
 
     def test_non_contiguous_ids_rejected(self):
         inst = Instance([Item(3, 1, 1)], 1, (2,), (1,), modular_oracle({3: 1}))
@@ -61,3 +71,8 @@ class TestChainCodec:
     def test_sets_form_passes_through_for_verification(self):
         parsed = chain_from_obj({"sets": [[1, 2], [2]]}, [1, 2], 2)
         assert parsed == [{1, 2}, {2}]
+
+    @pytest.mark.parametrize("sets", [[[1]], [[1], [3]]], ids=["short", "unknown-id"])
+    def test_sets_form_rejects_wrong_horizon_and_unknown_ids(self, sets):
+        with pytest.raises(ValueError):
+            chain_from_obj({"sets": sets}, [1, 2], 2)

@@ -7,7 +7,6 @@ import pytest
 from iknap import (
     BudgetExceeded,
     Chain,
-    IkInstance,
     Instance,
     Item,
     LimitsExceeded,
@@ -16,6 +15,7 @@ from iknap import (
     brute_force_chains,
     iter_feasible_chains,
     matroid_rank_sum_oracle,
+    modular_oracle,
     profit_phi_bar,
     solve_exact,
     solve_heuristic,
@@ -23,9 +23,14 @@ from iknap import (
 )
 
 
+def modular(items, horizon, caps, deltas):
+    oracle = modular_oracle({it.id: it.profit for it in items})
+    return Instance(items, horizon, caps, deltas, oracle)
+
+
 def ik(pw_pairs, caps, deltas):
     items = [Item(i + 1, w, p) for i, (p, w) in enumerate(pw_pairs)]
-    return IkInstance(items, len(caps), caps, deltas)
+    return modular(items, len(caps), caps, deltas)
 
 
 def random_ik(rng, n_max=10, t_max=3):
@@ -38,7 +43,7 @@ def random_ik(rng, n_max=10, t_max=3):
     top = rng.randint(0, max(total, 1))
     caps = sorted(rng.randint(0, top) for _ in range(horizon - 1)) + [top]
     deltas = [rng.randint(0, 3) for _ in range(horizon)]
-    return IkInstance(items, horizon, caps, deltas)
+    return modular(items, horizon, caps, deltas)
 
 
 class TestSuffixCoefficients:
@@ -103,7 +108,7 @@ class TestSolveExact:
             assert profit_phi_bar(inst.profits_by_id, inst.deltas, result.chain) == result.value
 
 
-def is_feasible_ik(inst: IkInstance, chain: Chain) -> bool:
+def is_feasible_ik(inst: Instance, chain: Chain) -> bool:
     """Feasibility recheck by direct summation, independent of solver code."""
     for t in range(1, inst.horizon + 1):
         total = sum(
