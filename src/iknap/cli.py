@@ -8,7 +8,9 @@ nondeterministic report field.
 Exit codes for solve: 0 success, 2 oracle-contract violation, 3 size or
 budget limits exceeded.  verify exits 1 on any mismatch.  Both exit 4 on
 malformed input: an instance that fails validation, a file missing a key,
-or a chain whose insertion times are out of range or of the wrong length.
+a non-integer n or T, or a chain whose insertion times are not integers in
+1..T or of the wrong length.  bench records a malformed instance file as
+one error row per solver and exits 1 only when every row failed.
 """
 
 from __future__ import annotations
@@ -215,11 +217,13 @@ def cmd_bench(args: argparse.Namespace) -> int:
     rows: list[dict] = []
     failures = 0
     for path in paths:
-        inst = load_instance(path)
         try:
+            inst = load_instance(path)
             brute_value, _ = brute_force_chains(inst, args.limits.max_states_brute)
         except BudgetExceeded:
             brute_value = None
+        except Exception as exc:  # a bad file gives one error row per solver
+            inst, file_error = None, f"error:{type(exc).__name__}"
         for solver in args.solvers:
             row = {
                 "instance": path.name,
@@ -228,23 +232,24 @@ def cmd_bench(args: argparse.Namespace) -> int:
                 "ratio_to_brute": "",
                 "oracle_calls": "",
                 "elapsed_ms": "",
-                "status": "ok",
+                "status": "ok" if inst is not None else file_error,
             }
-            try:
-                report = solve_ik_aon(
-                    inst, solver=solver, limits=args.limits, seed=args.seed
-                )
-            except Exception as exc:  # record per-row, keep going
-                row["status"] = f"error:{type(exc).__name__}"
-                failures += 1
-            else:
-                row["value"] = report.phi
-                row["oracle_calls"] = report.oracle_calls
-                row["elapsed_ms"] = f"{report.elapsed_ms:.3f}"
-                if brute_value is not None and brute_value > 0:
-                    row["ratio_to_brute"] = f"{report.phi / brute_value:.6f}"
-                elif brute_value == 0:
-                    row["ratio_to_brute"] = "1.000000" if report.phi == 0 else ""
+            if inst is not None:
+                try:
+                    report = solve_ik_aon(
+                        inst, solver=solver, limits=args.limits, seed=args.seed
+                    )
+                except Exception as exc:  # record per-row, keep going
+                    row["status"] = f"error:{type(exc).__name__}"
+                else:
+                    row["value"] = report.phi
+                    row["oracle_calls"] = report.oracle_calls
+                    row["elapsed_ms"] = f"{report.elapsed_ms:.3f}"
+                    if brute_value is not None and brute_value > 0:
+                        row["ratio_to_brute"] = f"{report.phi / brute_value:.6f}"
+                    elif brute_value == 0:
+                        row["ratio_to_brute"] = "1.000000" if report.phi == 0 else ""
+            failures += row["status"] != "ok"
             rows.append(row)
     fields = ["instance", "solver", "value", "ratio_to_brute",
               "oracle_calls", "elapsed_ms", "status"]

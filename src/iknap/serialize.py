@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 from typing import Sequence
 
-from .instances import Chain, Instance, Item
+from .instances import Chain, Instance, Item, _is_int
 from .modularize import SolveReport
 from .oracles import oracle_from_descriptor
 
@@ -36,16 +36,24 @@ def instance_to_obj(inst: Instance) -> dict:
     }
 
 
+def _integer(value, name: str) -> int:
+    """value if it is an int; a float, bool or string would be silently truncated."""
+    if not _is_int(value):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
 def instance_from_obj(obj: dict) -> Instance:
     """Decode an instance; item fields pass through uncoerced for validation."""
-    n = int(obj["n"])
+    n = _integer(obj["n"], "n")
     weights = obj["weights"]
     profits = obj["profits"]
     if len(weights) != n or len(profits) != n:
         raise ValueError(f"weights/profits arrays must have length n={n}")
     items = [Item(i + 1, weights[i], profits[i]) for i in range(n)]
     oracle = oracle_from_descriptor(obj["oracle"], {it.id: it.profit for it in items})
-    return Instance(items, int(obj["T"]), obj["capacities"], obj["deltas"], oracle)
+    horizon = _integer(obj["T"], "T")
+    return Instance(items, horizon, obj["capacities"], obj["deltas"], oracle)
 
 
 def save_instance(inst: Instance, path) -> None:
@@ -83,7 +91,10 @@ def chain_from_obj(obj: dict, item_ids: Sequence[int], horizon: int):
         raise ValueError(
             f"insertion_times has {len(raw)} entries for {len(item_ids)} items"
         )
-    times = {i: int(t) for i, t in zip(item_ids, raw) if t is not None}
+    for t in raw:
+        if t is not None:
+            _integer(t, "an insertion time")
+    times = {i: t for i, t in zip(item_ids, raw) if t is not None}
     return Chain(horizon, times)
 
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import cmp_to_key
 from fractions import Fraction
 from math import floor
 from typing import Iterator, Sequence
@@ -51,7 +52,10 @@ class SolveLimits:
         for key, value in pairs.items():
             if key not in known:
                 raise KeyError(f"unknown limits key {key!r}; known: {sorted(known)}")
-            setattr(limits, key, int(value))
+            value = int(value)
+            if value < 0:
+                raise ValueError(f"limits key {key!r} must be >= 0, got {value}")
+            setattr(limits, key, value)
         return limits
 
 
@@ -184,17 +188,21 @@ def solve_heuristic(
 ) -> SolveResult:
     """Density greedy plus first-improvement local search.
 
-    Greedy inserts items by p*D_1/w density at their earliest feasible
-    period; local search then tries single-item time shifts, fresh inserts,
-    and swaps of an inserted item for an uninserted one, scanning in a
-    seeded random order until no move improves or the budget runs out.
-    Deterministic per seed, and never worse than the greedy value.
+    The greedy inserts items at their earliest feasible period: weight-0
+    items first, then by p*D_1/w descending (compared exactly, by integer
+    cross-multiplication), ties by id.  Local search then tries single-item
+    time shifts, fresh inserts, and swaps of an inserted item for an
+    uninserted one.  Each round numbers its moves arithmetically and draws
+    them lazily, as a seeded random permutation (a sparse Fisher-Yates), so
+    a round costs O(n + moves tried) time and memory.  A round ends at the
+    first improving move; the search stops when a whole round finds none or
+    local_search_budget moves have been tried.  Deterministic per seed, and
+    never worse than the greedy value.
     """
     limits = limits or SolveLimits()
     horizon = ik.horizon
     caps = list(ik.capacities)
-    deltas = list(ik.deltas)
-    dsum = suffix_coefficients(deltas)
+    dsum = suffix_coefficients(ik.deltas)
     rng = random.Random(seed)
     active = {it.id: it for it in ik.items if it.weight <= caps[-1]}
 
@@ -214,66 +222,72 @@ def solve_heuristic(
             resid[s] += w
         return t
 
-    def density_key(it: Item):
-        if it.weight == 0:
-            return (0, Fraction(0), it.id)
-        return (1, -Fraction(it.profit * dsum[0], it.weight), it.id)
+    def denser_first(a: Item, b: Item) -> int:
+        return dsum[0] * (b.profit * a.weight - a.profit * b.weight) or a.id - b.id
 
-    for it in sorted(active.values(), key=density_key):
+    weightless = [active[i] for i in sorted(active) if active[i].weight == 0]
+    weighted = sorted(
+        (it for it in active.values() if it.weight), key=cmp_to_key(denser_first)
+    )
+    for it in weightless + weighted:
         t = earliest_period(resid, it.weight)
         if t is not None:
             insert(it.id, t)
 
-    current = sum(active[i].profit * dsum[t] for i, t in time_of.items())
     tried = 0
     budget = limits.local_search_budget
+    per_item = horizon - 1  # shift targets of one inserted item
     improved = True
     while improved and tried < budget:
         improved = False
         inserted = sorted(time_of)
-        outside = sorted(set(active) - set(time_of))
-        moves: list[tuple] = []
-        for i in inserted:
-            for t in range(horizon):
-                if t != time_of[i]:
-                    moves.append(("shift", i, t))
-        for j in outside:
-            moves.append(("insert", j, -1))
-            for i in inserted:
-                moves.append(("swap", i, j))
-        rng.shuffle(moves)
-        for kind, a, b in moves:
-            if tried >= budget:
-                break
+        outside = sorted(active.keys() - time_of.keys())
+        k = len(inserted)
+        # Move m < shifts moves inserted[m // per_item] to another period; the
+        # rest come k + 1 per outside item: its insert, then a swap with each
+        # inserted item.
+        shifts = k * per_item
+        total = shifts + len(outside) * (k + 1)
+        displaced: dict[int, int] = {}  # sparse Fisher-Yates: slot r holds r unless listed
+        for pos in range(min(total, budget - tried)):
+            r = rng.randrange(pos, total)
+            move = displaced.get(r, r)
+            displaced[r] = displaced.pop(pos, pos)
             tried += 1
-            if kind == "shift":
-                old = remove(a)
-                gain = active[a].profit * (dsum[b] - dsum[old])
-                if gain > 0 and min(resid[b:horizon]) >= active[a].weight:
-                    insert(a, b)
-                    current += gain
-                    improved = True
-                    break
-                insert(a, old)
-            elif kind == "insert":
-                t = earliest_period(resid, active[a].weight)
-                if t is not None and active[a].profit * dsum[t] > 0:
+            if move < shifts:
+                a = inserted[move // per_item]
+                old = time_of[a]
+                t = move % per_item
+                if t >= old:
+                    t += 1
+                # Only an earlier period gains; it must fit up to the old one.
+                gain = active[a].profit * (dsum[t] - dsum[old])
+                if gain > 0 and min(resid[t:old]) >= active[a].weight:
+                    remove(a)
                     insert(a, t)
-                    current += active[a].profit * dsum[t]
                     improved = True
                     break
-            else:  # swap a (inserted) for b (outside)
-                old = remove(a)
-                t = earliest_period(resid, active[b].weight)
-                gain = (active[b].profit * dsum[t] if t is not None else 0) - active[
-                    a
-                ].profit * dsum[old]
-                if t is not None and gain > 0:
-                    insert(b, t)
-                    current += gain
+                continue
+            j, s = divmod(move - shifts, k + 1)
+            b = active[outside[j]]
+            if s == 0:
+                t = earliest_period(resid, b.weight)
+                if t is not None and b.profit * dsum[t] > 0:
+                    insert(b.id, t)
                     improved = True
                     break
-                insert(a, old)
+                continue
+            a = inserted[s - 1]
+            loss = active[a].profit * dsum[time_of[a]]
+            if b.profit * dsum[0] <= loss:
+                continue  # even the earliest period cannot pay for the swap
+            old = remove(a)
+            t = earliest_period(resid, b.weight)
+            if t is not None and b.profit * dsum[t] > loss:
+                insert(b.id, t)
+                improved = True
+                break
+            insert(a, old)
 
     chain = Chain(horizon, {i: t + 1 for i, t in time_of.items()})
     value = sum(active[i].profit * dsum[t] for i, t in time_of.items())

@@ -148,6 +148,17 @@ class TestSolveAndVerify:
             run("solve", "--instance", toy_instance, "--limits", "bogus=1",
                 "--out", tmp_path / "r.json")
 
+    @pytest.mark.parametrize("limits", ["local_search_budget=-5", "max_n_exact=-1"])
+    def test_negative_limit_is_a_usage_error(self, toy_instance, tmp_path, capsys, limits):
+        with pytest.raises(SystemExit):
+            run("solve", "--instance", toy_instance, "--limits", limits,
+                "--out", tmp_path / "r.json")
+        assert "must be >= 0" in capsys.readouterr().err
+
+
+def fractional_horizon(instance):
+    instance["T"] = 2.5  # int() would read this as T = 2
+
 
 def negative_weight(instance):
     instance["weights"][0] = -1
@@ -159,6 +170,10 @@ def missing_instance_key(instance):
 
 def insertion_time_out_of_range(report):
     report["chain"]["insertion_times"][0] = 3  # the toy instance has T = 2
+
+
+def fractional_insertion_time(report):
+    report["chain"]["insertion_times"][0] = 1.5
 
 
 def insertion_times_wrong_length(report):
@@ -195,8 +210,9 @@ class TestMalformedInputExits4:
         [
             (negative_weight, "NegativeWeight"),
             (missing_instance_key, "missing key 'deltas'"),
+            (fractional_horizon, "T must be an integer, got 2.5"),
         ],
-        ids=["negative_weight", "missing_instance_key"],
+        ids=["negative_weight", "missing_instance_key", "fractional_horizon"],
     )
     def test_instance(self, toy_instance, report_path, tmp_path, capsys, edit, message):
         edit_json(toy_instance, edit)
@@ -208,7 +224,8 @@ class TestMalformedInputExits4:
 
     @pytest.mark.parametrize(
         "edit",
-        [insertion_time_out_of_range, insertion_times_wrong_length, missing_report_key,
+        [insertion_time_out_of_range, fractional_insertion_time,
+         insertion_times_wrong_length, missing_report_key,
          sets_for_wrong_horizon, sets_with_unknown_item],
         ids=lambda f: f.__name__,
     )
@@ -256,6 +273,28 @@ class TestBench:
         lines = out.read_text().strip().splitlines()
         assert len(lines) == 1
         assert lines[0].startswith("instance,solver,value")
+
+    def test_malformed_file_gives_error_rows_and_the_run_goes_on(self, tmp_path):
+        instances = tmp_path / "instances"
+        instances.mkdir()
+        run("generate", "--family", "modular", "--n", 5, "-T", 2,
+            "--seed", 2, "--out", instances / "good.json", "--quiet")
+        (instances / "bad.json").write_text('{"n": 2}')
+        (instances / "torn.json").write_text('{"n": ')
+        out = tmp_path / "bench.csv"
+        assert run("bench", "--instances", instances,
+                   "--solvers", "exact,heuristic", "--out", out, "--quiet") == 0
+        rows = list(csv.DictReader(out.open()))
+        assert [(r["instance"], r["solver"], r["status"]) for r in rows] == [
+            ("bad.json", "exact", "error:KeyError"),
+            ("bad.json", "heuristic", "error:KeyError"),
+            ("good.json", "exact", "ok"),
+            ("good.json", "heuristic", "ok"),
+            ("torn.json", "exact", "error:JSONDecodeError"),
+            ("torn.json", "heuristic", "error:JSONDecodeError"),
+        ]
+        (instances / "good.json").unlink()
+        assert run("bench", "--instances", instances, "--out", out, "--quiet") == 1
 
     def test_over_budget_brute_leaves_ratio_empty(self, tmp_path):
         instances = tmp_path / "instances"

@@ -44,6 +44,14 @@ class TestInstanceCodec:
         assert getattr(inst.items[0], field[:-1]) is raw
         assert any(v.startswith("NonIntegerField") for v in validate_instance(inst))
 
+    @pytest.mark.parametrize("field", ["n", "T"])
+    @pytest.mark.parametrize("raw", [2.5, 3.0, True, "3"], ids=["fraction", "float", "bool", "string"])
+    def test_non_integer_size_rejected(self, field, raw):
+        obj = instance_to_obj(FAMILIES["modular"](3, 2, random.Random(5)))
+        obj[field] = raw
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            instance_from_obj(obj)
+
     def test_non_contiguous_ids_rejected(self):
         inst = Instance([Item(3, 1, 1)], 1, (2,), (1,), modular_oracle({3: 1}))
         with pytest.raises(ValueError):
@@ -67,6 +75,11 @@ class TestChainCodec:
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
             chain_from_obj({"insertion_times": [1]}, [1, 2], 1)
+
+    @pytest.mark.parametrize("raw", [2.7, 2.0, True, "2"], ids=["fraction", "float", "bool", "string"])
+    def test_non_integer_insertion_time_rejected(self, raw):
+        with pytest.raises(ValueError, match="insertion time must be an integer"):
+            chain_from_obj({"insertion_times": [None, raw]}, [1, 2], 3)
 
     def test_sets_form_passes_through_for_verification(self):
         parsed = chain_from_obj({"sets": [[1, 2], [2]]}, [1, 2], 2)

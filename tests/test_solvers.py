@@ -1,6 +1,8 @@
 """Modular-instance solvers: exact branch-and-bound, heuristic, brute force."""
 
 import random
+import tracemalloc
+from fractions import Fraction
 
 import pytest
 
@@ -122,6 +124,25 @@ def is_feasible_ik(inst: Instance, chain: Chain) -> bool:
     return True
 
 
+def reference_greedy(inst: Instance) -> Chain:
+    """Density greedy written independently: Fraction keys, weight-0 items first."""
+    d1 = suffix_coefficients(inst.deltas)[0]
+    order = sorted(
+        inst.items,
+        key=lambda it: (it.weight > 0, -Fraction(it.profit * d1, it.weight or 1), it.id),
+    )
+    resid = list(inst.capacities)
+    times = {}
+    for it in order:
+        for t in range(inst.horizon):
+            if all(r >= it.weight for r in resid[t:]):
+                for s in range(t, inst.horizon):
+                    resid[s] -= it.weight
+                times[it.id] = t + 1
+                break
+    return Chain(inst.horizon, times)
+
+
 class TestSolveHeuristic:
     def test_exact_on_easy_instance(self):
         inst = ik([(6, 2), (5, 2), (4, 2)], [4], [1])
@@ -150,6 +171,44 @@ class TestSolveHeuristic:
             f"\nheuristic/exact ratio over {len(ratios)} instances: "
             f"min={min(ratios):.3f} mean={sum(ratios) / len(ratios):.3f}"
         )
+
+    def test_zero_budget_is_the_exact_density_greedy(self):
+        # Small weights and profits make equal densities common; every third
+        # instance has all-zero deltas, where only weight and id order items.
+        rng = random.Random(211)
+        for k in range(300):
+            inst = random_ik(rng, n_max=25, t_max=4)
+            if k % 3 == 0:
+                inst = modular(inst.items, inst.horizon, inst.capacities, (0,) * inst.horizon)
+            result = solve_heuristic(inst, seed=k, limits=SolveLimits(local_search_budget=0))
+            assert result.chain == reference_greedy(inst)
+            assert result.nodes == 0
+            assert result.value == profit_phi_bar(inst.profits_by_id, inst.deltas, result.chain)
+
+    def test_local_search_never_worse_than_greedy(self):
+        rng = random.Random(223)
+        greedy_only = SolveLimits(local_search_budget=0)
+        for k in range(200):
+            inst = random_ik(rng, n_max=30, t_max=4)
+            searched = solve_heuristic(inst, seed=k)
+            assert searched.value >= solve_heuristic(inst, seed=k, limits=greedy_only).value
+            assert searched.nodes <= SolveLimits().local_search_budget
+
+    def test_large_instance_memory_stays_linear(self):
+        # A round must not materialize its O(n^2) move space: at n=3000 a
+        # list of all shift/insert/swap moves takes over 100 MB.
+        rng = random.Random(227)
+        items = [Item(i + 1, rng.randint(1, 60), rng.randint(1, 60)) for i in range(3000)]
+        total = sum(it.weight for it in items)
+        inst = modular(items, 4, [total // 8, total // 5, total // 3, total // 2], [1, 2, 1, 3])
+        tracemalloc.start()
+        try:
+            result = solve_heuristic(inst, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result.nodes <= SolveLimits().local_search_budget
+        assert peak < 8 * 2**20, f"peak {peak / 2**20:.1f} MiB"
 
     def test_deterministic_per_seed(self):
         rng = random.Random(103)
