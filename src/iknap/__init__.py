@@ -73,10 +73,12 @@ from .modularize import (
 )
 from .oracles import (
     AggregationOracle,
+    Grower,
     MatroidSpec,
     check_aon_property,
     check_submodularity,
     coverage_oracle,
+    grower_for,
     matroid_rank,
     matroid_rank_sum_oracle,
     modular_oracle,

@@ -15,6 +15,7 @@ from typing import Iterable
 
 from .errors import ChainNotIndependent, NotDependent, OracleViolation, SolverFailure
 from .instances import Chain, Instance
+from .oracles import grower_for
 
 
 class IndependenceContext:
@@ -83,15 +84,30 @@ def min_weight_basis(
     """Greedy basis of a profit class: weight-ascending, smallest id on ties.
 
     The independent subsets of a single profit class form a matroid, so the
-    greedy output is maximal and of minimum total weight.  Costs exactly one
-    independence test (= one oracle call on a fresh context) per class item.
+    greedy output is maximal and of minimum total weight.  The basis B stays
+    independent, so gamma(B) = p(B) and B + i is independent exactly when
+    the gain of i over B is p_i; a larger gain means gamma(B + i) > p(B + i)
+    and raises OracleViolation.  Costs exactly one oracle query per class
+    item: an incremental gain, or evaluate(B + i) for oracles without a
+    grower.  The context's memo is not consulted.
     """
     inst = ctx.instance
     order = sorted(class_items, key=lambda i: (inst.weight_of(i), i))
-    basis: set[int] = set()
+    grower = grower_for(inst.oracle)
+    basis: list[int] = []
+    value = 0
     for i in order:
-        if ctx.is_independent(basis | {i}):
-            basis.add(i)
+        p = inst.profit_of(i)
+        g = grower.gain(i)
+        if g > p:
+            raise OracleViolation(
+                f"gamma(S) = {value + g} > p(S) = {value + p} for S={sorted(basis + [i])}; "
+                "oracle is outside the all-or-nothing class"
+            )
+        if g == p:
+            grower.add(i)
+            basis.append(i)
+            value += p
     return ClassBasis(class_index, frozenset(basis), inst.total_weight(basis))
 
 

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 from .errors import InvalidInstance, OracleViolation, UnknownItemId
+from .oracles import grower_for
 
 
 @dataclass(frozen=True)
@@ -121,7 +122,7 @@ class Instance:
 
     def __init__(self, items, horizon, capacities, deltas, oracle):
         self.items: tuple[Item, ...] = tuple(items)
-        self.horizon = int(horizon)
+        self.horizon = horizon
         self.capacities: tuple[int, ...] = tuple(capacities)
         self.deltas: tuple[int, ...] = tuple(deltas)
         self.oracle = oracle
@@ -190,16 +191,19 @@ def validate_instance(inst: Instance) -> list[str]:
     preprocess_singletons, not here, to keep validation oracle-free.
     """
     problems: list[str] = []
-    if inst.horizon < 1:
-        problems.append(f"EmptyHorizon: T={inst.horizon} < 1")
-    if len(inst.capacities) != inst.horizon:
-        problems.append(
-            f"LengthMismatch: {len(inst.capacities)} capacities for T={inst.horizon}"
-        )
-    if len(inst.deltas) != inst.horizon:
-        problems.append(
-            f"LengthMismatch: {len(inst.deltas)} coefficients for T={inst.horizon}"
-        )
+    if not _is_int(inst.horizon):
+        problems.append(f"NonIntegerField: T={inst.horizon!r} must be int")
+    else:
+        if inst.horizon < 1:
+            problems.append(f"EmptyHorizon: T={inst.horizon} < 1")
+        if len(inst.capacities) != inst.horizon:
+            problems.append(
+                f"LengthMismatch: {len(inst.capacities)} capacities for T={inst.horizon}"
+            )
+        if len(inst.deltas) != inst.horizon:
+            problems.append(
+                f"LengthMismatch: {len(inst.deltas)} coefficients for T={inst.horizon}"
+            )
     seen: set[int] = set()
     for pos, it in enumerate(inst.items):
         if it.id in seen:
@@ -326,11 +330,14 @@ def preprocess_singletons(inst: Instance) -> tuple[Instance, tuple[int, ...]]:
     An item with gamma({i}) = 0 contributes nothing to any set (by
     submodularity), so removing it preserves the optimal value.  Any
     singleton value other than 0 or p_i breaks the all-or-nothing contract.
+    Makes one oracle query per item: the gain of i over the empty set, which
+    is evaluate({i}) for oracles without an incremental grower.
     """
     kept: list[Item] = []
     dropped: list[int] = []
+    grower = grower_for(inst.oracle)
     for it in inst.items:
-        g = inst.oracle.evaluate(frozenset((it.id,)))
+        g = grower.gain(it.id)
         if g == it.profit:
             kept.append(it)
         elif g == 0:

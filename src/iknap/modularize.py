@@ -53,7 +53,10 @@ def modularize(inst: Instance) -> ModularizedInstance:
     """Restrict to the union of per-class minimum-weight greedy bases.
 
     Expects a validated, singleton-preprocessed instance.  Costs one sort
-    plus exactly one independence oracle call per retained item.
+    per class plus exactly one oracle query per item: an incremental gain
+    for the built-in modular and matroid-rank-sum oracles, so the whole
+    reduction is linear in n up to the sort, and evaluate(B + i) for any
+    other oracle.
     """
     partition = profit_partition(inst)
     ctx = IndependenceContext(inst)

@@ -31,15 +31,30 @@ class AggregationOracle:
     evaluate() may be called from multiple threads: the wrapped function must
     be stateless (all built-in families are) and the call counter is bumped
     under a lock, exactly once per call.
+
+    Optional incremental protocol: grower_for(oracle) returns a Grower, which
+    holds a set B that starts empty; gain(i) returns gamma(B + i) - gamma(B)
+    and add(i) puts i into B.  Each gain() counts as one call in call_count,
+    exactly as one evaluate() would; add() is free.  An oracle built with
+    grower=(cls, data) answers through cls(oracle, data), a Grower subclass
+    that builds its own state, so the oracle keeps none between calls; the
+    modular and matroid-rank-sum families do this.  Without one, gains go
+    through evaluate().  A grower is single-owner state: one caller, one loop.
     """
 
-    __slots__ = ("_fn", "descriptor", "_count", "_lock")
+    __slots__ = ("_fn", "descriptor", "_count", "_lock", "_grower")
 
-    def __init__(self, fn: Callable[[frozenset], int], descriptor: dict):
+    def __init__(
+        self,
+        fn: Callable[[frozenset], int],
+        descriptor: dict,
+        grower: "tuple[type[Grower], object] | None" = None,
+    ):
         self._fn = fn
         self.descriptor = descriptor
         self._count = 0
         self._lock = threading.Lock()
+        self._grower = grower
 
     def evaluate(self, items: Iterable[int]) -> int:
         s = frozenset(items)
@@ -54,6 +69,74 @@ class AggregationOracle:
     def __repr__(self) -> str:
         kind = self.descriptor.get("kind", "?")
         return f"AggregationOracle(kind={kind!r}, calls={self._count})"
+
+
+class Grower:
+    """gamma(B + i) - gamma(B) for a set B grown one item at a time from empty.
+
+    gain(i) takes an item not in B and counts as one call on the oracle;
+    add(i) puts into B the item whose gain was just asked.  Subclasses
+    supply _marginal() and add().  Not thread-safe.
+    """
+
+    __slots__ = ("_oracle",)
+
+    def __init__(self, oracle: AggregationOracle):
+        self._oracle = oracle
+
+    def gain(self, item: int) -> int:
+        oracle = self._oracle
+        with oracle._lock:
+            oracle._count += 1
+        return self._marginal(item)
+
+    def _marginal(self, item: int) -> int:
+        raise NotImplementedError
+
+    def add(self, item: int) -> None:
+        raise NotImplementedError
+
+
+class _EvaluateGrower(Grower):
+    """Any object with evaluate(): each gain is evaluate(B + i) minus the value of B.
+
+    The value of the empty set is taken to be 0 (every oracle's contract),
+    and the value of B + i is the answer of the gain(i) that preceded add(i).
+    """
+
+    __slots__ = ("_members", "_value", "_asked")
+
+    def __init__(self, oracle):
+        super().__init__(oracle)
+        self._members: set[int] = set()
+        self._value = 0
+        self._asked: tuple[int, int] | None = None
+
+    def gain(self, item: int) -> int:
+        value = self._oracle.evaluate(self._members | {item})
+        self._asked = (item, value)
+        return value - self._value
+
+    def add(self, item: int) -> None:
+        if self._asked is None or self._asked[0] != item:
+            raise ValueError(f"add({item}) must follow gain({item})")
+        self._members.add(item)
+        self._value = self._asked[1]
+        self._asked = None
+
+
+def grower_for(oracle) -> Grower:
+    """The oracle's incremental grower, or one that calls evaluate() per gain.
+
+    Any object with an evaluate() method works: coverage and user-supplied
+    oracles, or a wrapper around an oracle, get the evaluate-backed grower,
+    which asks gamma(B + i) on exactly the set B + i.
+    """
+    recipe = oracle._grower if isinstance(oracle, AggregationOracle) else None
+    if recipe is None:
+        return _EvaluateGrower(oracle)
+    cls, data = recipe
+    return cls(oracle, data)
 
 
 @dataclass(frozen=True)
@@ -102,6 +185,16 @@ class MatroidSpec:
         )
 
 
+def _find(parent: dict[int, int], x: int) -> int:
+    """Root of x in a union-find forest kept as a parent map; compresses the path."""
+    root = x
+    while parent.setdefault(root, root) != root:
+        root = parent[root]
+    while parent[x] != root:
+        parent[x], x = root, parent[x]
+    return root
+
+
 def matroid_rank(spec: MatroidSpec, items: Iterable[int]) -> int:
     """Rank of an item set under the spec's matroid."""
     s = frozenset(items)
@@ -113,27 +206,121 @@ def matroid_rank(spec: MatroidSpec, items: Iterable[int]) -> int:
     if spec.kind == "partition":
         return sum(min(len(s & g), cap) for g, cap in spec.groups)
     if spec.kind == "graphic":
-        # Union-find forest, rebuilt per call (no cross-call caching).
         parent: dict[int, int] = {}
-
-        def find(x: int) -> int:
-            root = x
-            while parent.setdefault(root, root) != root:
-                root = parent[root]
-            while parent[x] != root:
-                parent[x], x = root, parent[x]
-            return root
-
         rank = 0
         for item, u, v in spec.edges:
             if item not in s:
                 continue
-            ru, rv = find(u), find(v)
+            ru, rv = _find(parent, u), _find(parent, v)
             if ru != rv:
                 parent[rv] = ru
                 rank += 1
         return rank
     raise ValueError(f"unknown matroid kind {spec.kind!r}")
+
+
+def _uniform_state(spec: MatroidSpec):
+    free = [spec.rank_cap]
+
+    def add(item: int) -> None:
+        free[0] -= 1
+
+    return (lambda item: free[0] > 0), add
+
+
+def _partition_state(spec: MatroidSpec):
+    group = {i: k for k, (members, _) in enumerate(spec.groups) for i in members}
+    free = [cap for _, cap in spec.groups]
+
+    def add(item: int) -> None:
+        free[group[item]] -= 1
+
+    return (lambda item: free[group[item]] > 0), add
+
+
+def _graphic_state(spec: MatroidSpec):
+    ends = {i: (u, v) for i, u, v in spec.edges}
+    parent: dict[int, int] = {}
+
+    def gain(item: int) -> bool:
+        u, v = ends[item]
+        return _find(parent, u) != _find(parent, v)
+
+    def add(item: int) -> None:
+        u, v = ends[item]
+        parent[_find(parent, v)] = _find(parent, u)
+
+    return gain, add
+
+
+_MATROID_STATES = {
+    "uniform": _uniform_state,
+    "partition": _partition_state,
+    "graphic": _graphic_state,
+}
+
+
+def _matroid_state(spec: MatroidSpec):
+    """(gain, add) over a set B that starts empty: gain(i) says if B + i has higher rank.
+
+    Uniform keeps the free rank, partition the free capacity per group (both
+    may go negative once B is dependent), graphic a union-find forest.
+    """
+    if spec.kind not in _MATROID_STATES:
+        raise ValueError(f"unknown matroid kind {spec.kind!r}")
+    return _MATROID_STATES[spec.kind](spec)
+
+
+class _TableGrower(Grower):
+    """Modular marginals: gain(i) is p_i whatever B holds."""
+
+    __slots__ = ("_table",)
+
+    def __init__(self, oracle: AggregationOracle, table: dict[int, int]):
+        super().__init__(oracle)
+        self._table = table
+
+    def _marginal(self, item: int) -> int:
+        try:
+            return self._table[item]
+        except KeyError:
+            raise UnknownItemId(f"item id {item} outside oracle ground") from None
+
+    def add(self, item: int) -> None:
+        pass
+
+
+class _RankSumGrower(Grower):
+    """Per-class matroid states, each built the first time one of its items comes up."""
+
+    __slots__ = ("_specs", "_states", "_hit")
+
+    def __init__(self, oracle: AggregationOracle, specs: list[tuple[int, MatroidSpec]]):
+        super().__init__(oracle)
+        self._specs = specs
+        self._states: dict[int, tuple] = {}
+        self._hit: tuple = (frozenset(), 0, None)
+
+    def _class_of(self, item: int) -> tuple:
+        """(ground, profit, (gain, add)) of the item's class."""
+        # Callers mostly ask about one class at a time, so try the last one first.
+        if item in self._hit[0]:
+            return self._hit
+        for p, spec in self._specs:
+            if item in spec.ground:
+                if p not in self._states:
+                    self._states[p] = _matroid_state(spec)
+                self._hit = (spec.ground, p, self._states[p])
+                return self._hit
+        raise UnknownItemId(f"item id {item} outside oracle ground")
+
+    def _marginal(self, item: int) -> int:
+        _, p, (gain, _) = self._class_of(item)
+        return p if gain(item) else 0
+
+    def add(self, item: int) -> None:
+        _, _, (_, add) = self._class_of(item)
+        add(item)
 
 
 def modular_oracle(profits: Mapping[int, int]) -> AggregationOracle:
@@ -146,7 +333,7 @@ def modular_oracle(profits: Mapping[int, int]) -> AggregationOracle:
         except KeyError as exc:
             raise UnknownItemId(f"item id {exc.args[0]} outside oracle ground") from None
 
-    return AggregationOracle(fn, {"kind": "modular"})
+    return AggregationOracle(fn, {"kind": "modular"}, (_TableGrower, table))
 
 
 def _matroid_to_obj(spec: MatroidSpec) -> dict:
@@ -205,7 +392,7 @@ def matroid_rank_sum_oracle(
         "kind": "matroid_rank_sum",
         "classes": [{"profit": p, "matroid": _matroid_to_obj(spec)} for p, spec in specs],
     }
-    return AggregationOracle(fn, descriptor)
+    return AggregationOracle(fn, descriptor, (_RankSumGrower, specs))
 
 
 def coverage_oracle(

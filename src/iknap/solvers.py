@@ -47,12 +47,19 @@ class SolveLimits:
 
     @staticmethod
     def from_mapping(pairs: dict) -> "SolveLimits":
+        """Limits from key -> value pairs; a value is an int or a string of one.
+
+        Floats and booleans raise ValueError instead of being truncated.
+        """
         limits = SolveLimits()
         known = set(limits.__dataclass_fields__)
         for key, value in pairs.items():
             if key not in known:
                 raise KeyError(f"unknown limits key {key!r}; known: {sorted(known)}")
-            value = int(value)
+            if isinstance(value, str):
+                value = int(value)
+            elif not isinstance(value, int) or isinstance(value, bool):
+                raise ValueError(f"limits key {key!r} must be an integer, got {value!r}")
             if value < 0:
                 raise ValueError(f"limits key {key!r} must be >= 0, got {value}")
             setattr(limits, key, value)

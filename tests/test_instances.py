@@ -64,6 +64,14 @@ class TestValidation:
         inst = modular_instance(*fields)
         assert any(v.startswith("NonIntegerField") for v in validate_instance(inst))
 
+    @pytest.mark.parametrize(
+        "horizon, caps", [(2.5, (1, 2)), (2.0, (1, 2)), (True, (1,))], ids=["2.5", "2.0", "True"]
+    )
+    def test_non_integer_horizon_is_kept_and_reported(self, horizon, caps):
+        inst = Instance([Item(1, 1, 1)], horizon, caps, (1,) * len(caps), modular_oracle({1: 1}))
+        assert inst.horizon is horizon
+        assert validate_instance(inst) == [f"NonIntegerField: T={horizon!r} must be int"]
+
     def test_zero_capacity_prefix_allowed(self):
         inst = modular_instance([1, 2], [3, 4], [0, 5], [1, 1])
         assert validate_instance(inst) == []

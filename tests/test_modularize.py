@@ -1,10 +1,12 @@
 """The reduction pipeline: modularize, solve end to end, verify."""
 
+import dataclasses
 import random
 
 import pytest
 
 from iknap import (
+    AggregationOracle,
     Chain,
     IndependenceContext,
     InfeasibleInternal,
@@ -21,7 +23,9 @@ from iknap import (
     matroid_rank_sum_oracle,
     modular_oracle,
     modularize,
+    oracle_from_descriptor,
     preprocess_singletons,
+    profit_partition,
     profit_phi,
     profit_phi_bar,
     solve_exact,
@@ -30,6 +34,7 @@ from iknap import (
 )
 from iknap.generators import (
     FAMILIES,
+    make_family_instance,
     make_matroid_rank_instance,
     make_modular_instance,
     make_uniform_classes_instance,
@@ -80,6 +85,75 @@ class TestModularize:
             before = reduced.oracle.call_count
             modularize(reduced)
             assert reduced.oracle.call_count - before == len(reduced)
+
+
+class EvaluateOnly:
+    """An oracle wrapper with only descriptor, call_count and evaluate(), like a tracing proxy."""
+
+    def __init__(self, oracle):
+        self._oracle = oracle
+        self.descriptor = oracle.descriptor
+        self.asked: list[frozenset] = []
+
+    @property
+    def call_count(self) -> int:
+        return self._oracle.call_count
+
+    def evaluate(self, items) -> int:
+        self.asked.append(frozenset(items))
+        return self._oracle.evaluate(items)
+
+
+def with_oracle(inst, oracle):
+    return Instance(inst.items, inst.horizon, inst.capacities, inst.deltas, oracle)
+
+
+class TestEvaluateFallback:
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    @pytest.mark.parametrize("solver", ["exact", "heuristic"])
+    def test_same_report_and_calls_as_the_incremental_path(self, family, solver):
+        for seed in range(6):
+            inst = make_family_instance(family, (8, 30)[seed % 2], 3, random.Random(seed))
+            if solver == "exact" and len(inst) > 18:
+                continue
+            fresh = oracle_from_descriptor(inst.oracle.descriptor, inst.profits_by_id)
+            fast = solve_ik_aon(inst, solver=solver, seed=seed)
+            slow = solve_ik_aon(with_oracle(inst, EvaluateOnly(fresh)), solver=solver, seed=seed)
+            assert dataclasses.replace(slow, elapsed_ms=0) == dataclasses.replace(
+                fast, elapsed_ms=0
+            )
+            assert fresh.call_count == inst.oracle.call_count
+
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    def test_fallback_evaluates_singletons_then_basis_plus_item(self, family):
+        for seed in range(4):
+            inst = make_family_instance(family, 12, 2, random.Random(seed))
+            proxy = EvaluateOnly(inst.oracle)
+            reduced, dropped = preprocess_singletons(with_oracle(inst, proxy))
+            mod = modularize(reduced)
+            expected = [frozenset((i,)) for i in inst.item_ids]
+            for (_, klass), basis in zip(profit_partition(reduced).classes, mod.bases):
+                grown: set[int] = set()
+                for i in sorted(klass, key=lambda i: (reduced.weight_of(i), i)):
+                    expected.append(frozenset(grown | {i}))
+                    if i in basis.members:
+                        grown.add(i)
+            assert proxy.asked[: len(expected)] == expected
+            assert len(proxy.asked) == 2 * len(inst) - len(dropped)
+
+
+class TestIncrementalScale:
+    @pytest.mark.parametrize("family", ["graphic-classes", "partition-classes"])
+    def test_reduction_makes_no_evaluate_call_at_n_20000(self, family, monkeypatch):
+        inst = make_family_instance(family, 20_000, 3, random.Random(4))
+
+        def no_evaluate(self, items):
+            raise AssertionError("the reduction called evaluate()")
+
+        monkeypatch.setattr(AggregationOracle, "evaluate", no_evaluate)
+        reduced, dropped = preprocess_singletons(inst)
+        modularize(reduced)
+        assert inst.oracle.call_count == 2 * len(inst) - len(dropped)
 
 
 class TestSolveIkAon:

@@ -7,18 +7,76 @@ import networkx as nx
 import pytest
 
 from iknap import (
+    AggregationOracle,
     MatroidSpec,
     OverlappingClasses,
     UnknownItemId,
     check_aon_property,
     check_submodularity,
     coverage_oracle,
+    grower_for,
+    make_family_instance,
     matroid_rank,
     matroid_rank_sum_oracle,
     modular_oracle,
     oracle_from_descriptor,
 )
 from helpers import subsets, supermodular_oracle
+
+
+def _independent(spec, items):
+    """Independence straight from each kind's definition."""
+    if spec.kind == "uniform":
+        return len(items) <= spec.rank_cap
+    if spec.kind == "partition":
+        return all(len(items & g) <= cap for g, cap in spec.groups)
+    g = nx.MultiGraph()
+    g.add_edges_from((u, v) for i, u, v in spec.edges if i in items)
+    return nx.is_forest(g) if g.number_of_edges() else True
+
+
+#: Oracles with their grounds: modular, and rank-sum classes of every matroid
+#: kind, with a cap-0 uniform class, a cap-0 partition group, self-loops and
+#: parallel edges.
+GROWER_ORACLES = {
+    "modular": (modular_oracle({1: 4, 2: 7, 3: 1, 4: 4}), range(1, 5)),
+    "uniform": (
+        matroid_rank_sum_oracle(
+            [(2, MatroidSpec.uniform(range(1, 6), 3)), (5, MatroidSpec.uniform([6, 7], 0))]
+        ),
+        range(1, 8),
+    ),
+    "partition": (
+        matroid_rank_sum_oracle(
+            [
+                (1, MatroidSpec.partition([([1, 2, 3], 2), ([4, 5], 0), ([6], 1)])),
+                (4, MatroidSpec.partition([([7, 8], 1)])),
+            ]
+        ),
+        range(1, 9),
+    ),
+    "graphic": (
+        matroid_rank_sum_oracle(
+            [
+                (3, MatroidSpec.graphic(
+                    [(1, 0, 1), (2, 1, 2), (3, 0, 2), (4, 2, 2), (5, 0, 1), (6, 3, 4)]
+                )),
+                (7, MatroidSpec.graphic([(7, 0, 0), (8, 5, 6), (9, 5, 6)])),
+            ]
+        ),
+        range(1, 10),
+    ),
+    "mixed": (
+        matroid_rank_sum_oracle(
+            [
+                (1, MatroidSpec.uniform([1, 2, 3], 1)),
+                (2, MatroidSpec.partition([([4, 5], 1), ([6], 0)])),
+                (6, MatroidSpec.graphic([(7, 0, 1), (8, 1, 0), (9, 1, 1), (10, 1, 2)])),
+            ]
+        ),
+        range(1, 11),
+    ),
+}
 
 
 class TestModularOracle:
@@ -117,6 +175,21 @@ class TestMatroidRank:
                             rank[s | {i}] + rank[s | {j}]
                             >= rank[s | {i, j}] + r
                         )
+
+
+    def test_matches_brute_force_rank_with_cap_zero_loops_and_parallels(self):
+        specs = [
+            MatroidSpec.uniform(range(1, 6), 0),
+            MatroidSpec.uniform(range(1, 6), 2),
+            MatroidSpec.partition([([1, 2, 3], 2), ([4, 5], 0), ([6], 1)]),
+            MatroidSpec.graphic(
+                [(1, 0, 1), (2, 1, 2), (3, 0, 2), (4, 2, 2), (5, 0, 1), (6, 3, 4)]
+            ),
+        ]
+        for spec in specs:
+            independent = [s for s in subsets(spec.ground) if _independent(spec, s)]
+            for s in subsets(spec.ground):
+                assert matroid_rank(spec, s) == max(len(i) for i in independent if i <= s)
 
 
 class TestMatroidRankSum:
@@ -303,6 +376,60 @@ class TestCallCounter:
         for th in threads:
             th.join()
         assert oracle.call_count == 2000
+
+
+class TestGrower:
+    def walk(self, oracle, ground, rng):
+        """One random item order, with the greedy's accept/reject decisions."""
+        order = list(ground)
+        rng.shuffle(order)
+        grower = grower_for(oracle)
+        basis: set[int] = set()
+        for i in order:
+            before = oracle.call_count
+            gain = grower.gain(i)
+            assert oracle.call_count == before + 1
+            assert gain == oracle.evaluate(basis | {i}) - oracle.evaluate(basis), (basis, i)
+            if gain and rng.random() < 0.8:
+                grower.add(i)
+                basis.add(i)
+
+    @pytest.mark.parametrize("name", sorted(GROWER_ORACLES))
+    def test_gains_match_evaluate_along_random_orders(self, name):
+        oracle, ground = GROWER_ORACLES[name]
+        rng = random.Random(11)
+        for _ in range(60):
+            self.walk(oracle, ground, rng)
+
+    @pytest.mark.parametrize(
+        "family", ["modular", "uniform-classes", "partition-classes", "graphic-classes"]
+    )
+    def test_gains_match_evaluate_on_generated_instances(self, family):
+        rng = random.Random(12)
+        for seed in range(10):
+            inst = make_family_instance(family, 14, 2, random.Random(seed))
+            for _ in range(5):
+                self.walk(inst.oracle, inst.item_ids, rng)
+
+    @pytest.mark.parametrize("name", sorted(GROWER_ORACLES))
+    def test_unknown_item(self, name):
+        oracle, _ = GROWER_ORACLES[name]
+        with pytest.raises(UnknownItemId):
+            grower_for(oracle).gain(99)
+
+    def test_evaluate_backed_grower_asks_the_grown_set(self):
+        seen = []
+        oracle = AggregationOracle(lambda s: seen.append(s) or min(len(s), 2), {"kind": "user"})
+        grower = grower_for(oracle)
+        assert [grower.gain(1), grower.gain(2)] == [1, 1]
+        grower.add(2)
+        assert [grower.gain(3), grower.gain(1)] == [1, 1]
+        grower.add(1)
+        assert grower.gain(3) == 0
+        assert seen == [{1}, {2}, {2, 3}, {2, 1}, {1, 2, 3}]
+        assert oracle.call_count == 5
+        with pytest.raises(ValueError):
+            grower.add(4)
 
 
 class TestDescriptors:

@@ -303,3 +303,14 @@ class TestIterFeasibleChains:
                 expected += 1
                 assert chain in chains
         assert len(chains) == expected
+
+
+class TestSolveLimits:
+    def test_ints_and_integer_strings_are_accepted(self):
+        limits = SolveLimits.from_mapping({"max_n_exact": "12", "local_search_budget": 0})
+        assert (limits.max_n_exact, limits.local_search_budget) == (12, 0)
+
+    @pytest.mark.parametrize("value", [2.5, 2.0, True, "2.5"], ids=repr)
+    def test_floats_and_booleans_are_rejected(self, value):
+        with pytest.raises(ValueError):
+            SolveLimits.from_mapping({"max_n_exact": value})
