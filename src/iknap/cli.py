@@ -8,9 +8,10 @@ nondeterministic report field.
 Exit codes for solve: 0 success, 2 oracle-contract violation, 3 size or
 budget limits exceeded.  verify exits 1 on any mismatch.  Both exit 4 on
 malformed input: an instance that fails validation, a file missing a key,
-a non-integer n or T, or a chain whose insertion times are not integers in
-1..T or of the wrong length.  bench records a malformed instance file as
-one error row per solver and exits 1 only when every row failed.
+a non-integer n or T, an oracle that is not a JSON object or whose ground
+misses an instance item, or a chain whose insertion times are not integers
+in 1..T or of the wrong length.  bench records a malformed instance file
+as one error row per solver and exits 1 only when every row failed.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import random
 import sys
 from pathlib import Path
 
-from .errors import BadFamily, BudgetExceeded, LimitsExceeded, OracleViolation
+from .errors import BadFamily, BudgetExceeded, LimitsExceeded, OracleViolation, UnknownItemId
 from .generators import FAMILIES, make_family_instance
 from .hardness import build_reduction, read_edge_list
 from .instances import Chain, ensure_valid, profit_partition, profit_phi_bar
@@ -155,6 +156,8 @@ def cmd_solve(args: argparse.Namespace) -> int:
         return _malformed(exc)
     try:
         report = solve_ik_aon(inst, solver=args.solver, limits=args.limits, seed=args.seed)
+    except UnknownItemId as exc:  # the oracle's ground misses an instance item
+        return _malformed(exc)
     except OracleViolation as exc:
         print(f"oracle-contract violation: {exc}", file=sys.stderr)
         return 2
@@ -183,7 +186,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
         claimed_phi, claimed_phi_bar = report["phi"], report["phi_bar"]
     except MALFORMED as exc:
         return _malformed(exc)
-    outcome = verify_solution(inst, chain, claimed_phi)
+    try:
+        outcome = verify_solution(inst, chain, claimed_phi)
+    except UnknownItemId as exc:  # the oracle's ground misses a chain item
+        return _malformed(exc)
     problems = list(outcome.mismatches)
     if outcome.nested:
         nested = chain if isinstance(chain, Chain) else Chain.from_sets(chain)

@@ -40,13 +40,14 @@ class Chain:
     __slots__ = ("horizon", "_times")
 
     def __init__(self, horizon: int, times: Mapping[int, int] | None = None):
-        if horizon < 1:
-            raise ValueError("chain horizon must be >= 1")
+        if not _is_int(horizon) or horizon < 1:
+            raise ValueError(f"chain horizon must be an integer >= 1, got {horizon!r}")
         times = dict(times or {})
         for i, t in times.items():
-            if not 1 <= t <= horizon:
+            # _is_int(t), inlined: a heuristic chain holds thousands of items.
+            if type(t) is not int or not 1 <= t <= horizon:
                 raise ValueError(
-                    f"insertion time {t} for item {i} outside 1..{horizon}"
+                    f"insertion time must be an integer in 1..{horizon}, got {t!r} for item {i}"
                 )
         self.horizon = horizon
         self._times = times

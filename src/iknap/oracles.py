@@ -440,6 +440,8 @@ def oracle_from_descriptor(
     Modular oracles take their values from the instance profits, so the
     item profits must be supplied alongside the descriptor.
     """
+    if not isinstance(descriptor, dict):
+        raise ValueError(f"oracle descriptor must be an object, got {descriptor!r}")
     kind = descriptor.get("kind")
     if kind == "modular":
         return modular_oracle(profits_by_id)

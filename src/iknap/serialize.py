@@ -91,9 +91,6 @@ def chain_from_obj(obj: dict, item_ids: Sequence[int], horizon: int):
         raise ValueError(
             f"insertion_times has {len(raw)} entries for {len(item_ids)} items"
         )
-    for t in raw:
-        if t is not None:
-            _integer(t, "an insertion time")
     times = {i: t for i, t in zip(item_ids, raw) if t is not None}
     return Chain(horizon, times)
 

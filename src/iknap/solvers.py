@@ -15,8 +15,6 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import cmp_to_key
-from fractions import Fraction
-from math import floor
 from typing import Iterator, Sequence
 
 from .errors import BudgetExceeded, LimitsExceeded
@@ -83,8 +81,10 @@ def solve_exact(ik: Instance, limits: SolveLimits | None = None) -> SolveResult:
     Items are assigned a period in 1..T or "never", in descending p*D_1
     order.  Subtrees are pruned by (a) prefix-capacity infeasibility, (b) an
     integer bound placing every remaining item at its earliest individually
-    feasible period, and (c) a per-period fractional-knapsack bound computed
-    with exact rational arithmetic.  Fully deterministic.
+    feasible period, and (c) sum_t delta_t * floor(LP_t), the integer floors
+    of the per-period fractional knapsacks over the unassigned items: with
+    integer profits, whatever set is added by period t earns at most
+    floor(LP_t).  All arithmetic is integer.  Fully deterministic.
     """
     limits = limits or SolveLimits()
     horizon = ik.horizon
@@ -105,11 +105,12 @@ def solve_exact(ik: Instance, limits: SolveLimits | None = None) -> SolveResult:
     m = len(order)
     ws = [it.weight for it in order]
     ps = [it.profit for it in order]
+
+    def denser_first(a: int, b: int) -> int:
+        return ps[b] * ws[a] - ps[a] * ws[b] or a - b
+
     # Positive-weight items in profit-density order, for bound (c).
-    dens_pos = sorted(
-        (i for i in range(m) if ws[i] > 0),
-        key=lambda i: (-Fraction(ps[i], ws[i]), i),
-    )
+    dens_pos = sorted((i for i in range(m) if ws[i] > 0), key=cmp_to_key(denser_first))
 
     never = horizon
     resid = caps[:]
@@ -122,26 +123,23 @@ def solve_exact(ik: Instance, limits: SolveLimits | None = None) -> SolveResult:
 
     def fractional_bound(cur_val: int) -> int:
         zero_profit = sum(ps[i] for i in range(m) if not assigned[i] and ws[i] == 0)
-        total = Fraction(0)
+        total = cur_val
         for t in range(horizon):
             d = deltas[t]
             if not d:
                 continue
-            fill = Fraction(zero_profit)
+            fill = zero_profit
             room = resid[t]
             for i in dens_pos:
                 if assigned[i]:
                     continue
-                if ws[i] <= room:
-                    fill += ps[i]
-                    room -= ws[i]
-                elif room > 0:
-                    fill += Fraction(ps[i] * room, ws[i])
+                if ws[i] > room:
+                    fill += ps[i] * room // ws[i]
                     break
-                else:
-                    break
+                fill += ps[i]
+                room -= ws[i]
             total += d * fill
-        return cur_val + floor(total)
+        return total
 
     def dfs(idx: int, cur_val: int) -> None:
         nonlocal best_val, best_times, nodes
@@ -158,30 +156,27 @@ def solve_exact(ik: Instance, limits: SolveLimits | None = None) -> SolveResult:
         bound = cur_val
         for i in range(idx, m):
             w = ws[i]
-            for t in range(horizon):
-                if msuf[t] >= w:
-                    bound += ps[i] * dsum[t]
-                    break
+            t = 0
+            while msuf[t] < w:  # msuf[T] = big, and dsum[T] = 0 means "never"
+                t += 1
+            bound += ps[i] * dsum[t]
         if bound <= best_val:
             return
         if fractional_bound(cur_val) <= best_val:
             return
         w = ws[idx]
-        earliest = None
-        for t in range(horizon):
-            if msuf[t] >= w:
-                earliest = t
-                break
+        earliest = 0
+        while msuf[earliest] < w:
+            earliest += 1
         assigned[idx] = True
-        if earliest is not None:
-            for t in range(earliest, horizon):
-                for s in range(t, horizon):
-                    resid[s] -= w
-                times[idx] = t
-                dfs(idx + 1, cur_val + ps[idx] * dsum[t])
-                for s in range(t, horizon):
-                    resid[s] += w
-            times[idx] = never
+        for t in range(earliest, horizon):
+            for s in range(t, horizon):
+                resid[s] -= w
+            times[idx] = t
+            dfs(idx + 1, cur_val + ps[idx] * dsum[t])
+            for s in range(t, horizon):
+                resid[s] += w
+        times[idx] = never
         dfs(idx + 1, cur_val)
         assigned[idx] = False
 

@@ -168,6 +168,20 @@ def missing_instance_key(instance):
     del instance["deltas"]
 
 
+def oracle_replaced_by(value):
+    def edit(instance):
+        instance["oracle"] = value
+    return edit
+
+
+def oracle_ground_misses_item_1(instance):
+    # Item 1 is in the toy instance's optimal chain, so verify prices it too.
+    for cls in instance["oracle"]["classes"]:
+        for group in cls["matroid"]["groups"]:
+            if 1 in group["members"]:
+                group["members"].remove(1)
+
+
 def insertion_time_out_of_range(report):
     report["chain"]["insertion_times"][0] = 3  # the toy instance has T = 2
 
@@ -211,8 +225,13 @@ class TestMalformedInputExits4:
             (negative_weight, "NegativeWeight"),
             (missing_instance_key, "missing key 'deltas'"),
             (fractional_horizon, "T must be an integer, got 2.5"),
+            (oracle_ground_misses_item_1, "outside oracle ground"),
+            *[(oracle_replaced_by(value), "oracle descriptor must be an object")
+              for value in (5, "x", None, [1])],
         ],
-        ids=["negative_weight", "missing_instance_key", "fractional_horizon"],
+        ids=["negative_weight", "missing_instance_key", "fractional_horizon",
+             "oracle_ground_misses_item", "oracle_int", "oracle_string", "oracle_null",
+             "oracle_list"],
     )
     def test_instance(self, toy_instance, report_path, tmp_path, capsys, edit, message):
         edit_json(toy_instance, edit)

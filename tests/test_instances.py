@@ -101,6 +101,16 @@ class TestChain:
         with pytest.raises(ValueError):
             Chain(2, {1: 3})
 
+    @pytest.mark.parametrize("horizon", [2.5, 3.0, True, "3"], ids=["fraction", "float", "bool", "string"])
+    def test_non_integer_horizon(self, horizon):
+        with pytest.raises(ValueError, match="chain horizon must be an integer"):
+            Chain(horizon, {1: 1})
+
+    @pytest.mark.parametrize("time", [2.0, 1.5, True, "2"], ids=["float", "fraction", "bool", "string"])
+    def test_non_integer_insertion_time(self, time):
+        with pytest.raises(ValueError, match="insertion time must be an integer"):
+            Chain(3, {1: time})
+
 
 class TestFeasibility:
     def test_empty_chain_feasible(self):

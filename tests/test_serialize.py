@@ -1,21 +1,34 @@
 """JSON codecs: instance files, chain encodings, canonical dumps."""
 
+import contextlib
+import io
 import json
 import random
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from iknap import (
+    BudgetExceeded,
     Chain,
     Instance,
     Item,
+    LimitsExceeded,
+    OracleViolation,
+    build_reduction,
     chain_from_obj,
     chain_to_obj,
+    generate_subcubic,
     instance_from_obj,
     instance_to_obj,
     modular_oracle,
+    solve_ik_aon,
     validate_instance,
 )
+from iknap.cli import main
 from iknap.generators import FAMILIES
 from iknap.serialize import dumps_canonical
 
@@ -89,3 +102,76 @@ class TestChainCodec:
     def test_sets_form_rejects_wrong_horizon_and_unknown_ids(self, sets):
         with pytest.raises(ValueError):
             chain_from_obj({"sets": sets}, [1, 2], 2)
+
+
+JUNK = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.text(max_size=3),
+    st.lists(st.integers(-3, 3), max_size=3),
+    st.dictionaries(st.text(max_size=3), st.integers(-3, 3), max_size=2),
+    st.sampled_from([10**30, -(10**30)]),
+)
+
+
+def field_paths(obj, prefix=()):
+    """The path to every dict value and list element below obj."""
+    if isinstance(obj, dict):
+        entries = obj.items()
+    elif isinstance(obj, list):
+        entries = enumerate(obj)
+    else:
+        return
+    for key, value in entries:
+        yield prefix + (key,)
+        yield from field_paths(value, prefix + (key,))
+
+
+@st.composite
+def damaged_instance_objs(draw):
+    """(n, file): a generated instance file of n items, one field junked or deleted."""
+    family = draw(st.sampled_from(sorted(FAMILIES) + ["vc-reduction"]))
+    n, horizon, seed = draw(st.integers(1, 7)), draw(st.integers(1, 3)), draw(st.integers(0, 99))
+    if family == "vc-reduction":
+        k = draw(st.integers(1, n))
+        inst = build_reduction(generate_subcubic(n, seed=seed), k, horizon).instance
+    else:
+        inst = FAMILIES[family](n, horizon, random.Random(seed))
+    obj = json.loads(dumps_canonical(instance_to_obj(inst)))
+    *parents, last = draw(st.sampled_from(list(field_paths(obj))))
+    target = obj
+    for key in parents:
+        target = target[key]
+    if draw(st.booleans()):
+        del target[last]
+    else:
+        target[last] = draw(JUNK)
+    return len(inst), obj
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(damaged_instance_objs())
+def test_damaged_instance_raises_only_documented_errors(damaged):
+    _, obj = damaged
+    try:
+        solve_ik_aon(instance_from_obj(obj))
+    except (KeyError, TypeError, ValueError, OracleViolation, LimitsExceeded, BudgetExceeded):
+        pass
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(damaged_instance_objs())
+def test_damaged_instance_file_gets_a_documented_exit_code(damaged):
+    n, obj = damaged
+    # A report that inserts every item in period 1, so verify prices them all.
+    report = {"phi": 0, "phi_bar": 0, "chain": {"insertion_times": [1] * n}}
+    with tempfile.TemporaryDirectory() as tmp:
+        instance, report_path = Path(tmp, "instance.json"), Path(tmp, "report.json")
+        instance.write_text(json.dumps(obj))
+        report_path.write_text(json.dumps(report))
+        with contextlib.redirect_stderr(io.StringIO()):
+            assert main(["solve", "--instance", str(instance),
+                         "--out", str(Path(tmp, "r.json")), "--quiet"]) in (0, 2, 3, 4)
+            assert main(["verify", "--instance", str(instance),
+                         "--report", str(report_path), "--quiet"]) in (0, 1, 4)

@@ -18,11 +18,14 @@ from iknap import (
     iter_feasible_chains,
     matroid_rank_sum_oracle,
     modular_oracle,
+    modularize,
+    preprocess_singletons,
     profit_phi_bar,
     solve_exact,
     solve_heuristic,
     suffix_coefficients,
 )
+from iknap.generators import FAMILIES
 
 
 def modular(items, horizon, caps, deltas):
@@ -110,6 +113,34 @@ class TestSolveExact:
             assert profit_phi_bar(inst.profits_by_id, inst.deltas, result.chain) == result.value
 
 
+def subset_dp_optimum(inst: Instance) -> int:
+    """Best chain value of a modular instance by a DP over item subsets.
+
+    f_t(S) = delta_t * p(S) + the best f_{t+1} over supersets of S, with
+    f_t = -1 on the sets that do not fit W_t and f_{T+1} = 0; the optimum
+    is the best f_1 over all sets, that is over the supersets of the empty
+    set.  Shares nothing with the branch-and-bound but the instance.
+    """
+    items = list(inst.items)
+    size = 1 << len(items)
+    weight, profit = [0] * size, [0] * size
+    for mask in range(1, size):
+        low = mask & -mask
+        it = items[low.bit_length() - 1]
+        weight[mask] = weight[mask ^ low] + it.weight
+        profit[mask] = profit[mask ^ low] + it.profit
+    best_superset = [0] * size
+    for cap, d in zip(reversed(inst.capacities), reversed(inst.deltas)):
+        f = [d * p + after if w <= cap else -1
+             for p, w, after in zip(profit, weight, best_superset)]
+        for b in range(len(items)):  # f[S] = max(f[S], f[S + b]) for every S without b
+            half = 1 << b
+            for lo in range(0, size, 2 * half):
+                f[lo:lo + half] = map(max, f[lo:lo + half], f[lo + half:lo + 2 * half])
+        best_superset = f
+    return best_superset[0]
+
+
 def is_feasible_ik(inst: Instance, chain: Chain) -> bool:
     """Feasibility recheck by direct summation, independent of solver code."""
     for t in range(1, inst.horizon + 1):
@@ -141,6 +172,41 @@ def reference_greedy(inst: Instance) -> Chain:
                 times[it.id] = t + 1
                 break
     return Chain(inst.horizon, times)
+
+
+class TestSolveExactBeyondBruteForce:
+    def test_subset_dp_matches_brute_force(self):
+        rng = random.Random(5)
+        for _ in range(60):
+            inst = random_ik(rng, n_max=7)
+            assert subset_dp_optimum(inst) == brute_force_chains(inst)[0]
+
+    def test_matches_subset_dp_on_modularized_families(self):
+        # 10-13 kept items and T 3-5 are past brute force's reach; every other
+        # case also gets a weight-0 item, an item heavier than W_T and a zero delta.
+        rng = random.Random(11)
+        seen = {"weightless": 0, "too_heavy": 0, "zero_delta": 0}
+        for k in range(24):
+            family = sorted(FAMILIES)[k % 4]
+            reduced = None
+            while reduced is None or not 10 <= len(reduced) <= 13:
+                inst = FAMILIES[family](rng.randint(10, 30), 3 + k % 3, rng)
+                reduced = modularize(preprocess_singletons(inst)[0]).ik
+            items, caps, deltas = list(reduced.items), reduced.capacities, list(reduced.deltas)
+            if k % 2:
+                a, b = rng.sample(range(len(items)), 2)
+                items[a] = Item(items[a].id, 0, items[a].profit)
+                items[b] = Item(items[b].id, caps[-1] + rng.randint(1, 9), items[b].profit)
+                deltas[rng.randrange(len(deltas))] = 0
+            inst = modular(items, len(caps), caps, deltas)
+            seen["weightless"] += any(it.weight == 0 for it in items)
+            seen["too_heavy"] += any(it.weight > caps[-1] for it in items)
+            seen["zero_delta"] += 0 in deltas
+            result = solve_exact(inst)
+            assert result.value == subset_dp_optimum(inst)
+            assert is_feasible_ik(inst, result.chain)
+            assert profit_phi_bar(inst.profits_by_id, deltas, result.chain) == result.value
+        assert min(seen.values()) >= 8, seen
 
 
 class TestSolveHeuristic:
