@@ -10,7 +10,7 @@ profit and the plain profit sum agree on every feasible chain.
 import random
 
 from iknap import (
-    IndependenceContext,
+    is_independent,
     iter_feasible_chains,
     make_partition_classes_instance,
     modularize,
@@ -29,19 +29,18 @@ reduced, dropped = preprocess_singletons(inst)
 print("dropped by preprocessing (zero-value singletons):", dropped or "none")
 
 partition = profit_partition(reduced)
-for p, members in partition.classes:
+for p, members in partition:
     print(f"profit class p={p}: items {sorted(members)}")
 
 mod = modularize(reduced)
-for basis in mod.bases:
+for index, basis in enumerate(mod.bases, start=1):
     print(
-        f"class {basis.class_index}: kept {sorted(basis.members)} "
+        f"class {index}: kept {sorted(basis.members)} "
         f"(total weight {basis.weight})"
     )
 print("modular instance:", mod.ik)
 
-ctx = IndependenceContext(reduced)
-print("kept set independent:", ctx.is_independent(mod.kept_ids))
+print("kept set independent:", is_independent(reduced, mod.kept_ids))
 
 agree = all(
     profit_phi(reduced, chain)

@@ -42,10 +42,10 @@ from .hardness import (
 )
 from .independence import (
     ClassBasis,
-    IndependenceContext,
     check_matroid_exchange,
     find_cycle,
     greedy_matroid_chain,
+    is_independent,
     min_weight_basis,
     restrict_chain_to_basis,
 )
@@ -53,7 +53,6 @@ from .instances import (
     Chain,
     Instance,
     Item,
-    ProfitPartition,
     ensure_valid,
     is_feasible,
     preprocess_singletons,

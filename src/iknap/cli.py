@@ -8,8 +8,9 @@ nondeterministic report field.
 Exit codes for solve: 0 success, 2 oracle-contract violation, 3 size or
 budget limits exceeded.  verify exits 1 on any mismatch.  Both exit 4 on
 malformed input: an instance that fails validation, a file missing a key,
-a non-integer n or T, an oracle that is not a JSON object or whose ground
-misses an instance item, or a chain whose insertion times are not integers
+a non-integer n or T, an oracle that is not a JSON object, whose ground
+misses an instance item or that holds a non-integer or boolean profit,
+cap, item id or vertex, or a chain whose insertion times are not integers
 in 1..T or of the wrong length.  bench records a malformed instance file
 as one error row per solver and exits 1 only when every row failed.
 """

@@ -16,15 +16,15 @@ from .instances import Instance, Item
 from .oracles import MatroidSpec, matroid_rank_sum_oracle, modular_oracle
 
 
+#: The last capacity is drawn as this fraction range of the total item weight.
+_CAPACITY_FRACTION = (0.35, 0.7)
+
+
 def random_capacities(
-    rng: random.Random,
-    total_weight: int,
-    horizon: int,
-    lo: float = 0.35,
-    hi: float = 0.7,
+    rng: random.Random, total_weight: int, horizon: int
 ) -> tuple[int, ...]:
     """Non-decreasing capacities ending around a fraction of the total weight."""
-    top = max(1, round(total_weight * rng.uniform(lo, hi)))
+    top = max(1, round(total_weight * rng.uniform(*_CAPACITY_FRACTION)))
     steps = sorted(rng.randint(0, top) for _ in range(horizon - 1))
     return tuple(steps + [top])
 

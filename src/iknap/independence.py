@@ -15,43 +15,33 @@ from typing import Iterable
 
 from .errors import ChainNotIndependent, NotDependent, OracleViolation, SolverFailure
 from .instances import Chain, Instance
-from .oracles import grower_for
+from .oracles import (
+    EXCHANGE_EXHAUSTIVE_LIMIT,
+    _CHECKER_SEED,
+    _EXCHANGE_SAMPLES,
+    _mask_to_set,
+    grower_for,
+)
 
 
-class IndependenceContext:
-    """Memoized independence tester bound to one instance.
+def is_independent(inst: Instance, items: Iterable[int]) -> bool:
+    """gamma(S) == p(S), with exactly one oracle call.
 
-    Verdicts are pure functions of the set, so memo entries never change
-    once written; when the memo is full, new verdicts are still computed,
-    just not stored.  Concurrent use is safe: racing writers store
-    identical values.
+    Raises OracleViolation when gamma(S) > p(S), which no all-or-nothing
+    oracle allows.
     """
-
-    def __init__(self, instance: Instance, memo_limit: int = 1 << 20):
-        self.instance = instance
-        self._memo: dict[frozenset, bool] = {}
-        self._memo_limit = memo_limit
-
-    def is_independent(self, items: Iterable[int]) -> bool:
-        """gamma(S) == p(S), with exactly one oracle call on a memo miss."""
-        s = frozenset(items)
-        hit = self._memo.get(s)
-        if hit is not None:
-            return hit
-        p = sum(self.instance.profit_of(i) for i in s)
-        g = self.instance.oracle.evaluate(s)
-        if g > p:
-            raise OracleViolation(
-                f"gamma(S) = {g} > p(S) = {p} for S={sorted(s)}; "
-                "oracle is outside the all-or-nothing class"
-            )
-        verdict = g == p
-        if len(self._memo) < self._memo_limit:
-            self._memo[s] = verdict
-        return verdict
+    s = frozenset(items)
+    p = sum(inst.profit_of(i) for i in s)
+    g = inst.oracle.evaluate(s)
+    if g > p:
+        raise OracleViolation(
+            f"gamma(S) = {g} > p(S) = {p} for S={sorted(s)}; "
+            "oracle is outside the all-or-nothing class"
+        )
+    return g == p
 
 
-def find_cycle(ctx: IndependenceContext, items: Iterable[int]) -> frozenset:
+def find_cycle(inst: Instance, items: Iterable[int]) -> frozenset:
     """Shrink a dependent set to a cycle (dependent, all one-deletions independent).
 
     One descending-id pass: an item is removed whenever the set stays
@@ -60,11 +50,11 @@ def find_cycle(ctx: IndependenceContext, items: Iterable[int]) -> frozenset:
     minimality, and larger ids are discarded first (small-id tie-break).
     """
     c = frozenset(items)
-    if ctx.is_independent(c):
+    if is_independent(inst, c):
         raise NotDependent(f"{sorted(c)} is independent; it contains no cycle")
     for i in sorted(c, reverse=True):
         rest = c - {i}
-        if not ctx.is_independent(rest):
+        if not is_independent(inst, rest):
             c = rest
     return c
 
@@ -73,14 +63,11 @@ def find_cycle(ctx: IndependenceContext, items: Iterable[int]) -> frozenset:
 class ClassBasis:
     """A minimum-weight maximal independent subset of one profit class."""
 
-    class_index: int
     members: frozenset
     weight: int
 
 
-def min_weight_basis(
-    ctx: IndependenceContext, class_items: Iterable[int], class_index: int = 0
-) -> ClassBasis:
+def min_weight_basis(inst: Instance, class_items: Iterable[int]) -> ClassBasis:
     """Greedy basis of a profit class: weight-ascending, smallest id on ties.
 
     The independent subsets of a single profit class form a matroid, so the
@@ -89,9 +76,8 @@ def min_weight_basis(
     the gain of i over B is p_i; a larger gain means gamma(B + i) > p(B + i)
     and raises OracleViolation.  Costs exactly one oracle query per class
     item: an incremental gain, or evaluate(B + i) for oracles without a
-    grower.  The context's memo is not consulted.
+    grower.
     """
-    inst = ctx.instance
     order = sorted(class_items, key=lambda i: (inst.weight_of(i), i))
     grower = grower_for(inst.oracle)
     basis: list[int] = []
@@ -108,31 +94,22 @@ def min_weight_basis(
             grower.add(i)
             basis.append(i)
             value += p
-    return ClassBasis(class_index, frozenset(basis), inst.total_weight(basis))
+    return ClassBasis(frozenset(basis), inst.total_weight(basis))
 
 
-def check_matroid_exchange(
-    ctx: IndependenceContext,
-    class_items: Iterable[int],
-    sample_budget: int = 2_000,
-    seed: int = 2024,
-    exhaustive_limit: int = 8,
-):
+def check_matroid_exchange(inst: Instance, class_items: Iterable[int]):
     """Probe the exchange property inside one profit class.
 
     For A within the class and independent S, S' within A with |S| < |S'|,
     some j in S' - S must keep S + j independent.  Exhaustive over all
-    (A, S, S') for classes of size <= exhaustive_limit, seeded sampling
-    otherwise.  Returns None or a counterexample (S, S', A).
+    (A, S, S') for classes of size <= 8, seeded sampling otherwise; a
+    sampled set is asked again each time it is drawn.  Returns None or a
+    counterexample (S, S', A).
     """
     items = sorted(class_items)
     n = len(items)
-
-    def mask_set(mask: int) -> frozenset:
-        return frozenset(items[b] for b in range(n) if mask >> b & 1)
-
-    if n <= exhaustive_limit:
-        ind = [ctx.is_independent(mask_set(m)) for m in range(1 << n)]
+    if n <= EXCHANGE_EXHAUSTIVE_LIMIT:
+        ind = [is_independent(inst, _mask_to_set(m, items)) for m in range(1 << n)]
         for a_mask in range(1 << n):
             subs = []
             m = a_mask
@@ -159,26 +136,27 @@ def check_matroid_exchange(
                                 break
                             b ^= low
                         if not ok:
-                            return mask_set(s_mask), mask_set(s2_mask), mask_set(a_mask)
+                            masks = (s_mask, s2_mask, a_mask)
+                            return tuple(_mask_to_set(m, items) for m in masks)
         return None
 
-    rng = random.Random(seed)
-    for _ in range(sample_budget):
+    rng = random.Random(_CHECKER_SEED)
+    for _ in range(_EXCHANGE_SAMPLES):
         a_mask = rng.getrandbits(n)
         s_mask = a_mask & rng.getrandbits(n)
         s2_mask = a_mask & rng.getrandbits(n)
         if bin(s_mask).count("1") >= bin(s2_mask).count("1"):
             continue
-        s, s2 = mask_set(s_mask), mask_set(s2_mask)
-        if not (ctx.is_independent(s) and ctx.is_independent(s2)):
+        s, s2 = _mask_to_set(s_mask, items), _mask_to_set(s2_mask, items)
+        if not (is_independent(inst, s) and is_independent(inst, s2)):
             continue
-        if not any(ctx.is_independent(s | {j}) for j in s2 - s):
-            return s, s2, mask_set(a_mask)
+        if not any(is_independent(inst, s | {j}) for j in s2 - s):
+            return s, s2, _mask_to_set(a_mask, items)
     return None
 
 
 def restrict_chain_to_basis(
-    ctx: IndependenceContext,
+    inst: Instance,
     class_items: Iterable[int],
     basis: ClassBasis,
     chain: Chain,
@@ -192,11 +170,10 @@ def restrict_chain_to_basis(
     class_items = frozenset(class_items)
     if not chain.final_set <= class_items:
         raise ValueError("chain leaves the profit class")
-    if not ctx.is_independent(chain.final_set):
+    if not is_independent(inst, chain.final_set):
         raise ChainNotIndependent(
             f"chain's final set {sorted(chain.final_set)} is dependent"
         )
-    inst = ctx.instance
     order = sorted(basis.members, key=lambda i: (inst.weight_of(i), i))
     sets = []
     for s in chain.sets():
@@ -208,16 +185,15 @@ def restrict_chain_to_basis(
     return Chain.from_sets(sets)
 
 
-def greedy_matroid_chain(inst: Instance, ctx: IndependenceContext | None = None) -> Chain:
+def greedy_matroid_chain(inst: Instance) -> Chain:
     """Weight-ascending greedy chain.
 
     Scans items by (weight, id) once per period and inserts whatever still
     fits and keeps the knapsack content independent.  Optimal for instances
     whose oracle is a matroid rank function and whose coefficients are all
-    one; a cheap baseline otherwise.
+    one; a cheap baseline otherwise.  Costs one oracle call per fitting
+    item per period, repeated sets included.
     """
-    if ctx is None:
-        ctx = IndependenceContext(inst)
     order = sorted(inst.item_ids, key=lambda i: (inst.weight_of(i), i))
     current: set[int] = set()
     weight = 0
@@ -228,7 +204,7 @@ def greedy_matroid_chain(inst: Instance, ctx: IndependenceContext | None = None)
             if i in times:
                 continue
             w = inst.weight_of(i)
-            if weight + w <= cap and ctx.is_independent(current | {i}):
+            if weight + w <= cap and is_independent(inst, current | {i}):
                 current.add(i)
                 weight += w
                 times[i] = t

@@ -7,8 +7,8 @@ solution is a chain: item sets that only ever grow over the horizon.  All
 arithmetic is exact integer arithmetic; Python integers never overflow, so
 no width checks are needed.
 
-Instances, chains, and partitions are immutable after construction and safe
-to share across threads.
+Instances and chains are immutable after construction and safe to share
+across threads.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 from .errors import InvalidInstance, OracleViolation, UnknownItemId
-from .oracles import grower_for
+from .oracles import _is_int, grower_for
 
 
 @dataclass(frozen=True)
@@ -162,28 +162,6 @@ class Instance:
         )
 
 
-@dataclass(frozen=True)
-class ProfitPartition:
-    """Items grouped by profit value, classes in strictly increasing profit order."""
-
-    classes: tuple[tuple[int, frozenset], ...]
-
-    def __len__(self) -> int:
-        return len(self.classes)
-
-    @property
-    def profits(self) -> tuple[int, ...]:
-        return tuple(p for p, _ in self.classes)
-
-    def members(self, index: int) -> frozenset:
-        return self.classes[index][1]
-
-
-def _is_int(value) -> bool:
-    # bool is an int subclass, but JSON true is not a weight.
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
 def validate_instance(inst: Instance) -> list[str]:
     """Check every structural invariant; returns a (possibly empty) report.
 
@@ -316,13 +294,12 @@ def profit_phi_bar(
     return total
 
 
-def profit_partition(inst: Instance) -> ProfitPartition:
-    """Group items into classes of equal profit, sorted by increasing profit."""
+def profit_partition(inst: Instance) -> tuple[tuple[int, frozenset], ...]:
+    """Group items into (profit, ids) classes of equal profit, by increasing profit."""
     groups: dict[int, set[int]] = {}
     for it in inst.items:
         groups.setdefault(it.profit, set()).add(it.id)
-    classes = tuple((p, frozenset(ids)) for p, ids in sorted(groups.items()))
-    return ProfitPartition(classes)
+    return tuple((p, frozenset(ids)) for p, ids in sorted(groups.items()))
 
 
 def preprocess_singletons(inst: Instance) -> tuple[Instance, tuple[int, ...]]:

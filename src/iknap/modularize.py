@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .errors import InfeasibleInternal, OracleViolation, SolverFailure
-from .independence import ClassBasis, IndependenceContext, min_weight_basis
+from .independence import ClassBasis, min_weight_basis
 from .instances import (
     Chain,
     Instance,
@@ -37,13 +37,13 @@ from .solvers import (
 
 @dataclass(frozen=True)
 class ModularizedInstance:
-    """The kept items priced by their plain profit sum, with the original alongside.
+    """The kept items priced by their plain profit sum, and each class's basis.
 
     Kept items keep their original ids, weights, and profits, so chains of
-    the modular instance are directly chains of the original one.
+    the modular instance are directly chains of the original one.  The
+    bases are in increasing class-profit order.
     """
 
-    original: Instance
     ik: Instance
     kept_ids: tuple[int, ...]
     bases: tuple[ClassBasis, ...]
@@ -58,17 +58,12 @@ def modularize(inst: Instance) -> ModularizedInstance:
     reduction is linear in n up to the sort, and evaluate(B + i) for any
     other oracle.
     """
-    partition = profit_partition(inst)
-    ctx = IndependenceContext(inst)
-    bases = tuple(
-        min_weight_basis(ctx, members, index)
-        for index, (_, members) in enumerate(partition.classes, start=1)
-    )
+    bases = tuple(min_weight_basis(inst, members) for _, members in profit_partition(inst))
     kept = sorted(i for basis in bases for i in basis.members)
     items = [inst.item(i) for i in kept]
     oracle = modular_oracle({it.id: it.profit for it in items})
     ik = Instance(items, inst.horizon, inst.capacities, inst.deltas, oracle)
-    return ModularizedInstance(original=inst, ik=ik, kept_ids=tuple(kept), bases=bases)
+    return ModularizedInstance(ik=ik, kept_ids=tuple(kept), bases=bases)
 
 
 @dataclass

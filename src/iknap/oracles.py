@@ -21,8 +21,32 @@ from .errors import OverlappingClasses, UnknownItemId
 #: Ground-set sizes up to which the checkers enumerate instead of sampling.
 AON_EXHAUSTIVE_LIMIT = 12
 SUBMODULAR_EXHAUSTIVE_LIMIT = 10
+EXCHANGE_EXHAUSTIVE_LIMIT = 8
 
+#: Seeded samples drawn above those sizes.
+_CHECKER_SAMPLES = 20_000
+_EXCHANGE_SAMPLES = 2_000
 _CHECKER_SEED = 2024
+
+
+def _is_int(value) -> bool:
+    # bool is an int subclass, but JSON true is not a weight.
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _integer(value, name: str) -> int:
+    """value if it is an int; a float, bool or string would be silently truncated."""
+    if not _is_int(value):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
+def _item_set(ids: Iterable[int], name: str) -> frozenset:
+    """ids as a frozenset, once each has passed _integer."""
+    ids = tuple(ids)
+    for i in ids:
+        _integer(i, name)
+    return frozenset(ids)
 
 
 class AggregationOracle:
@@ -155,34 +179,40 @@ class MatroidSpec:
 
     @staticmethod
     def uniform(ground: Iterable[int], cap: int) -> "MatroidSpec":
-        if cap < 0:
+        if _integer(cap, "uniform matroid cap") < 0:
             raise ValueError("uniform matroid cap must be >= 0")
-        return MatroidSpec(kind="uniform", ground=frozenset(ground), rank_cap=cap)
+        return MatroidSpec(
+            kind="uniform", ground=_item_set(ground, "matroid item id"), rank_cap=cap
+        )
 
     @staticmethod
     def partition(groups: Sequence[tuple[Iterable[int], int]]) -> "MatroidSpec":
         frozen = []
         ground: set[int] = set()
         for members, cap in groups:
-            members = frozenset(members)
-            if cap < 0:
+            members = _item_set(members, "matroid item id")
+            if _integer(cap, "partition matroid cap") < 0:
                 raise ValueError("partition matroid caps must be >= 0")
             if members & ground:
                 raise ValueError("partition matroid groups must be disjoint")
             ground |= members
-            frozen.append((members, int(cap)))
+            frozen.append((members, cap))
         return MatroidSpec(kind="partition", ground=frozenset(ground), groups=tuple(frozen))
 
     @staticmethod
     def graphic(edges: Sequence[tuple[int, int, int]]) -> "MatroidSpec":
+        edges = tuple(
+            (
+                _integer(i, "matroid item id"),
+                _integer(u, "graphic vertex"),
+                _integer(v, "graphic vertex"),
+            )
+            for i, u, v in edges
+        )
         items = [e[0] for e in edges]
         if len(set(items)) != len(items):
             raise ValueError("graphic matroid items must biject to edges")
-        return MatroidSpec(
-            kind="graphic",
-            ground=frozenset(items),
-            edges=tuple((int(i), int(u), int(v)) for i, u, v in edges),
-        )
+        return MatroidSpec(kind="graphic", ground=frozenset(items), edges=edges)
 
 
 def _find(parent: dict[int, int], x: int) -> int:
@@ -266,9 +296,11 @@ def _matroid_state(spec: MatroidSpec):
     Uniform keeps the free rank, partition the free capacity per group (both
     may go negative once B is dependent), graphic a union-find forest.
     """
-    if spec.kind not in _MATROID_STATES:
-        raise ValueError(f"unknown matroid kind {spec.kind!r}")
-    return _MATROID_STATES[spec.kind](spec)
+    try:
+        build = _MATROID_STATES[spec.kind]
+    except KeyError:
+        raise ValueError(f"unknown matroid kind {spec.kind!r}") from None
+    return build(spec)
 
 
 class _TableGrower(Grower):
@@ -370,7 +402,7 @@ def matroid_rank_sum_oracle(
     equal to the class profit.  Class grounds must be pairwise disjoint and
     class profits strictly increasing.
     """
-    specs = [(int(p), spec) for p, spec in class_specs]
+    specs = [(_integer(p, "class profit"), spec) for p, spec in class_specs]
     ground: set[int] = set()
     prev_p = 0
     for p, spec in specs:
@@ -406,6 +438,8 @@ def coverage_oracle(
     norm = []
     seen: set[tuple[int, int]] = set()
     for u, v in edges:
+        _integer(u, "coverage vertex")
+        _integer(v, "coverage vertex")
         if u == v:
             raise ValueError(f"self-loop at vertex {u}; coverage needs a simple graph")
         e = (min(u, v), max(u, v))
@@ -413,7 +447,10 @@ def coverage_oracle(
             raise ValueError(f"parallel edge {e}; coverage needs a simple graph")
         seen.add(e)
         norm.append(e)
-    vmap = {int(i): int(v) for i, v in vertex_of.items()}
+    vmap = {
+        _integer(i, "coverage item id"): _integer(v, "coverage vertex")
+        for i, v in vertex_of.items()
+    }
 
     def fn(s: frozenset) -> int:
         try:
@@ -458,12 +495,9 @@ def oracle_from_descriptor(
 
 def _gamma_table(oracle: AggregationOracle, ground: Sequence[int]) -> list[int]:
     """gamma over all subsets of ground, indexed by bitmask."""
-    n = len(ground)
-    table = [0] * (1 << n)
-    for mask in range(1, 1 << n):
-        table[mask] = oracle.evaluate(
-            frozenset(ground[b] for b in range(n) if mask >> b & 1)
-        )
+    table = [0] * (1 << len(ground))
+    for mask in range(1, len(table)):
+        table[mask] = oracle.evaluate(_mask_to_set(mask, ground))
     return table
 
 
@@ -476,11 +510,7 @@ def _random_mask(rng: random.Random, n: int) -> int:
 
 
 def check_aon_property(
-    oracle: AggregationOracle,
-    profits: Mapping[int, int],
-    ground: Iterable[int],
-    sample_budget: int = 20_000,
-    seed: int = _CHECKER_SEED,
+    oracle: AggregationOracle, profits: Mapping[int, int], ground: Iterable[int]
 ):
     """Verify every marginal gamma(S+i) - gamma(S) is 0 or the full profit p_i.
 
@@ -501,8 +531,8 @@ def check_aon_property(
                 if marginal != 0 and marginal != profits[ground[b]]:
                     return _mask_to_set(mask, ground), ground[b]
         return None
-    rng = random.Random(seed)
-    for _ in range(sample_budget):
+    rng = random.Random(_CHECKER_SEED)
+    for _ in range(_CHECKER_SAMPLES):
         b = rng.randrange(n)
         mask = _random_mask(rng, n) & ~(1 << b)
         s = _mask_to_set(mask, ground)
@@ -512,12 +542,7 @@ def check_aon_property(
     return None
 
 
-def check_submodularity(
-    oracle: AggregationOracle,
-    ground: Iterable[int],
-    sample_budget: int = 20_000,
-    seed: int = _CHECKER_SEED,
-):
+def check_submodularity(oracle: AggregationOracle, ground: Iterable[int]):
     """Verify gamma is monotone non-decreasing and submodular.
 
     Exhaustive for grounds of size <= 10 via the equivalent local condition
@@ -551,8 +576,8 @@ def check_submodularity(
                             ground[bi],
                         )
         return None
-    rng = random.Random(seed)
-    for _ in range(sample_budget):
+    rng = random.Random(_CHECKER_SEED)
+    for _ in range(_CHECKER_SAMPLES):
         b = rng.randrange(n)
         t_mask = _random_mask(rng, n) & ~(1 << b)
         s_mask = t_mask & _random_mask(rng, n)

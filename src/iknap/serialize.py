@@ -12,9 +12,9 @@ from __future__ import annotations
 import json
 from typing import Sequence
 
-from .instances import Chain, Instance, Item, _is_int
+from .instances import Chain, Instance, Item
 from .modularize import SolveReport
-from .oracles import oracle_from_descriptor
+from .oracles import _integer, oracle_from_descriptor
 
 
 def dumps_canonical(obj) -> str:
@@ -34,13 +34,6 @@ def instance_to_obj(inst: Instance) -> dict:
         "deltas": list(inst.deltas),
         "oracle": inst.oracle.descriptor,
     }
-
-
-def _integer(value, name: str) -> int:
-    """value if it is an int; a float, bool or string would be silently truncated."""
-    if not _is_int(value):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    return value
 
 
 def instance_from_obj(obj: dict) -> Instance:

@@ -10,7 +10,7 @@ from __future__ import annotations
 import random
 from itertools import combinations
 
-from iknap import AggregationOracle, Chain, Instance, Item
+from iknap import AggregationOracle, Chain, Instance, Item, is_independent
 
 
 def subsets(items):
@@ -20,14 +20,14 @@ def subsets(items):
             yield frozenset(combo)
 
 
-def maximal_independent_subsets(ctx, items):
+def maximal_independent_subsets(inst, items):
     """All inclusionwise maximal independent subsets, straight from the definition."""
     items = sorted(items)
     out = []
     for s in subsets(items):
-        if not ctx.is_independent(s):
+        if not is_independent(inst, s):
             continue
-        if any(ctx.is_independent(s | {j}) for j in items if j not in s):
+        if any(is_independent(inst, s | {j}) for j in items if j not in s):
             continue
         out.append(s)
     return out
@@ -71,13 +71,13 @@ def exchange_breaking_oracle():
     return AggregationOracle(lambda s: values[s], {"kind": "adversarial-exchange"})
 
 
-def random_independent_chain(ctx, class_items, horizon, rng: random.Random) -> Chain:
+def random_independent_chain(inst, class_items, horizon, rng: random.Random) -> Chain:
     """A random independent chain inside one profit class (ignores capacities)."""
     items = sorted(class_items)
     rng.shuffle(items)
     final: set[int] = set()
     for i in items:
-        if rng.random() < 0.8 and ctx.is_independent(final | {i}):
+        if rng.random() < 0.8 and is_independent(inst, final | {i}):
             final.add(i)
     times = {i: rng.randint(1, horizon) for i in final}
     return Chain(horizon, times)

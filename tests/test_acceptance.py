@@ -10,7 +10,6 @@ import time
 from itertools import combinations
 
 from iknap import (
-    IndependenceContext,
     brute_force_chains,
     build_reduction,
     check_matroid_exchange,
@@ -18,6 +17,7 @@ from iknap import (
     generate_subcubic,
     greedy_matroid_chain,
     is_feasible,
+    is_independent,
     iter_feasible_chains,
     max_k_vertex_cover,
     min_weight_basis,
@@ -118,19 +118,19 @@ def _single_class_corpora(max_size: int):
         inst = make_modular_instance(size, 1, rng)
         flat = [
             (p, members)
-            for p, members in profit_partition(inst).classes
+            for p, members in profit_partition(inst)
         ]
         corpora.extend((inst, members) for _, members in flat)
     return corpora
 
 
-def _equal_cardinality_everywhere(ctx, members) -> bool:
+def _equal_cardinality_everywhere(inst, members) -> bool:
     items = sorted(members)
     n = len(items)
     ind = {}
     for mask in range(1 << n):
         s = frozenset(items[b] for b in range(n) if mask >> b & 1)
-        ind[mask] = ctx.is_independent(s)
+        ind[mask] = is_independent(inst, s)
     for a_mask in range(1 << n):
         sizes = set()
         m = a_mask
@@ -161,16 +161,14 @@ def test_criterion_04_profit_classes_form_matroids():
     for inst, members in _single_class_corpora(8):
         if not 1 <= len(members) <= 8:
             continue
-        ctx = IndependenceContext(inst)
-        assert check_matroid_exchange(ctx, members) is None, sorted(members)
-        assert _equal_cardinality_everywhere(ctx, members), sorted(members)
+        assert check_matroid_exchange(inst, members) is None, sorted(members)
+        assert _equal_cardinality_everywhere(inst, members), sorted(members)
         classes_checked += 1
     for _, inst in SUITE:
         reduced, _ = preprocess_singletons(inst)
-        ctx = IndependenceContext(reduced)
-        for _, members in profit_partition(reduced).classes:
-            assert check_matroid_exchange(ctx, members) is None
-            assert _equal_cardinality_everywhere(ctx, members)
+        for _, members in profit_partition(reduced):
+            assert check_matroid_exchange(reduced, members) is None
+            assert _equal_cardinality_everywhere(reduced, members)
             classes_checked += 1
     _report(4, True, f"{classes_checked} profit classes pass both matroid checks")
 
@@ -180,9 +178,8 @@ def test_criterion_05_greedy_basis_weight_is_minimal():
     rng = random.Random(555)
     for trial in range(200):
         inst, members = random_class_instance(rng, rng.randint(1, 7))
-        ctx = IndependenceContext(inst)
-        basis = min_weight_basis(ctx, members)
-        maximal = maximal_independent_subsets(ctx, members)
+        basis = min_weight_basis(inst, members)
+        maximal = maximal_independent_subsets(inst, members)
         assert basis.members in maximal, trial
         assert basis.weight == min(inst.total_weight(s) for s in maximal), trial
     _report(5, True, "greedy == brute-force minimum on 200 random classes")
@@ -193,10 +190,9 @@ def test_criterion_06_basis_restriction_preserves_value_and_dominates_weight():
     rng = random.Random(666)
     for trial in range(200):
         inst, members = random_class_instance(rng, rng.randint(1, 6))
-        ctx = IndependenceContext(inst)
-        basis = min_weight_basis(ctx, members)
-        chain = random_independent_chain(ctx, members, rng.randint(1, 3), rng)
-        rerouted = restrict_chain_to_basis(ctx, members, basis, chain)
+        basis = min_weight_basis(inst, members)
+        chain = random_independent_chain(inst, members, rng.randint(1, 3), rng)
+        rerouted = restrict_chain_to_basis(inst, members, basis, chain)
         for old, new in zip(chain.sets(), rerouted.sets()):
             assert inst.oracle.evaluate(new) == inst.oracle.evaluate(old), trial
             assert inst.total_weight(new) <= inst.total_weight(old), trial

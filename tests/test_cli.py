@@ -182,6 +182,41 @@ def oracle_ground_misses_item_1(instance):
                 group["members"].remove(1)
 
 
+def fractional_class_profit(instance):
+    instance["oracle"]["classes"][0]["profit"] = 4.7  # int() would read this as 4
+
+
+def fractional_uniform_rank_cap(instance):
+    # the class of items 4 and 5 becomes a uniform matroid with a float rank
+    instance["oracle"]["classes"][0]["matroid"] = {
+        "kind": "uniform", "ground": [4, 5], "rank_cap": 1.5
+    }
+
+
+def partition_cap_of(value):
+    def edit(instance):
+        instance["oracle"]["classes"][2]["matroid"]["groups"][0]["cap"] = value
+    return edit
+
+
+def fractional_graphic_endpoint(instance):
+    instance["oracle"]["classes"][0]["matroid"] = {
+        "kind": "graphic",
+        "edges": [{"item": 4, "u": 0.5, "v": 1}, {"item": 5, "u": 1, "v": 2}],
+    }
+
+
+def coverage_oracle_with(items, vertices):
+    def edit(instance):
+        instance["oracle"] = {
+            "kind": "coverage",
+            "edges": [[v, v + 100] for v in range(7)],
+            "items": items,
+            "vertices": vertices,
+        }
+    return edit
+
+
 def insertion_time_out_of_range(report):
     report["chain"]["insertion_times"][0] = 3  # the toy instance has T = 2
 
@@ -228,10 +263,22 @@ class TestMalformedInputExits4:
             (oracle_ground_misses_item_1, "outside oracle ground"),
             *[(oracle_replaced_by(value), "oracle descriptor must be an object")
               for value in (5, "x", None, [1])],
+            (fractional_class_profit, "class profit must be an integer, got 4.7"),
+            (fractional_uniform_rank_cap, "uniform matroid cap must be an integer, got 1.5"),
+            (partition_cap_of(1.5), "partition matroid cap must be an integer, got 1.5"),
+            (partition_cap_of(True), "partition matroid cap must be an integer, got True"),
+            (fractional_graphic_endpoint, "graphic vertex must be an integer, got 0.5"),
+            (coverage_oracle_with([1, 2, 3, 4, 5, 6, 7], [0.5, 1, 2, 3, 4, 5, 6]),
+             "coverage vertex must be an integer, got 0.5"),
+            (coverage_oracle_with([1.5, 2, 3, 4, 5, 6, 7], [0, 1, 2, 3, 4, 5, 6]),
+             "coverage item id must be an integer, got 1.5"),
         ],
         ids=["negative_weight", "missing_instance_key", "fractional_horizon",
              "oracle_ground_misses_item", "oracle_int", "oracle_string", "oracle_null",
-             "oracle_list"],
+             "oracle_list", "fractional_class_profit", "fractional_uniform_rank_cap",
+             "fractional_partition_cap", "bool_partition_cap",
+             "fractional_graphic_endpoint", "fractional_coverage_vertex",
+             "fractional_coverage_item"],
     )
     def test_instance(self, toy_instance, report_path, tmp_path, capsys, edit, message):
         edit_json(toy_instance, edit)

@@ -1,0 +1,33 @@
+"""The core package imports nothing outside the standard library."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+PROBE = (
+    "import sys\n"
+    "before = set(sys.modules)\n"
+    "import iknap\n"
+    "print('\\n'.join(sorted(set(sys.modules) - before)))\n"
+)
+
+
+def test_import_iknap_loads_only_stdlib_modules():
+    # Diff sys.modules around the import: interpreter start-up may already
+    # load third-party modules from .pth files.
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, "-c", PROBE], env=env, capture_output=True, text=True, check=True
+    ).stdout
+    added = out.split()
+    assert "iknap" in added
+    foreign = [
+        name
+        for name in added
+        if name.partition(".")[0] not in sys.stdlib_module_names | {"iknap"}
+    ]
+    assert foreign == []

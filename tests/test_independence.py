@@ -8,7 +8,6 @@ from iknap import (
     AggregationOracle,
     Chain,
     ChainNotIndependent,
-    IndependenceContext,
     MatroidSpec,
     NotDependent,
     OracleViolation,
@@ -16,6 +15,7 @@ from iknap import (
     check_matroid_exchange,
     find_cycle,
     greedy_matroid_chain,
+    is_independent,
     matroid_rank,
     matroid_rank_sum_oracle,
     min_weight_basis,
@@ -60,8 +60,7 @@ def random_class_instance(rng, size, kind=None):
     while True:
         inst = CLASS_FAMILIES[kind](size, 1, rng)
         reduced, _ = preprocess_singletons(inst)
-        part = profit_partition(reduced)
-        classes = [m for _, m in part.classes if len(m) == size]
+        classes = [m for _, m in profit_partition(reduced) if len(m) == size]
         if classes:
             return reduced, classes[0]
 
@@ -69,13 +68,12 @@ def random_class_instance(rng, size, kind=None):
 class TestIsIndependent:
     def test_modular_everything_independent(self):
         inst = single_class_instance(modular_oracle({1: 2, 2: 2, 3: 2}), 3, profit=2)
-        ctx = IndependenceContext(inst)
-        assert all(ctx.is_independent(s) for s in subsets([1, 2, 3]))
+        assert all(is_independent(inst, s) for s in subsets([1, 2, 3]))
 
     def test_capped_rank_is_dependent(self):
-        ctx = IndependenceContext(uniform_class(2, 1))
-        assert ctx.is_independent({1})
-        assert not ctx.is_independent({1, 2})
+        inst = uniform_class(2, 1)
+        assert is_independent(inst, {1})
+        assert not is_independent(inst, {1, 2})
 
     def test_matches_per_class_rank_prediction(self):
         rng = random.Random(13)
@@ -88,57 +86,43 @@ class TestIsIndependent:
             ]
             from iknap.oracles import _matroid_from_obj
 
-            ctx = IndependenceContext(inst)
             for s in subsets(inst.item_ids):
                 expected = all(
                     matroid_rank(spec, s & spec.ground) == len(s & spec.ground)
                     for _, raw in specs
                     for spec in [_matroid_from_obj(raw)]
                 )
-                assert ctx.is_independent(s) == expected
-
-    def test_memoization_costs_one_call_per_distinct_set(self):
-        inst = uniform_class(3, 2)
-        ctx = IndependenceContext(inst)
-        before = inst.oracle.call_count
-        for _ in range(5):
-            ctx.is_independent({1, 2})
-            ctx.is_independent({1, 3})
-        assert inst.oracle.call_count - before == 2
+                assert is_independent(inst, s) == expected
 
     def test_gamma_above_profit_sum_is_oracle_error(self):
         oracle = AggregationOracle(lambda s: 10 * len(s), {"kind": "broken"})
         inst = single_class_instance(oracle, 2, profit=1)
-        ctx = IndependenceContext(inst)
         with pytest.raises(OracleViolation):
-            ctx.is_independent({1, 2})
+            is_independent(inst, {1, 2})
 
-    def test_full_memo_stops_caching_but_stays_correct(self):
-        inst = uniform_class(4, 2)
-        ctx = IndependenceContext(inst, memo_limit=2)
-        sets = [{1}, {2}, {3}, {4}]
-        first = [ctx.is_independent(s) for s in sets]
+    def test_one_oracle_call_per_call_repeated_sets_included(self):
+        inst = uniform_class(3, 2)
         before = inst.oracle.call_count
-        second = [ctx.is_independent(s) for s in sets]
-        assert first == second == [True] * 4
-        # the two cached verdicts are free, the rest hit the oracle again
-        assert inst.oracle.call_count - before == 2
+        for _ in range(5):
+            is_independent(inst, {1, 2})
+            is_independent(inst, {1, 3})
+        assert inst.oracle.call_count - before == 10
 
 
 class TestFindCycle:
     def test_two_item_cycle(self):
-        ctx = IndependenceContext(uniform_class(2, 1))
-        assert find_cycle(ctx, {1, 2}) == frozenset({1, 2})
+        inst = uniform_class(2, 1)
+        assert find_cycle(inst, {1, 2}) == frozenset({1, 2})
 
     def test_keeps_smallest_ids(self):
         # of {1,2,3} under a cap-1 matroid, 3 is discarded first
-        ctx = IndependenceContext(uniform_class(3, 1))
-        assert find_cycle(ctx, {1, 2, 3}) == frozenset({1, 2})
+        inst = uniform_class(3, 1)
+        assert find_cycle(inst, {1, 2, 3}) == frozenset({1, 2})
 
     def test_independent_input_rejected(self):
-        ctx = IndependenceContext(uniform_class(3, 3))
+        inst = uniform_class(3, 3)
         with pytest.raises(NotDependent):
-            find_cycle(ctx, {1, 2})
+            find_cycle(inst, {1, 2})
 
     def test_cycle_definition_and_profit_equality(self):
         rng = random.Random(17)
@@ -151,16 +135,15 @@ class TestFindCycle:
             s = frozenset(
                 i for i in inst.item_ids if rng.random() < 0.7
             )
-            ctx = IndependenceContext(inst)
-            if not s or ctx.is_independent(s):
+            if not s or is_independent(inst, s):
                 continue
-            cycle = find_cycle(ctx, s)
+            cycle = find_cycle(inst, s)
             found += 1
             assert cycle and cycle <= s
-            assert not ctx.is_independent(cycle)
+            assert not is_independent(inst, cycle)
             g_cycle = inst.oracle.evaluate(cycle)
             for i in cycle:
-                assert ctx.is_independent(cycle - {i})
+                assert is_independent(inst, cycle - {i})
                 # dropping any element of a cycle does not change gamma
                 assert inst.oracle.evaluate(cycle - {i}) == g_cycle
 
@@ -172,11 +155,10 @@ class TestFindCycle:
             reduced, _ = preprocess_singletons(inst)
             if len(reduced) < 2:
                 continue
-            ctx = IndependenceContext(reduced)
             s = frozenset(i for i in reduced.item_ids if rng.random() < 0.8)
-            if not s or ctx.is_independent(s):
+            if not s or is_independent(reduced, s):
                 continue
-            cycle = find_cycle(ctx, s)
+            cycle = find_cycle(reduced, s)
             found += 1
             profits = {reduced.profit_of(i) for i in cycle}
             assert len(profits) == 1
@@ -187,10 +169,9 @@ class TestMonotonicityAndSlices:
         rng = random.Random(23)
         for _ in range(20):
             inst, _ = random_class_instance(rng, rng.randint(1, 6))
-            ctx = IndependenceContext(inst)
             for s in subsets(inst.item_ids):
-                if ctx.is_independent(s):
-                    assert all(ctx.is_independent(s - {i}) for i in s)
+                if is_independent(inst, s):
+                    assert all(is_independent(inst, s - {i}) for i in s)
 
     def test_independence_decomposes_across_classes(self):
         rng = random.Random(29)
@@ -198,20 +179,17 @@ class TestMonotonicityAndSlices:
             fam = rng.choice(list(CLASS_FAMILIES))
             inst = CLASS_FAMILIES[fam](rng.randint(2, 8), 1, rng)
             reduced, _ = preprocess_singletons(inst)
-            ctx = IndependenceContext(reduced)
             part = profit_partition(reduced)
             for s in subsets(reduced.item_ids):
-                whole = ctx.is_independent(s)
-                slices = all(
-                    ctx.is_independent(s & members) for _, members in part.classes
-                )
+                whole = is_independent(reduced, s)
+                slices = all(is_independent(reduced, s & members) for _, members in part)
                 assert whole == slices
 
 
 class TestMinWeightBasis:
     def test_cap_one_takes_lightest(self):
         inst = uniform_class(3, 1, weights=[2, 3, 4])
-        basis = min_weight_basis(IndependenceContext(inst), [1, 2, 3])
+        basis = min_weight_basis(inst, [1, 2, 3])
         assert basis.members == frozenset({1})
         assert basis.weight == 2
 
@@ -220,7 +198,7 @@ class TestMinWeightBasis:
             [(5, MatroidSpec.partition([([1, 2], 1), ([3], 1)]))]
         )
         inst = single_class_instance(oracle, 3, profit=5, weights=[3, 1, 2])
-        basis = min_weight_basis(IndependenceContext(inst), [1, 2, 3])
+        basis = min_weight_basis(inst, [1, 2, 3])
         assert basis.members == frozenset({2, 3})
         assert basis.weight == 3
 
@@ -229,9 +207,8 @@ class TestMinWeightBasis:
         for _ in range(60):
             size = rng.randint(1, 7)
             inst, members = random_class_instance(rng, size)
-            ctx = IndependenceContext(inst)
-            basis = min_weight_basis(ctx, members)
-            maximal = maximal_independent_subsets(ctx, members)
+            basis = min_weight_basis(inst, members)
+            maximal = maximal_independent_subsets(inst, members)
             best = min(inst.total_weight(s) for s in maximal)
             assert basis.members in maximal
             assert basis.weight == best
@@ -239,77 +216,69 @@ class TestMinWeightBasis:
     def test_one_oracle_call_per_class_item(self):
         rng = random.Random(37)
         inst, members = random_class_instance(rng, 6)
-        ctx = IndependenceContext(inst)
         before = inst.oracle.call_count
-        min_weight_basis(ctx, members)
+        min_weight_basis(inst, members)
         assert inst.oracle.call_count - before == len(members)
 
 
 class TestMatroidExchange:
     def test_uniform_class_passes(self):
-        ctx = IndependenceContext(uniform_class(5, 2))
-        assert check_matroid_exchange(ctx, range(1, 6)) is None
+        inst = uniform_class(5, 2)
+        assert check_matroid_exchange(inst, range(1, 6)) is None
 
     def test_builtin_families_pass_exhaustively(self):
         rng = random.Random(41)
         for kind in CLASS_FAMILIES:
             for _ in range(8):
                 inst, members = random_class_instance(rng, rng.randint(1, 6), kind)
-                ctx = IndependenceContext(inst)
-                assert check_matroid_exchange(ctx, members) is None
+                assert check_matroid_exchange(inst, members) is None
 
     def test_equal_cardinality_of_maximal_sets(self):
         rng = random.Random(43)
         for _ in range(25):
             inst, members = random_class_instance(rng, rng.randint(1, 6))
-            ctx = IndependenceContext(inst)
             for a in subsets(members):
-                sizes = {len(s) for s in maximal_independent_subsets(ctx, a)}
+                sizes = {len(s) for s in maximal_independent_subsets(inst, a)}
                 assert len(sizes) == 1
 
     def test_non_aon_oracle_breaks_exchange(self):
         inst = single_class_instance(exchange_breaking_oracle(), 3, profit=1)
-        ctx = IndependenceContext(inst)
-        witness = check_matroid_exchange(ctx, [1, 2, 3])
+        witness = check_matroid_exchange(inst, [1, 2, 3])
         assert witness is not None
         s, s2, a = witness
         assert len(s) < len(s2) and s <= a and s2 <= a
-        assert not any(ctx.is_independent(s | {j}) for j in s2 - s)
+        assert not any(is_independent(inst, s | {j}) for j in s2 - s)
 
 
 class TestRestrictChainToBasis:
     def test_fixed_point(self):
         inst = uniform_class(3, 2, weights=[1, 2, 5])
-        ctx = IndependenceContext(inst)
-        basis = min_weight_basis(ctx, [1, 2, 3])
+        basis = min_weight_basis(inst, [1, 2, 3])
         chain = Chain.from_sets([{1}, {1, 2}])
-        assert restrict_chain_to_basis(ctx, [1, 2, 3], basis, chain) == chain
+        assert restrict_chain_to_basis(inst, [1, 2, 3], basis, chain) == chain
 
     def test_reroutes_through_lightest_items(self):
         inst = uniform_class(3, 2, weights=[1, 2, 5])
-        ctx = IndependenceContext(inst)
-        basis = min_weight_basis(ctx, [1, 2, 3])
+        basis = min_weight_basis(inst, [1, 2, 3])
         assert basis.members == frozenset({1, 2})
         chain = Chain.from_sets([{3}, {2, 3}])
-        restricted = restrict_chain_to_basis(ctx, [1, 2, 3], basis, chain)
+        restricted = restrict_chain_to_basis(inst, [1, 2, 3], basis, chain)
         assert restricted.sets() == [frozenset({1}), frozenset({1, 2})]
 
     def test_dependent_chain_rejected(self):
         inst = uniform_class(3, 1)
-        ctx = IndependenceContext(inst)
-        basis = min_weight_basis(ctx, [1, 2, 3])
+        basis = min_weight_basis(inst, [1, 2, 3])
         with pytest.raises(ChainNotIndependent):
-            restrict_chain_to_basis(ctx, [1, 2, 3], basis, Chain.from_sets([{1, 2}]))
+            restrict_chain_to_basis(inst, [1, 2, 3], basis, Chain.from_sets([{1, 2}]))
 
     def test_postconditions_on_random_chains(self):
         rng = random.Random(47)
         for _ in range(60):
             inst, members = random_class_instance(rng, rng.randint(1, 6))
-            ctx = IndependenceContext(inst)
-            basis = min_weight_basis(ctx, members)
+            basis = min_weight_basis(inst, members)
             horizon = rng.randint(1, 3)
-            chain = random_independent_chain(ctx, members, horizon, rng)
-            restricted = restrict_chain_to_basis(ctx, members, basis, chain)
+            chain = random_independent_chain(inst, members, horizon, rng)
+            restricted = restrict_chain_to_basis(inst, members, basis, chain)
             for old, new in zip(chain.sets(), restricted.sets()):
                 assert inst.oracle.evaluate(new) == inst.oracle.evaluate(old)
                 assert inst.total_weight(new) <= inst.total_weight(old)

@@ -215,19 +215,19 @@ class TestProfits:
             profit_phi_bar({1: 5}, [1], Chain(1, {2: 1}))
 
 
-class TestProfitPartition:
+class TestProfitClasses:
     def test_grouping_by_equality(self):
         inst = modular_instance([1, 1, 1], [5, 5, 9], [3, 3], [1, 1])
         part = profit_partition(inst)
-        assert part.profits == (5, 9)
-        assert part.members(0) == frozenset({1, 2})
-        assert part.members(1) == frozenset({3})
+        assert tuple(p for p, _ in part) == (5, 9)
+        assert part[0][1] == frozenset({1, 2})
+        assert part[1][1] == frozenset({3})
 
     def test_distinct_profits_give_singletons(self):
         inst = modular_instance([1, 1, 1], [2, 7, 4], [3, 3], [1, 1])
         part = profit_partition(inst)
         assert len(part) == 3
-        assert all(len(members) == 1 for _, members in part.classes)
+        assert all(len(members) == 1 for _, members in part)
 
     def test_classes_partition_ground_set(self):
         rng = random.Random(3)
@@ -237,12 +237,12 @@ class TestProfitPartition:
             inst = modular_instance([1] * n, profits, [n], [1])
             part = profit_partition(inst)
             union = set()
-            for _, members in part.classes:
+            for _, members in part:
                 assert members, "classes must be nonempty"
                 assert not union & members, "classes must be disjoint"
                 union |= members
             assert union == set(inst.item_ids)
-            assert list(part.profits) == sorted(set(profits))
+            assert [p for p, _ in part] == sorted(set(profits))
 
 
 class TestPreprocessSingletons:

@@ -8,7 +8,6 @@ import pytest
 from iknap import (
     AggregationOracle,
     Chain,
-    IndependenceContext,
     InfeasibleInternal,
     Instance,
     InvalidInstance,
@@ -19,6 +18,7 @@ from iknap import (
     brute_force_chains,
     greedy_matroid_chain,
     is_feasible,
+    is_independent,
     iter_feasible_chains,
     matroid_rank_sum_oracle,
     modular_oracle,
@@ -66,7 +66,6 @@ class TestModularize:
             kept = frozenset(mod.kept_ids)
             profit_sum = sum(reduced.profit_of(i) for i in kept)
             assert reduced.oracle.evaluate(kept) == profit_sum
-            ctx = IndependenceContext(reduced)
             for basis in mod.bases:
                 klass = {
                     i
@@ -74,7 +73,7 @@ class TestModularize:
                     if reduced.profit_of(i) == reduced.profit_of(next(iter(basis.members)))
                 } if basis.members else set()
                 for outside in klass - basis.members:
-                    assert not ctx.is_independent(basis.members | {outside})
+                    assert not is_independent(reduced, basis.members | {outside})
 
     def test_oracle_budget_is_one_call_per_retained_item(self):
         rng = random.Random(5)
@@ -132,7 +131,7 @@ class TestEvaluateFallback:
             reduced, dropped = preprocess_singletons(with_oracle(inst, proxy))
             mod = modularize(reduced)
             expected = [frozenset((i,)) for i in inst.item_ids]
-            for (_, klass), basis in zip(profit_partition(reduced).classes, mod.bases):
+            for (_, klass), basis in zip(profit_partition(reduced), mod.bases):
                 grown: set[int] = set()
                 for i in sorted(klass, key=lambda i: (reduced.weight_of(i), i)):
                     expected.append(frozenset(grown | {i}))

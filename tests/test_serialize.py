@@ -1,6 +1,7 @@
 """JSON codecs: instance files, chain encodings, canonical dumps."""
 
 import contextlib
+import copy
 import io
 import json
 import random
@@ -33,6 +34,20 @@ from iknap.generators import FAMILIES
 from iknap.serialize import dumps_canonical
 
 
+def rank_sum(matroid):
+    return {"kind": "matroid_rank_sum", "classes": [{"profit": 2, "matroid": matroid}]}
+
+
+UNIFORM = rank_sum({"kind": "uniform", "ground": [1, 2, 3], "rank_cap": 2})
+PARTITION = rank_sum({"kind": "partition", "groups": [{"members": [1, 2], "cap": 1},
+                                                      {"members": [3], "cap": 1}]})
+GRAPHIC = rank_sum({"kind": "graphic", "edges": [{"item": 1, "u": 0, "v": 1},
+                                                 {"item": 2, "u": 1, "v": 2},
+                                                 {"item": 3, "u": 0, "v": 2}]})
+COVERAGE = {"kind": "coverage", "edges": [[0, 1], [2, 3], [4, 5]],
+            "items": [1, 2, 3], "vertices": [0, 2, 4]}
+
+
 class TestInstanceCodec:
     def test_round_trip_every_family(self):
         rng = random.Random(2)
@@ -63,6 +78,44 @@ class TestInstanceCodec:
         obj = instance_to_obj(FAMILIES["modular"](3, 2, random.Random(5)))
         obj[field] = raw
         with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            instance_from_obj(obj)
+
+    @pytest.mark.parametrize(
+        "oracle, path, raw",
+        [
+            (UNIFORM, ("classes", 0, "profit"), 4.7),
+            (UNIFORM, ("classes", 0, "profit"), True),
+            (UNIFORM, ("classes", 0, "matroid", "rank_cap"), 1.5),
+            (UNIFORM, ("classes", 0, "matroid", "rank_cap"), True),
+            (UNIFORM, ("classes", 0, "matroid", "ground", 0), 1.0),
+            (PARTITION, ("classes", 0, "matroid", "groups", 0, "cap"), 1.5),
+            (PARTITION, ("classes", 0, "matroid", "groups", 0, "cap"), True),
+            (PARTITION, ("classes", 0, "matroid", "groups", 1, "members", 0), 3.0),
+            (GRAPHIC, ("classes", 0, "matroid", "edges", 0, "u"), 0.5),
+            (GRAPHIC, ("classes", 0, "matroid", "edges", 0, "v"), True),
+            (GRAPHIC, ("classes", 0, "matroid", "edges", 0, "item"), 1.0),
+            (COVERAGE, ("items", 0), 1.5),
+            (COVERAGE, ("vertices", 0), 0.5),
+            (COVERAGE, ("edges", 0, 1), 1.5),
+        ],
+        ids=[
+            "class_profit_fraction", "class_profit_bool", "rank_cap_fraction",
+            "rank_cap_bool", "ground_float", "partition_cap_fraction",
+            "partition_cap_bool", "group_member_float", "graphic_u_fraction",
+            "graphic_v_bool", "graphic_item_float", "coverage_item_fraction",
+            "coverage_vertex_fraction", "coverage_edge_fraction",
+        ],
+    )
+    def test_non_integer_descriptor_number_rejected(self, oracle, path, raw):
+        obj = {"n": 3, "T": 1, "weights": [1, 1, 1], "profits": [2, 2, 2],
+               "capacities": [3], "deltas": [1], "oracle": copy.deepcopy(oracle)}
+        instance_from_obj(copy.deepcopy(obj))  # the unedited descriptor decodes
+        *parents, last = path
+        target = obj["oracle"]
+        for key in parents:
+            target = target[key]
+        target[last] = raw
+        with pytest.raises(ValueError, match="must be an integer"):
             instance_from_obj(obj)
 
     def test_non_contiguous_ids_rejected(self):
