@@ -10,9 +10,13 @@ budget limits exceeded.  verify exits 1 on any mismatch.  Both exit 4 on
 malformed input: an instance that fails validation, a file missing a key,
 a non-integer n or T, an oracle that is not a JSON object, whose ground
 misses an instance item or that holds a non-integer or boolean profit,
-cap, item id or vertex, or a chain whose insertion times are not integers
-in 1..T or of the wrong length.  bench records a malformed instance file
-as one error row per solver and exits 1 only when every row failed.
+cap, item id or vertex, a coverage oracle with a repeated item id or
+unequal items and vertices, or a chain whose insertion times are not
+integers in 1..T or of the wrong length.  reduce-vc and generate --family
+vc-reduction exit 4 on a graph file with a non-integer token or a vertex
+of degree above 3, or a --k outside 1..|V|.  generate rejects --n or -T
+below 1 as a usage error.  bench records a malformed instance file as one
+error row per solver and exits 1 only when every row failed.
 """
 
 from __future__ import annotations
@@ -60,6 +64,14 @@ def _limits(text: str) -> SolveLimits:
         raise argparse.ArgumentTypeError(exc.args[0]) from None
 
 
+def _positive(text: str) -> int:
+    """argparse type for --n and -T: an integer of at least 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def _names(text: str) -> tuple[str, ...]:
     """argparse type for --solvers: a comma-separated list."""
     return tuple(filter(None, (s.strip() for s in text.split(","))))
@@ -76,8 +88,8 @@ def build_parser() -> argparse.ArgumentParser:
     gen.set_defaults(run=cmd_generate)
     gen.add_argument("--family", required=True,
                      choices=sorted(FAMILIES) + ["vc-reduction"])
-    gen.add_argument("--n", type=int, default=8)
-    gen.add_argument("-T", "--horizon", type=int, default=2)
+    gen.add_argument("--n", type=_positive, default=8)
+    gen.add_argument("-T", "--horizon", type=_positive, default=2)
     gen.add_argument("--seed", type=int, default=DEFAULT_SEED)
     gen.add_argument("--graph", type=Path, help="edge-list file (vc-reduction only)")
     gen.add_argument("--k", type=int, default=1, help="cover size (vc-reduction only)")
@@ -134,8 +146,10 @@ def cmd_generate(args: argparse.Namespace) -> int:
         if args.graph is None:
             print("error: --graph is required for vc-reduction", file=sys.stderr)
             return 1
-        graph = read_edge_list(args.graph)
-        inst = build_reduction(graph, args.k).instance
+        try:
+            inst = build_reduction(read_edge_list(args.graph), args.k).instance
+        except ValueError as exc:  # a bad graph file or k
+            return _malformed(exc)
     else:
         rng = random.Random(args.seed)
         inst = make_family_instance(args.family, args.n, args.horizon, rng)
@@ -208,8 +222,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_reduce(args: argparse.Namespace) -> int:
-    graph = read_edge_list(args.graph)
-    reduction = build_reduction(graph, args.k)
+    try:
+        graph = read_edge_list(args.graph)
+        reduction = build_reduction(graph, args.k)
+    except ValueError as exc:  # a bad graph file or k
+        return _malformed(exc)
     save_instance(reduction.instance, args.out)
     _say(
         args,

@@ -79,19 +79,19 @@ def min_weight_basis(inst: Instance, class_items: Iterable[int]) -> ClassBasis:
     grower.
     """
     order = sorted(class_items, key=lambda i: (inst.weight_of(i), i))
-    grower = grower_for(inst.oracle)
+    gain, add = grower_for(inst.oracle)
     basis: list[int] = []
     value = 0
     for i in order:
         p = inst.profit_of(i)
-        g = grower.gain(i)
+        g = gain(i)
         if g > p:
             raise OracleViolation(
                 f"gamma(S) = {value + g} > p(S) = {value + p} for S={sorted(basis + [i])}; "
                 "oracle is outside the all-or-nothing class"
             )
         if g == p:
-            grower.add(i)
+            add(i)
             basis.append(i)
             value += p
     return ClassBasis(frozenset(basis), inst.total_weight(basis))

@@ -313,9 +313,9 @@ def preprocess_singletons(inst: Instance) -> tuple[Instance, tuple[int, ...]]:
     """
     kept: list[Item] = []
     dropped: list[int] = []
-    grower = grower_for(inst.oracle)
+    gain = grower_for(inst.oracle).gain
     for it in inst.items:
-        g = grower.gain(it.id)
+        g = gain(it.id)
         if g == it.profit:
             kept.append(it)
         elif g == 0:

@@ -14,7 +14,7 @@ from __future__ import annotations
 import random
 import threading
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, ClassVar, Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import OverlappingClasses, UnknownItemId
 
@@ -41,12 +41,23 @@ def _integer(value, name: str) -> int:
     return value
 
 
-def _item_set(ids: Iterable[int], name: str) -> frozenset:
-    """ids as a frozenset, once each has passed _integer."""
-    ids = tuple(ids)
-    for i in ids:
-        _integer(i, name)
-    return frozenset(ids)
+class _ItemTable(dict):
+    """A dict keyed by item id whose missing keys raise UnknownItemId."""
+
+    def __missing__(self, item):
+        raise UnknownItemId(f"item id {item} outside oracle ground")
+
+
+class Grower(NamedTuple):
+    """gamma(B + i) - gamma(B) for a set B grown one item at a time from empty.
+
+    gain(i) takes an item not in B and counts as one call on the oracle;
+    add(i) puts into B an item whose gain was asked since B last grew.
+    Built by grower_for().  Not thread-safe: one caller, one loop.
+    """
+
+    gain: Callable[[int], int]
+    add: Callable[[int], None]
 
 
 class AggregationOracle:
@@ -56,29 +67,26 @@ class AggregationOracle:
     be stateless (all built-in families are) and the call counter is bumped
     under a lock, exactly once per call.
 
-    Optional incremental protocol: grower_for(oracle) returns a Grower, which
-    holds a set B that starts empty; gain(i) returns gamma(B + i) - gamma(B)
-    and add(i) puts i into B.  Each gain() counts as one call in call_count,
-    exactly as one evaluate() would; add() is free.  An oracle built with
-    grower=(cls, data) answers through cls(oracle, data), a Grower subclass
-    that builds its own state, so the oracle keeps none between calls; the
-    modular and matroid-rank-sum families do this.  Without one, gains go
-    through evaluate().  A grower is single-owner state: one caller, one loop.
+    make_grower, if given, is a zero-argument factory that returns a fresh
+    (gain, add) pair over a set B that starts empty, so the oracle keeps no
+    state between calls; the modular and matroid-rank-sum families supply
+    one.  grower_for() counts each of its gains as one call; without a
+    factory, gains go through evaluate().
     """
 
-    __slots__ = ("_fn", "descriptor", "_count", "_lock", "_grower")
+    __slots__ = ("_fn", "descriptor", "_count", "_lock", "_make_grower")
 
     def __init__(
         self,
         fn: Callable[[frozenset], int],
         descriptor: dict,
-        grower: "tuple[type[Grower], object] | None" = None,
+        make_grower: "Callable[[], tuple[Callable, Callable]] | None" = None,
     ):
         self._fn = fn
         self.descriptor = descriptor
         self._count = 0
         self._lock = threading.Lock()
-        self._grower = grower
+        self._make_grower = make_grower
 
     def evaluate(self, items: Iterable[int]) -> int:
         s = frozenset(items)
@@ -95,124 +103,45 @@ class AggregationOracle:
         return f"AggregationOracle(kind={kind!r}, calls={self._count})"
 
 
-class Grower:
-    """gamma(B + i) - gamma(B) for a set B grown one item at a time from empty.
-
-    gain(i) takes an item not in B and counts as one call on the oracle;
-    add(i) puts into B the item whose gain was just asked.  Subclasses
-    supply _marginal() and add().  Not thread-safe.
-    """
-
-    __slots__ = ("_oracle",)
-
-    def __init__(self, oracle: AggregationOracle):
-        self._oracle = oracle
-
-    def gain(self, item: int) -> int:
-        oracle = self._oracle
-        with oracle._lock:
-            oracle._count += 1
-        return self._marginal(item)
-
-    def _marginal(self, item: int) -> int:
-        raise NotImplementedError
-
-    def add(self, item: int) -> None:
-        raise NotImplementedError
-
-
-class _EvaluateGrower(Grower):
-    """Any object with evaluate(): each gain is evaluate(B + i) minus the value of B.
-
-    The value of the empty set is taken to be 0 (every oracle's contract),
-    and the value of B + i is the answer of the gain(i) that preceded add(i).
-    """
-
-    __slots__ = ("_members", "_value", "_asked")
-
-    def __init__(self, oracle):
-        super().__init__(oracle)
-        self._members: set[int] = set()
-        self._value = 0
-        self._asked: tuple[int, int] | None = None
-
-    def gain(self, item: int) -> int:
-        value = self._oracle.evaluate(self._members | {item})
-        self._asked = (item, value)
-        return value - self._value
-
-    def add(self, item: int) -> None:
-        if self._asked is None or self._asked[0] != item:
-            raise ValueError(f"add({item}) must follow gain({item})")
-        self._members.add(item)
-        self._value = self._asked[1]
-        self._asked = None
-
-
 def grower_for(oracle) -> Grower:
-    """The oracle's incremental grower, or one that calls evaluate() per gain.
+    """A fresh Grower over the oracle; each gain() counts as one call.
 
-    Any object with an evaluate() method works: coverage and user-supplied
-    oracles, or a wrapper around an oracle, get the evaluate-backed grower,
-    which asks gamma(B + i) on exactly the set B + i.
+    An AggregationOracle with a make_grower factory answers from the pair it
+    returns, with the call count bumped under the oracle's lock.  Any other
+    object with an evaluate() method (coverage and user-supplied oracles, or
+    a wrapper around an oracle) gets gains from evaluate() on exactly the
+    set B + i; the value of the empty set is taken to be 0, and add(i) takes
+    the value of B + i from a gain(i) asked since B last grew.
     """
-    recipe = oracle._grower if isinstance(oracle, AggregationOracle) else None
-    if recipe is None:
-        return _EvaluateGrower(oracle)
-    cls, data = recipe
-    return cls(oracle, data)
+    make = oracle._make_grower if isinstance(oracle, AggregationOracle) else None
+    if make is not None:
+        gain, add = make()
+        lock = oracle._lock
 
+        def counted_gain(item: int) -> int:
+            with lock:
+                oracle._count += 1
+            return gain(item)
 
-@dataclass(frozen=True)
-class MatroidSpec:
-    """A matroid over item ids: uniform, partition, or graphic.
+        return Grower(counted_gain, add)
 
-    Graphic specs describe a multigraph whose edges biject to the items
-    (self-loops and parallel edges allowed); rank is the max forest size.
-    """
+    members: set[int] = set()
+    value = 0
+    asked: dict[int, int] = {}  # gamma(B + i) for each i asked since B last grew
 
-    kind: str
-    ground: frozenset
-    rank_cap: int = 0
-    groups: tuple[tuple[frozenset, int], ...] = ()
-    edges: tuple[tuple[int, int, int], ...] = ()  # (item id, u, v)
+    def evaluate_gain(item: int) -> int:
+        asked[item] = oracle.evaluate(members | {item})
+        return asked[item] - value
 
-    @staticmethod
-    def uniform(ground: Iterable[int], cap: int) -> "MatroidSpec":
-        if _integer(cap, "uniform matroid cap") < 0:
-            raise ValueError("uniform matroid cap must be >= 0")
-        return MatroidSpec(
-            kind="uniform", ground=_item_set(ground, "matroid item id"), rank_cap=cap
-        )
+    def evaluate_add(item: int) -> None:
+        nonlocal value
+        if item not in asked:
+            raise ValueError(f"add({item}) must follow gain({item})")
+        members.add(item)
+        value = asked[item]
+        asked.clear()
 
-    @staticmethod
-    def partition(groups: Sequence[tuple[Iterable[int], int]]) -> "MatroidSpec":
-        frozen = []
-        ground: set[int] = set()
-        for members, cap in groups:
-            members = _item_set(members, "matroid item id")
-            if _integer(cap, "partition matroid cap") < 0:
-                raise ValueError("partition matroid caps must be >= 0")
-            if members & ground:
-                raise ValueError("partition matroid groups must be disjoint")
-            ground |= members
-            frozen.append((members, cap))
-        return MatroidSpec(kind="partition", ground=frozenset(ground), groups=tuple(frozen))
-
-    @staticmethod
-    def graphic(edges: Sequence[tuple[int, int, int]]) -> "MatroidSpec":
-        edges = tuple(
-            (
-                _integer(i, "matroid item id"),
-                _integer(u, "graphic vertex"),
-                _integer(v, "graphic vertex"),
-            )
-            for i, u, v in edges
-        )
-        items = [e[0] for e in edges]
-        if len(set(items)) != len(items):
-            raise ValueError("graphic matroid items must biject to edges")
-        return MatroidSpec(kind="graphic", ground=frozenset(items), edges=edges)
+    return Grower(evaluate_gain, evaluate_add)
 
 
 def _find(parent: dict[int, int], x: int) -> int:
@@ -225,20 +154,121 @@ def _find(parent: dict[int, int], x: int) -> int:
     return root
 
 
-def matroid_rank(spec: MatroidSpec, items: Iterable[int]) -> int:
-    """Rank of an item set under the spec's matroid."""
-    s = frozenset(items)
-    unknown = s - spec.ground
-    if unknown:
-        raise UnknownItemId(f"items {sorted(unknown)} outside matroid ground")
-    if spec.kind == "uniform":
-        return min(len(s), spec.rank_cap)
-    if spec.kind == "partition":
-        return sum(min(len(s & g), cap) for g, cap in spec.groups)
-    if spec.kind == "graphic":
+@dataclass(frozen=True)
+class MatroidSpec:
+    """A matroid over item ids: uniform, partition, or graphic.
+
+    Build one with MatroidSpec.uniform, .partition or .graphic: each is the
+    validating of() constructor of its kind's subclass.  Each kind also owns
+    its closed-form rank(s) for a set s inside ground, its to_obj()
+    descriptor, and state(): a (gain, add) pair over a set B that starts
+    empty, where gain(i) says whether B + i has higher rank than B and
+    add(i) puts i into B; the uniform and partition states count free
+    capacity, which may go negative once B is dependent.
+    """
+
+    ground: frozenset
+    kind: ClassVar[str]
+
+
+@dataclass(frozen=True)
+class UniformMatroid(MatroidSpec):
+    """Every set of at most rank_cap items is independent."""
+
+    rank_cap: int
+    kind = "uniform"
+
+    @classmethod
+    def of(cls, ground: Iterable[int], cap: int) -> "UniformMatroid":
+        if _integer(cap, "uniform matroid cap") < 0:
+            raise ValueError("uniform matroid cap must be >= 0")
+        return cls(frozenset(_integer(i, "matroid item id") for i in ground), cap)
+
+    def rank(self, s: frozenset) -> int:
+        return min(len(s), self.rank_cap)
+
+    def state(self):
+        free = self.rank_cap
+
+        def add(item: int) -> None:
+            nonlocal free
+            free -= 1
+
+        return (lambda item: free > 0), add
+
+    def to_obj(self) -> dict:
+        return {"kind": "uniform", "ground": sorted(self.ground), "rank_cap": self.rank_cap}
+
+
+@dataclass(frozen=True)
+class PartitionMatroid(MatroidSpec):
+    """Disjoint groups, each with a cap on how many of its items a set may hold."""
+
+    groups: tuple[tuple[frozenset, int], ...]
+    kind = "partition"
+
+    @classmethod
+    def of(cls, groups: Sequence[tuple[Iterable[int], int]]) -> "PartitionMatroid":
+        frozen = []
+        ground: set[int] = set()
+        for members, cap in groups:
+            members = frozenset(_integer(i, "matroid item id") for i in members)
+            if _integer(cap, "partition matroid cap") < 0:
+                raise ValueError("partition matroid caps must be >= 0")
+            if members & ground:
+                raise ValueError("partition matroid groups must be disjoint")
+            ground |= members
+            frozen.append((members, cap))
+        return cls(frozenset(ground), tuple(frozen))
+
+    def rank(self, s: frozenset) -> int:
+        return sum(min(len(s & g), cap) for g, cap in self.groups)
+
+    def state(self):
+        group = {i: k for k, (members, _) in enumerate(self.groups) for i in members}
+        free = [cap for _, cap in self.groups]
+
+        def add(item: int) -> None:
+            free[group[item]] -= 1
+
+        return (lambda item: free[group[item]] > 0), add
+
+    def to_obj(self) -> dict:
+        return {
+            "kind": "partition",
+            "groups": [{"members": sorted(g), "cap": cap} for g, cap in self.groups],
+        }
+
+
+@dataclass(frozen=True)
+class GraphicMatroid(MatroidSpec):
+    """A multigraph whose edges biject to the items; rank is the max forest size.
+
+    Self-loops and parallel edges are allowed.
+    """
+
+    edges: tuple[tuple[int, int, int], ...]  # (item id, u, v)
+    kind = "graphic"
+
+    @classmethod
+    def of(cls, edges: Sequence[tuple[int, int, int]]) -> "GraphicMatroid":
+        edges = tuple(
+            (
+                _integer(i, "matroid item id"),
+                _integer(u, "graphic vertex"),
+                _integer(v, "graphic vertex"),
+            )
+            for i, u, v in edges
+        )
+        items = [e[0] for e in edges]
+        if len(set(items)) != len(items):
+            raise ValueError("graphic matroid items must biject to edges")
+        return cls(frozenset(items), edges)
+
+    def rank(self, s: frozenset) -> int:
         parent: dict[int, int] = {}
         rank = 0
-        for item, u, v in spec.edges:
+        for item, u, v in self.edges:
             if item not in s:
                 continue
             ru, rv = _find(parent, u), _find(parent, v)
@@ -246,140 +276,52 @@ def matroid_rank(spec: MatroidSpec, items: Iterable[int]) -> int:
                 parent[rv] = ru
                 rank += 1
         return rank
-    raise ValueError(f"unknown matroid kind {spec.kind!r}")
+
+    def state(self):
+        ends = {i: (u, v) for i, u, v in self.edges}
+        parent: dict[int, int] = {}
+
+        def gain(item: int) -> bool:
+            u, v = ends[item]
+            return _find(parent, u) != _find(parent, v)
+
+        def add(item: int) -> None:
+            u, v = ends[item]
+            parent[_find(parent, v)] = _find(parent, u)
+
+        return gain, add
+
+    def to_obj(self) -> dict:
+        return {
+            "kind": "graphic",
+            "edges": [{"item": i, "u": u, "v": v} for i, u, v in self.edges],
+        }
 
 
-def _uniform_state(spec: MatroidSpec):
-    free = [spec.rank_cap]
-
-    def add(item: int) -> None:
-        free[0] -= 1
-
-    return (lambda item: free[0] > 0), add
+MatroidSpec.uniform = UniformMatroid.of
+MatroidSpec.partition = PartitionMatroid.of
+MatroidSpec.graphic = GraphicMatroid.of
 
 
-def _partition_state(spec: MatroidSpec):
-    group = {i: k for k, (members, _) in enumerate(spec.groups) for i in members}
-    free = [cap for _, cap in spec.groups]
-
-    def add(item: int) -> None:
-        free[group[item]] -= 1
-
-    return (lambda item: free[group[item]] > 0), add
-
-
-def _graphic_state(spec: MatroidSpec):
-    ends = {i: (u, v) for i, u, v in spec.edges}
-    parent: dict[int, int] = {}
-
-    def gain(item: int) -> bool:
-        u, v = ends[item]
-        return _find(parent, u) != _find(parent, v)
-
-    def add(item: int) -> None:
-        u, v = ends[item]
-        parent[_find(parent, v)] = _find(parent, u)
-
-    return gain, add
-
-
-_MATROID_STATES = {
-    "uniform": _uniform_state,
-    "partition": _partition_state,
-    "graphic": _graphic_state,
-}
-
-
-def _matroid_state(spec: MatroidSpec):
-    """(gain, add) over a set B that starts empty: gain(i) says if B + i has higher rank.
-
-    Uniform keeps the free rank, partition the free capacity per group (both
-    may go negative once B is dependent), graphic a union-find forest.
-    """
-    try:
-        build = _MATROID_STATES[spec.kind]
-    except KeyError:
-        raise ValueError(f"unknown matroid kind {spec.kind!r}") from None
-    return build(spec)
-
-
-class _TableGrower(Grower):
-    """Modular marginals: gain(i) is p_i whatever B holds."""
-
-    __slots__ = ("_table",)
-
-    def __init__(self, oracle: AggregationOracle, table: dict[int, int]):
-        super().__init__(oracle)
-        self._table = table
-
-    def _marginal(self, item: int) -> int:
-        try:
-            return self._table[item]
-        except KeyError:
-            raise UnknownItemId(f"item id {item} outside oracle ground") from None
-
-    def add(self, item: int) -> None:
-        pass
-
-
-class _RankSumGrower(Grower):
-    """Per-class matroid states, each built the first time one of its items comes up."""
-
-    __slots__ = ("_specs", "_states", "_hit")
-
-    def __init__(self, oracle: AggregationOracle, specs: list[tuple[int, MatroidSpec]]):
-        super().__init__(oracle)
-        self._specs = specs
-        self._states: dict[int, tuple] = {}
-        self._hit: tuple = (frozenset(), 0, None)
-
-    def _class_of(self, item: int) -> tuple:
-        """(ground, profit, (gain, add)) of the item's class."""
-        # Callers mostly ask about one class at a time, so try the last one first.
-        if item in self._hit[0]:
-            return self._hit
-        for p, spec in self._specs:
-            if item in spec.ground:
-                if p not in self._states:
-                    self._states[p] = _matroid_state(spec)
-                self._hit = (spec.ground, p, self._states[p])
-                return self._hit
-        raise UnknownItemId(f"item id {item} outside oracle ground")
-
-    def _marginal(self, item: int) -> int:
-        _, p, (gain, _) = self._class_of(item)
-        return p if gain(item) else 0
-
-    def add(self, item: int) -> None:
-        _, _, (_, add) = self._class_of(item)
-        add(item)
+def matroid_rank(spec: MatroidSpec, items: Iterable[int]) -> int:
+    """Rank of an item set under the spec's matroid."""
+    s = frozenset(items)
+    unknown = s - spec.ground
+    if unknown:
+        raise UnknownItemId(f"items {sorted(unknown)} outside matroid ground")
+    return spec.rank(s)
 
 
 def modular_oracle(profits: Mapping[int, int]) -> AggregationOracle:
     """gamma(S) = sum of item profits; the trivially independent family."""
-    table = {int(i): int(p) for i, p in profits.items()}
+    table = _ItemTable({int(i): int(p) for i, p in profits.items()})
 
     def fn(s: frozenset) -> int:
-        try:
-            return sum(table[i] for i in s)
-        except KeyError as exc:
-            raise UnknownItemId(f"item id {exc.args[0]} outside oracle ground") from None
+        return sum(map(table.__getitem__, s))
 
-    return AggregationOracle(fn, {"kind": "modular"}, (_TableGrower, table))
-
-
-def _matroid_to_obj(spec: MatroidSpec) -> dict:
-    if spec.kind == "uniform":
-        return {"kind": "uniform", "ground": sorted(spec.ground), "rank_cap": spec.rank_cap}
-    if spec.kind == "partition":
-        return {
-            "kind": "partition",
-            "groups": [{"members": sorted(g), "cap": cap} for g, cap in spec.groups],
-        }
-    return {
-        "kind": "graphic",
-        "edges": [{"item": i, "u": u, "v": v} for i, u, v in spec.edges],
-    }
+    # Marginals do not depend on B, so every grower shares one stateless pair.
+    pair = (table.__getitem__, lambda item: None)
+    return AggregationOracle(fn, {"kind": "modular"}, lambda: pair)
 
 
 def _matroid_from_obj(obj: dict) -> MatroidSpec:
@@ -413,18 +355,47 @@ def matroid_rank_sum_oracle(
         if overlap:
             raise OverlappingClasses(f"items {sorted(overlap)} appear in two classes")
         ground |= spec.ground
+    class_of: dict[int, int] | None = None  # item id -> index of its class in specs
 
     def fn(s: frozenset) -> int:
         unknown = s - ground if not s <= ground else None
         if unknown:
             raise UnknownItemId(f"items {sorted(unknown)} outside oracle ground")
-        return sum(p * matroid_rank(spec, s & spec.ground) for p, spec in specs)
+        return sum(p * spec.rank(s & spec.ground) for p, spec in specs)
+
+    def make_grower():
+        """Per-class matroid states, each built the first time one of its items comes up."""
+        nonlocal class_of
+        if class_of is None:  # built for the first grower: oracles never grown stay small
+            class_of = {i: k for k, (_, spec) in enumerate(specs) for i in spec.ground}
+        classes = class_of
+        states: list = [None] * len(specs)  # (profit, gain, add) of each class once built
+
+        def build(k: int) -> tuple:
+            p, spec = specs[k]
+            states[k] = (p, *spec.state())
+            return states[k]
+
+        def gain(item: int) -> int:
+            # A plain dict with try is faster here than an _ItemTable subscript.
+            try:
+                k = classes[item]
+            except KeyError:
+                raise UnknownItemId(f"item id {item} outside oracle ground") from None
+            p, independent, _ = states[k] or build(k)
+            return p if independent(item) else 0
+
+        def add(item: int) -> None:
+            k = classes[item]
+            (states[k] or build(k))[2](item)
+
+        return gain, add
 
     descriptor = {
         "kind": "matroid_rank_sum",
-        "classes": [{"profit": p, "matroid": _matroid_to_obj(spec)} for p, spec in specs],
+        "classes": [{"profit": p, "matroid": spec.to_obj()} for p, spec in specs],
     }
-    return AggregationOracle(fn, descriptor, (_RankSumGrower, specs))
+    return AggregationOracle(fn, descriptor, make_grower)
 
 
 def coverage_oracle(
@@ -447,16 +418,13 @@ def coverage_oracle(
             raise ValueError(f"parallel edge {e}; coverage needs a simple graph")
         seen.add(e)
         norm.append(e)
-    vmap = {
+    vmap = _ItemTable({
         _integer(i, "coverage item id"): _integer(v, "coverage vertex")
         for i, v in vertex_of.items()
-    }
+    })
 
     def fn(s: frozenset) -> int:
-        try:
-            verts = {vmap[i] for i in s}
-        except KeyError as exc:
-            raise UnknownItemId(f"item id {exc.args[0]} outside oracle ground") from None
+        verts = set(map(vmap.__getitem__, s))
         return sum(1 for u, v in norm if u in verts or v in verts)
 
     items = sorted(vmap)
@@ -488,7 +456,14 @@ def oracle_from_descriptor(
         ]
         return matroid_rank_sum_oracle(specs)
     if kind == "coverage":
-        vertex_of = dict(zip(descriptor["items"], descriptor["vertices"]))
+        items, vertices = descriptor["items"], descriptor["vertices"]
+        if len(items) != len(vertices):
+            raise ValueError(
+                f"coverage has {len(items)} items but {len(vertices)} vertices"
+            )
+        vertex_of = dict(zip(items, vertices))
+        if len(vertex_of) != len(items):
+            raise ValueError("coverage item ids must be distinct")
         return coverage_oracle([tuple(e) for e in descriptor["edges"]], vertex_of)
     raise ValueError(f"unknown oracle kind {kind!r}")
 

@@ -58,6 +58,21 @@ class TestGenerate:
         with pytest.raises(SystemExit):
             run("generate", "--family", "nonsense", "--out", tmp_path / "x.json")
 
+    @pytest.mark.parametrize(
+        "family, n, horizon",
+        [("modular", 3, 0), ("modular", -2, 2), ("uniform-classes", 0, 2),
+         ("partition-classes", 0, 2), ("graphic-classes", 0, 2)],
+    )
+    def test_n_or_horizon_below_1_is_a_usage_error(
+        self, tmp_path, capsys, family, n, horizon
+    ):
+        out = tmp_path / "x.json"
+        with pytest.raises(SystemExit) as exc:
+            run("generate", "--family", family, "--n", n, "-T", horizon, "--out", out)
+        assert exc.value.code == 2
+        assert "must be >= 1" in capsys.readouterr().err
+        assert not out.exists()
+
 
 @pytest.fixture
 def toy_instance(tmp_path):
@@ -272,13 +287,18 @@ class TestMalformedInputExits4:
              "coverage vertex must be an integer, got 0.5"),
             (coverage_oracle_with([1.5, 2, 3, 4, 5, 6, 7], [0, 1, 2, 3, 4, 5, 6]),
              "coverage item id must be an integer, got 1.5"),
+            (coverage_oracle_with([1, 2, 3, 4, 5, 6, 7, 7], [0, 1, 2, 3, 4, 5, 6, 7]),
+             "coverage item ids must be distinct"),
+            (coverage_oracle_with([1, 2, 3, 4, 5, 6, 7], [0, 1, 2, 3, 4, 5, 6, 7]),
+             "coverage has 7 items but 8 vertices"),
         ],
         ids=["negative_weight", "missing_instance_key", "fractional_horizon",
              "oracle_ground_misses_item", "oracle_int", "oracle_string", "oracle_null",
              "oracle_list", "fractional_class_profit", "fractional_uniform_rank_cap",
              "fractional_partition_cap", "bool_partition_cap",
              "fractional_graphic_endpoint", "fractional_coverage_vertex",
-             "fractional_coverage_item"],
+             "fractional_coverage_item", "repeated_coverage_item",
+             "extra_coverage_vertex"],
     )
     def test_instance(self, toy_instance, report_path, tmp_path, capsys, edit, message):
         edit_json(toy_instance, edit)
@@ -310,6 +330,29 @@ class TestReduceVc:
         assert "|V|=3" in capsys.readouterr().out
         inst = load_instance(out)
         assert inst.capacities == (2,)
+
+    @pytest.mark.parametrize(
+        "graph_text, k, message",
+        [
+            ("3 3\n0 1\n1 x\n0 2\n", 1, "invalid literal for int()"),
+            ("5 4\n0 1\n0 2\n0 3\n0 4\n", 1, "have degree > 3"),
+            (K3_EDGES, 4, "k=4 outside 1..3"),
+            (K3_EDGES, 0, "k=0 outside 1..3"),
+        ],
+        ids=["non_integer_token", "degree_4", "k_above_n", "k_zero"],
+    )
+    @pytest.mark.parametrize("command", ["reduce-vc", "generate"])
+    def test_bad_graph_or_k_exits_4(self, tmp_path, capsys, command, graph_text, k, message):
+        graph, out = tmp_path / "g.txt", tmp_path / "vc.json"
+        graph.write_text(graph_text)
+        argv = ["--graph", graph, "--k", k, "--out", out, "--quiet"]
+        if command == "generate":
+            argv = ["--family", "vc-reduction", *argv]
+        assert run(command, *argv) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("malformed input: ") and err.count("\n") == 1
+        assert message in err
+        assert not out.exists()
 
 
 class TestBench:

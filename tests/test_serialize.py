@@ -46,6 +46,12 @@ GRAPHIC = rank_sum({"kind": "graphic", "edges": [{"item": 1, "u": 0, "v": 1},
                                                  {"item": 3, "u": 0, "v": 2}]})
 COVERAGE = {"kind": "coverage", "edges": [[0, 1], [2, 3], [4, 5]],
             "items": [1, 2, 3], "vertices": [0, 2, 4]}
+MODULAR = {"kind": "modular"}
+
+
+def three_item_instance(oracle):
+    return {"n": 3, "T": 1, "weights": [1, 1, 1], "profits": [2, 2, 2],
+            "capacities": [3], "deltas": [1], "oracle": copy.deepcopy(oracle)}
 
 
 class TestInstanceCodec:
@@ -107,8 +113,7 @@ class TestInstanceCodec:
         ],
     )
     def test_non_integer_descriptor_number_rejected(self, oracle, path, raw):
-        obj = {"n": 3, "T": 1, "weights": [1, 1, 1], "profits": [2, 2, 2],
-               "capacities": [3], "deltas": [1], "oracle": copy.deepcopy(oracle)}
+        obj = three_item_instance(oracle)
         instance_from_obj(copy.deepcopy(obj))  # the unedited descriptor decodes
         *parents, last = path
         target = obj["oracle"]
@@ -117,6 +122,31 @@ class TestInstanceCodec:
         target[last] = raw
         with pytest.raises(ValueError, match="must be an integer"):
             instance_from_obj(obj)
+
+    @pytest.mark.parametrize(
+        "items, vertices, message",
+        [
+            ([1, 2, 3, 3], [0, 2, 4, 5], "coverage item ids must be distinct"),
+            ([1, 2, 3], [0, 2, 4, 5], "3 items but 4 vertices"),
+            ([1, 2, 3], [0, 2], "3 items but 2 vertices"),
+        ],
+        ids=["repeated_item", "extra_vertex", "missing_vertex"],
+    )
+    def test_coverage_items_and_vertices_must_pair_up(self, items, vertices, message):
+        obj = three_item_instance(COVERAGE)
+        obj["oracle"].update(items=items, vertices=vertices)
+        with pytest.raises(ValueError, match=message):
+            instance_from_obj(obj)
+
+    @pytest.mark.parametrize(
+        "oracle",
+        [UNIFORM, PARTITION, GRAPHIC, COVERAGE, MODULAR],
+        ids=["uniform", "partition", "graphic", "coverage", "modular"],
+    )
+    def test_literal_descriptor_decodes_to_itself(self, oracle):
+        # Pins the file format: a decoded oracle re-encodes to the very same descriptor.
+        obj = three_item_instance(oracle)
+        assert instance_from_obj(obj).oracle.descriptor == obj["oracle"]
 
     def test_non_contiguous_ids_rejected(self):
         inst = Instance([Item(3, 1, 1)], 1, (2,), (1,), modular_oracle({3: 1}))
