@@ -14,9 +14,12 @@ cap, item id or vertex, a coverage oracle with a repeated item id or
 unequal items and vertices, or a chain whose insertion times are not
 integers in 1..T or of the wrong length.  reduce-vc and generate --family
 vc-reduction exit 4 on a graph file with a non-integer token or a vertex
-of degree above 3, or a --k outside 1..|V|.  generate rejects --n or -T
-below 1 as a usage error.  bench records a malformed instance file as one
-error row per solver and exits 1 only when every row failed.
+of degree above 3, or a --k outside 1..|V|.  Usage errors exit 2:
+generate rejects --n or -T below 1, and --n or --seed with --family
+vc-reduction, which takes its size from the graph, draws nothing at random
+and reads -T as its horizon (default 1).  bench records a malformed
+instance file as one error row per solver and exits 1 only when every row
+failed.
 """
 
 from __future__ import annotations
@@ -85,12 +88,15 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     gen = sub.add_parser("generate", help="write a random instance file")
-    gen.set_defaults(run=cmd_generate)
+    gen.set_defaults(run=cmd_generate, usage_error=gen.error)
     gen.add_argument("--family", required=True,
                      choices=sorted(FAMILIES) + ["vc-reduction"])
-    gen.add_argument("--n", type=_positive, default=8)
-    gen.add_argument("-T", "--horizon", type=_positive, default=2)
-    gen.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    # Defaults are applied in cmd_generate, so vc-reduction can tell an
+    # explicit --n or --seed from none and keep its own horizon of 1.
+    gen.add_argument("--n", type=_positive, help="number of items (default 8)")
+    gen.add_argument("-T", "--horizon", type=_positive,
+                     help="periods (default 2; 1 for vc-reduction)")
+    gen.add_argument("--seed", type=int, help=f"random seed (default {DEFAULT_SEED})")
     gen.add_argument("--graph", type=Path, help="edge-list file (vc-reduction only)")
     gen.add_argument("--k", type=int, default=1, help="cover size (vc-reduction only)")
     gen.add_argument("--out", type=Path, required=True)
@@ -146,13 +152,16 @@ def cmd_generate(args: argparse.Namespace) -> int:
         if args.graph is None:
             print("error: --graph is required for vc-reduction", file=sys.stderr)
             return 1
+        if args.n is not None or args.seed is not None:
+            args.usage_error("--n and --seed do not apply to --family vc-reduction")
         try:
-            inst = build_reduction(read_edge_list(args.graph), args.k).instance
+            graph = read_edge_list(args.graph)
+            inst = build_reduction(graph, args.k, horizon=args.horizon or 1).instance
         except ValueError as exc:  # a bad graph file or k
             return _malformed(exc)
     else:
-        rng = random.Random(args.seed)
-        inst = make_family_instance(args.family, args.n, args.horizon, rng)
+        rng = random.Random(DEFAULT_SEED if args.seed is None else args.seed)
+        inst = make_family_instance(args.family, args.n or 8, args.horizon or 2, rng)
     save_instance(inst, args.out)
     classes = len(profit_partition(inst))
     _say(

@@ -313,8 +313,23 @@ def matroid_rank(spec: MatroidSpec, items: Iterable[int]) -> int:
 
 
 def modular_oracle(profits: Mapping[int, int]) -> AggregationOracle:
-    """gamma(S) = sum of item profits; the trivially independent family."""
-    table = _ItemTable({int(i): int(p) for i, p in profits.items()})
+    """gamma(S) = sum of item profits; the trivially independent family.
+
+    Ids and profits must be integers: a float, bool or numeric string
+    raises ValueError instead of being truncated or parsed.
+    """
+    table = _ItemTable(profits)
+    # One pass over the types keeps the all-int case cheap; modularize
+    # builds this oracle on every solve.
+    if {*map(type, table), *map(type, table.values())} != {int}:
+        for i, p in table.items():
+            _integer(i, "item id")
+            _integer(p, f"profit of item {i}")
+    return _modular(table)
+
+
+def _modular(table: _ItemTable) -> AggregationOracle:
+    """The modular oracle over an id -> profit table, taken as it is."""
 
     def fn(s: frozenset) -> int:
         return sum(map(table.__getitem__, s))
@@ -449,7 +464,9 @@ def oracle_from_descriptor(
         raise ValueError(f"oracle descriptor must be an object, got {descriptor!r}")
     kind = descriptor.get("kind")
     if kind == "modular":
-        return modular_oracle(profits_by_id)
+        # Unchecked: decoding passes item fields through, and validate_instance
+        # reports a non-integer profit by name.
+        return _modular(_ItemTable(profits_by_id))
     if kind == "matroid_rank_sum":
         specs = [
             (c["profit"], _matroid_from_obj(c["matroid"])) for c in descriptor["classes"]

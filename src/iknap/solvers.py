@@ -13,6 +13,7 @@ independent of the branch-and-bound's bounding logic.
 from __future__ import annotations
 
 import random
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cmp_to_key
 from typing import Iterator, Sequence
@@ -40,9 +41,10 @@ class SolveLimits:
     """Size limits and budgets.
 
     The exact-solver limits bound the size, not the time: inside these
-    defaults (m=18 kept items, T=6) the median of 40 generated instances
-    took 10 ms, but the worst took 22.1 s and 3.2 M nodes on a 2-core host.
-    Setting them from measured worst cases is ROADMAP D2 step 4.
+    defaults (m=18 kept items, T=6), 40 generated instances (four families,
+    seeds 100-109) took a median of 2.7 ms and at worst 0.32 s and 59 k
+    nodes on a 2-core host.  Setting them from measured worst cases is
+    ROADMAP D2 step 4.
     """
 
     max_n_exact: int = 18
@@ -86,12 +88,22 @@ def solve_exact(ik: Instance, limits: SolveLimits | None = None) -> SolveResult:
     """Optimal chain by branch-and-bound over per-item insertion times.
 
     Items are assigned a period in 1..T or "never", in descending p*D_1
+    order, so at depth k the unassigned items are the last m-k of that
     order.  Subtrees are pruned by (a) prefix-capacity infeasibility, (b) an
     integer bound placing every remaining item at its earliest individually
     feasible period, and (c) sum_t delta_t * floor(LP_t), the integer floors
     of the per-period fractional knapsacks over the unassigned items: with
     integer profits, whatever set is added by period t earns at most
-    floor(LP_t).  All arithmetic is integer.  Fully deterministic.
+    floor(LP_t).  (d) Dominance: item i dominates j when i comes earlier in
+    the order, w_i <= w_j and p_i >= p_j.  Swapping the times of a dominated
+    pair with t_j < t_i frees weight in every period between them and
+    changes the profit by (p_i - p_j)(D_{t_j} - D_{t_i}) >= 0, so some
+    optimum inserts every item no earlier than its dominators, and j only
+    tries times from the latest one already given to a dominator on
+    ("never" last, so a dominator left out leaves j out).  Only pairs where
+    i comes first count, so equal items cannot form a cycle.  All arithmetic
+    is integer.  Fully deterministic; among equal-value optima the first
+    found in that search order is returned.
     """
     limits = limits or SolveLimits()
     horizon = ik.horizon
@@ -102,7 +114,7 @@ def solve_exact(ik: Instance, limits: SolveLimits | None = None) -> SolveResult:
         raise LimitsExceeded(f"T={horizon} exceeds max_t_exact={limits.max_t_exact}")
     caps = list(ik.capacities)
     dsum = suffix_coefficients(ik.deltas)
-    deltas = list(ik.deltas)
+    live = [(t, d) for t, d in enumerate(ik.deltas) if d]
 
     # Items heavier than the final capacity can never be inserted.
     order = sorted(
@@ -112,41 +124,29 @@ def solve_exact(ik: Instance, limits: SolveLimits | None = None) -> SolveResult:
     m = len(order)
     ws = [it.weight for it in order]
     ps = [it.profit for it in order]
+    # With all deltas 0 the order is by id, so p_i >= p_j is checked, not implied.
+    dominators = [
+        [i for i in range(j) if ws[i] <= ws[j] and ps[i] >= ps[j]] for j in range(m)
+    ]
+    zero_suffix = [0] * (m + 1)  # profit of the weight-0 items among order[k:]
+    for i in range(m - 1, -1, -1):
+        zero_suffix[i] = zero_suffix[i + 1] + (0 if ws[i] else ps[i])
 
     def denser_first(a: int, b: int) -> int:
         return ps[b] * ws[a] - ps[a] * ws[b] or a - b
 
-    # Positive-weight items in profit-density order, for bound (c).
+    # Positive-weight items in profit-density order; tables[k] holds the
+    # (w, p) pairs of those among order[k:], for bound (c), built on first use.
     dens_pos = sorted((i for i in range(m) if ws[i] > 0), key=cmp_to_key(denser_first))
+    tables: list[list[tuple[int, int]] | None] = [None] * m
 
     never = horizon
     resid = caps[:]
     times = [never] * m
-    assigned = [False] * m
     best_val = 0
     best_times = times[:]
     nodes = 0
     big = max(caps, default=0) + 1
-
-    def fractional_bound(cur_val: int) -> int:
-        zero_profit = sum(ps[i] for i in range(m) if not assigned[i] and ws[i] == 0)
-        total = cur_val
-        for t in range(horizon):
-            d = deltas[t]
-            if not d:
-                continue
-            fill = zero_profit
-            room = resid[t]
-            for i in dens_pos:
-                if assigned[i]:
-                    continue
-                if ws[i] > room:
-                    fill += ps[i] * room // ws[i]
-                    break
-                fill += ps[i]
-                room -= ws[i]
-            total += d * fill
-        return total
 
     def dfs(idx: int, cur_val: int) -> None:
         nonlocal best_val, best_times, nodes
@@ -156,36 +156,47 @@ def solve_exact(ik: Instance, limits: SolveLimits | None = None) -> SolveResult:
                 best_val = cur_val
                 best_times = times[:]
             return
-        # msuf[t] = min residual capacity over periods t..T-1
+        # msuf[t] = min residual capacity over periods t..T-1; non-decreasing,
+        # and msuf[T] = big with dsum[T] = 0 stands for "never".
         msuf = [big] * (horizon + 1)
         for t in range(horizon - 1, -1, -1):
             msuf[t] = resid[t] if resid[t] < msuf[t + 1] else msuf[t + 1]
         bound = cur_val
         for i in range(idx, m):
-            w = ws[i]
-            t = 0
-            while msuf[t] < w:  # msuf[T] = big, and dsum[T] = 0 means "never"
-                t += 1
-            bound += ps[i] * dsum[t]
+            bound += ps[i] * dsum[bisect_left(msuf, ws[i])]
         if bound <= best_val:
             return
-        if fractional_bound(cur_val) <= best_val:
+        table = tables[idx]
+        if table is None:
+            table = tables[idx] = [(ws[i], ps[i]) for i in dens_pos if i >= idx]
+        bound = cur_val
+        zero = zero_suffix[idx]
+        for t, d in live:
+            fill = zero
+            room = resid[t]
+            for w, p in table:
+                if w > room:
+                    fill += p * room // w
+                    break
+                fill += p
+                room -= w
+            bound += d * fill
+        if bound <= best_val:
             return
         w = ws[idx]
-        earliest = 0
-        while msuf[earliest] < w:
-            earliest += 1
-        assigned[idx] = True
-        for t in range(earliest, horizon):
-            for s in range(t, horizon):
+        earliest = bisect_left(msuf, w)
+        for i in dominators[idx]:
+            if times[i] > earliest:
+                earliest = times[i]
+        if earliest < horizon:
+            for s in range(earliest, horizon):
                 resid[s] -= w
-            times[idx] = t
-            dfs(idx + 1, cur_val + ps[idx] * dsum[t])
-            for s in range(t, horizon):
-                resid[s] += w
-        times[idx] = never
+            for t in range(earliest, horizon):
+                times[idx] = t
+                dfs(idx + 1, cur_val + ps[idx] * dsum[t])
+                resid[t] += w  # move the insertion one period later
+            times[idx] = never
         dfs(idx + 1, cur_val)
-        assigned[idx] = False
 
     dfs(0, 0)
     chain = _chain(horizon, [it.id for it in order], best_times)

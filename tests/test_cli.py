@@ -54,6 +54,27 @@ class TestGenerate:
         assert obj["n"] == 3 and obj["T"] == 1 and obj["capacities"] == [1]
         assert obj["oracle"]["kind"] == "coverage"
 
+    def test_vc_reduction_takes_horizon(self, tmp_path):
+        graph = tmp_path / "k3.txt"
+        graph.write_text(K3_EDGES)
+        out = tmp_path / "vc.json"
+        assert run("generate", "--family", "vc-reduction", "--graph", graph,
+                   "--k", 2, "-T", 3, "--out", out, "--quiet") == 0
+        obj = json.loads(out.read_text())
+        assert obj["T"] == 3 and obj["capacities"] == [2, 2, 2] and obj["deltas"] == [1, 1, 1]
+
+    @pytest.mark.parametrize("extra", [("--n", 9), ("--seed", 5), ("--seed", 2024)])
+    def test_vc_reduction_rejects_n_and_seed(self, tmp_path, capsys, extra):
+        graph = tmp_path / "k3.txt"
+        graph.write_text(K3_EDGES)
+        out = tmp_path / "vc.json"
+        with pytest.raises(SystemExit) as exc:
+            run("generate", "--family", "vc-reduction", "--graph", graph,
+                "--k", 1, *extra, "--out", out)
+        assert exc.value.code == 2
+        assert "do not apply to --family vc-reduction" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unknown_family_rejected_by_parser(self, tmp_path):
         with pytest.raises(SystemExit):
             run("generate", "--family", "nonsense", "--out", tmp_path / "x.json")

@@ -28,9 +28,9 @@ from iknap.generators import make_modular_instance
 
 def modular_instance(weights, profits, caps, deltas):
     items = [Item(i + 1, w, p) for i, (w, p) in enumerate(zip(weights, profits))]
-    return Instance(
-        items, len(caps), caps, deltas, modular_oracle({it.id: it.profit for it in items})
-    )
+    # int(): modular_oracle rejects a bool profit, which validation must report.
+    oracle = modular_oracle({it.id: int(it.profit) for it in items})
+    return Instance(items, len(caps), caps, deltas, oracle)
 
 
 class TestValidation:

@@ -98,6 +98,15 @@ class TestModularOracle:
         with pytest.raises(UnknownItemId):
             modular_oracle({1: 4}).evaluate({9})
 
+    @pytest.mark.parametrize(
+        "profits",
+        [{1: 4.7, 2: 3}, {1: 4, "2": 3}, {1: 4, 2: "3"}, {True: 4, 2: 3}, {1: True, 2: 3}],
+        ids=["float-profit", "string-id", "string-profit", "bool-id", "bool-profit"],
+    )
+    def test_non_integer_id_or_profit_rejected(self, profits):
+        with pytest.raises(ValueError, match="must be an integer"):
+            modular_oracle(profits)
+
 
 class TestMatroidRank:
     def test_uniform_cap_dominates(self):

@@ -25,7 +25,7 @@ from iknap import (
     solve_heuristic,
     suffix_coefficients,
 )
-from iknap.generators import FAMILIES
+from iknap.generators import FAMILIES, make_family_instance
 
 
 def modular(items, horizon, caps, deltas):
@@ -48,6 +48,36 @@ def random_ik(rng, n_max=10, t_max=3):
     top = rng.randint(0, max(total, 1))
     caps = sorted(rng.randint(0, top) for _ in range(horizon - 1)) + [top]
     deltas = [rng.randint(0, 3) for _ in range(horizon)]
+    return modular(items, horizon, caps, deltas)
+
+
+def dominance_edge_ik(rng, case):
+    """Small instance whose (w, p) pairs repeat, with one edge case forced in.
+
+    Each case is one a wrong dominance rule would lose an optimum on: equal
+    items that could block each other, weight-0 items, zero deltas (all
+    zero orders items by id, not by profit) and items heavier than W_T.
+    """
+    n = rng.randint(2, 7)
+    horizon = rng.randint(1, 3 if n > 5 else 4)
+    pool = [(rng.randint(0, 6), rng.randint(1, 6)) for _ in range(rng.randint(1, 3))]
+    pairs = [rng.choice(pool) if rng.random() < 0.7 else (rng.randint(0, 6), rng.randint(1, 6))
+             for _ in range(n)]
+    top = rng.randint(1, max(sum(w for w, _ in pairs), 1))
+    caps = sorted(rng.randint(0, top) for _ in range(horizon - 1)) + [top]
+    deltas = [rng.randint(1, 3) for _ in range(horizon)]
+    if case == "weightless":
+        for k in rng.sample(range(n), rng.randint(1, n)):
+            pairs[k] = (0, pairs[k][1])
+    elif case == "some_zero_deltas":
+        for t in rng.sample(range(horizon), rng.randint(1, horizon)):
+            deltas[t] = 0
+    elif case == "all_zero_deltas":
+        deltas = [0] * horizon
+    elif case == "too_heavy":
+        k = rng.randrange(n)
+        pairs[k] = (top + rng.randint(1, 3), pairs[k][1])
+    items = [Item(i + 1, w, p) for i, (w, p) in enumerate(pairs)]
     return modular(items, horizon, caps, deltas)
 
 
@@ -109,6 +139,18 @@ class TestSolveExact:
             result = solve_exact(inst)
             value, _ = brute_force_chains(inst)
             assert result.value == value
+            assert is_feasible_ik(inst, result.chain)
+            assert profit_phi_bar(inst.profits_by_id, inst.deltas, result.chain) == result.value
+
+    @pytest.mark.parametrize(
+        "case", ["duplicates", "weightless", "some_zero_deltas", "all_zero_deltas", "too_heavy"]
+    )
+    def test_dominance_keeps_the_optimum(self, case):
+        rng = random.Random(f"dominance-{case}")
+        for _ in range(150):
+            inst = dominance_edge_ik(rng, case)
+            result = solve_exact(inst)
+            assert result.value == brute_force_chains(inst)[0], inst
             assert is_feasible_ik(inst, result.chain)
             assert profit_phi_bar(inst.profits_by_id, inst.deltas, result.chain) == result.value
 
@@ -207,6 +249,17 @@ class TestSolveExactBeyondBruteForce:
             assert is_feasible_ik(inst, result.chain)
             assert profit_phi_bar(inst.profits_by_id, deltas, result.chain) == result.value
         assert min(seen.values()) >= 8, seen
+
+    def test_heavy_tail_instance_stays_small(self):
+        # Modular n=18, T=6, seed 108 took 3.2 M nodes before the dominance
+        # rule and 32,067 after it; nodes are deterministic, so this pins
+        # the search size, not a time.  467 is the subset-DP optimum.
+        inst = make_family_instance("modular", 18, 6, random.Random(108))
+        reduced = modularize(preprocess_singletons(inst)[0]).ik
+        assert len(reduced.items) == 18
+        result = solve_exact(reduced)
+        assert result.value == 467
+        assert result.nodes <= 40_000
 
 
 class TestSolveHeuristic:
