@@ -15,11 +15,11 @@ unequal items and vertices, or a chain whose insertion times are not
 integers in 1..T or of the wrong length.  reduce-vc and generate --family
 vc-reduction exit 4 on a graph file with a non-integer token or a vertex
 of degree above 3, or a --k outside 1..|V|.  Usage errors exit 2:
-generate rejects --n or -T below 1, and --n or --seed with --family
-vc-reduction, which takes its size from the graph, draws nothing at random
-and reads -T as its horizon (default 1).  bench records a malformed
-instance file as one error row per solver and exits 1 only when every row
-failed.
+generate rejects --n or -T below 1, --family vc-reduction without --graph
+or with --n or --seed (it takes its size from the graph, draws nothing at
+random and reads -T as its horizon, default 1), and --graph or --k with
+any other family.  bench records a malformed instance file as one error
+row per solver and exits 1 only when every row failed.
 """
 
 from __future__ import annotations
@@ -98,7 +98,7 @@ def build_parser() -> argparse.ArgumentParser:
                      help="periods (default 2; 1 for vc-reduction)")
     gen.add_argument("--seed", type=int, help=f"random seed (default {DEFAULT_SEED})")
     gen.add_argument("--graph", type=Path, help="edge-list file (vc-reduction only)")
-    gen.add_argument("--k", type=int, default=1, help="cover size (vc-reduction only)")
+    gen.add_argument("--k", type=int, help="cover size (vc-reduction only, default 1)")
     gen.add_argument("--out", type=Path, required=True)
     gen.add_argument("--quiet", action="store_true")
 
@@ -150,16 +150,18 @@ def _malformed(exc: Exception) -> int:
 def cmd_generate(args: argparse.Namespace) -> int:
     if args.family == "vc-reduction":
         if args.graph is None:
-            print("error: --graph is required for vc-reduction", file=sys.stderr)
-            return 1
+            args.usage_error("--graph is required for --family vc-reduction")
         if args.n is not None or args.seed is not None:
             args.usage_error("--n and --seed do not apply to --family vc-reduction")
+        k = 1 if args.k is None else args.k
         try:
             graph = read_edge_list(args.graph)
-            inst = build_reduction(graph, args.k, horizon=args.horizon or 1).instance
+            inst = build_reduction(graph, k, horizon=args.horizon or 1).instance
         except ValueError as exc:  # a bad graph file or k
             return _malformed(exc)
     else:
+        if args.graph is not None or args.k is not None:
+            args.usage_error(f"--graph and --k do not apply to --family {args.family}")
         rng = random.Random(DEFAULT_SEED if args.seed is None else args.seed)
         inst = make_family_instance(args.family, args.n or 8, args.horizon or 2, rng)
     save_instance(inst, args.out)

@@ -13,10 +13,11 @@ independent of the branch-and-bound's bounding logic.
 from __future__ import annotations
 
 import random
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cmp_to_key
-from typing import Iterator, Sequence
+from itertools import accumulate
+from typing import Iterator, Mapping, Sequence
 
 from .errors import BudgetExceeded, LimitsExceeded
 from .instances import Chain, Instance, Item, suffix_coefficients
@@ -75,7 +76,12 @@ class SolveLimits:
 
 @dataclass
 class SolveResult:
-    """Outcome of one solver run; value always equals the chain's modular profit."""
+    """Outcome of one solver run; value always equals the chain's modular profit.
+
+    nodes counts search-tree nodes for solve_exact; for solve_heuristic it
+    counts local-search moves tried or ruled out by some_move_gains (the
+    brute-force path reports 0).
+    """
 
     chain: Chain
     value: int
@@ -203,6 +209,75 @@ def solve_exact(ik: Instance, limits: SolveLimits | None = None) -> SolveResult:
     return SolveResult(chain=chain, value=best_val, optimal=True, nodes=nodes, solver="exact")
 
 
+def some_move_gains(
+    items: Mapping[int, Item],
+    time_of: Mapping[int, int],
+    outside: Sequence[int],
+    resid: Sequence[int],
+    dsum: Sequence[int],
+) -> bool:
+    """Whether any shift, insert or swap move of solve_heuristic gains.
+
+    The state has items[i] inserted at 0-based period time_of[i], the ids
+    in outside not inserted, and residual capacities resid.  A shift moves
+    an inserted item a (at period g) to another period; an insert places an
+    outside item b at its earliest feasible period; a swap takes a out and
+    then inserts b.  Decided exactly in O(n*T log n), without trying the
+    moves one by one:
+
+    - Shifts.  dsum is non-increasing, so a shift gains only to an earlier
+      t with dsum[t] > dsum[g]; the latest such t needs the least room,
+      resid >= w_a on t..g-1.  Profits are positive (validate_instance
+      requires it), so the lightest item at g decides for all items at g.
+    - Inserts and swaps.  Whether b fits at t is monotone in t and what b
+      earns is non-increasing, so the move gains iff some t has
+      p_b*dsum[t] > loss and w_b at most the room at t.  An insert has
+      loss 0 and room msuf[t], the least residual over t..T-1.  A swap has
+      loss p_a*dsum[g] and room msuf[t] + w_a for t >= g, or
+      min(msuf[g] + w_a, resid over t..g-1) for t < g.  The best profit of
+      an outside item that fits a room is one bisect into the outside items
+      sorted by weight, with their running maximum profit.
+    - An item at g no lighter and no more profitable than a has at least
+      a's room and at most its loss, so only the items at g that no other
+      item there dominates this way are tried as a.
+    """
+    horizon = len(resid)
+    msuf = list(accumulate(reversed(resid), min))[::-1]
+    by_weight = sorted((items[b].weight, items[b].profit) for b in outside)
+    weights = [w for w, _ in by_weight]
+    best = [0] + list(accumulate((p for _, p in by_weight), max))
+
+    def gains(room: int, t: int, loss: int) -> bool:
+        return best[bisect_right(weights, room)] * dsum[t] > loss
+
+    if any(gains(msuf[t], t, 0) for t in range(horizon)):
+        return True
+    at: list[list[tuple[int, int]]] = [[] for _ in range(horizon)]
+    for a, g in time_of.items():
+        at[g].append((-items[a].weight, items[a].profit))
+    for g, pairs in enumerate(at):
+        if not pairs:
+            continue
+        pairs.sort()  # heaviest first, then least profitable; pairs[-1] is lightest
+        earlier = [t for t in range(g) if dsum[t] > dsum[g]]
+        if earlier and min(resid[earlier[-1] : g]) >= -pairs[-1][0]:
+            return True
+        low = None  # least profit among the heavier items at g
+        for nw, p in pairs:
+            if low is not None and p >= low:
+                continue
+            low = p
+            w, loss = -nw, p * dsum[g]
+            if any(gains(msuf[t] + w, t, loss) for t in range(g, horizon)):
+                return True
+            room = msuf[g] + w
+            for t in range(g - 1, -1, -1):
+                room = min(room, resid[t])
+                if gains(room, t, loss):
+                    return True
+    return False
+
+
 def solve_heuristic(
     ik: Instance, seed: int = 0, limits: SolveLimits | None = None
 ) -> SolveResult:
@@ -213,11 +288,15 @@ def solve_heuristic(
     cross-multiplication), ties by id.  Local search then tries single-item
     time shifts, fresh inserts, and swaps of an inserted item for an
     uninserted one.  Each round numbers its moves arithmetically and draws
-    them lazily, as a seeded random permutation (a sparse Fisher-Yates), so
-    a round costs O(n + moves tried) time and memory.  A round ends at the
-    first improving move; the search stops when a whole round finds none or
-    local_search_budget moves have been tried.  Deterministic per seed, and
-    never worse than the greedy value.
+    them lazily, as a seeded random permutation (a sparse Fisher-Yates).  A
+    round ends at the first improving move; the search stops when a whole
+    round finds none or local_search_budget moves have been tried.  Each
+    round first proves in O(n*T log n) whether any of its moves gains
+    (some_move_gains); a round where none does would draw all its moves, or
+    the rest of the budget, in vain, so those are counted as tried without
+    being drawn.  A round thus costs O(n*T log n + moves tried) time and
+    O(n + moves tried) memory.  Deterministic per seed, and never worse than
+    the greedy value.
     """
     limits = limits or SolveLimits()
     horizon = ik.horizon
@@ -268,6 +347,10 @@ def solve_heuristic(
         # inserted item.
         shifts = k * per_item
         total = shifts + len(outside) * (k + 1)
+        if not some_move_gains(active, time_of, outside, resid, dsum):
+            # Drawing would try every move, or the rest of the budget, in vain.
+            tried += min(total, budget - tried)
+            break
         displaced: dict[int, int] = {}  # sparse Fisher-Yates: slot r holds r unless listed
         for pos in range(min(total, budget - tried)):
             r = rng.randrange(pos, total)

@@ -75,6 +75,40 @@ class TestGenerate:
         assert "do not apply to --family vc-reduction" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_vc_reduction_without_graph_is_a_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "vc.json"
+        with pytest.raises(SystemExit) as exc:
+            run("generate", "--family", "vc-reduction", "--out", out)
+        assert exc.value.code == 2
+        assert "--graph is required for --family vc-reduction" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("family", ["modular", "uniform-classes"])
+    @pytest.mark.parametrize("extra", [("--graph", "k3.txt"), ("--k", 1), ("--k", 3)])
+    def test_graph_and_k_rejected_for_random_families(
+        self, tmp_path, capsys, family, extra
+    ):
+        (tmp_path / "k3.txt").write_text(K3_EDGES)
+        flag, value = extra
+        if flag == "--graph":
+            value = tmp_path / value
+        out = tmp_path / "x.json"
+        with pytest.raises(SystemExit) as exc:
+            run("generate", "--family", family, flag, value, "--out", out)
+        assert exc.value.code == 2
+        assert f"--graph and --k do not apply to --family {family}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_vc_reduction_cover_size_defaults_to_1(self, tmp_path):
+        graph = tmp_path / "k3.txt"
+        graph.write_text(K3_EDGES)
+        implicit, explicit = tmp_path / "a.json", tmp_path / "b.json"
+        assert run("generate", "--family", "vc-reduction", "--graph", graph,
+                   "--out", implicit, "--quiet") == 0
+        assert run("generate", "--family", "vc-reduction", "--graph", graph,
+                   "--k", 1, "--out", explicit, "--quiet") == 0
+        assert implicit.read_bytes() == explicit.read_bytes()
+
     def test_unknown_family_rejected_by_parser(self, tmp_path):
         with pytest.raises(SystemExit):
             run("generate", "--family", "nonsense", "--out", tmp_path / "x.json")

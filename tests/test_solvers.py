@@ -1,5 +1,6 @@
 """Modular-instance solvers: exact branch-and-bound, heuristic, brute force."""
 
+import hashlib
 import random
 import tracemalloc
 from fractions import Fraction
@@ -26,6 +27,7 @@ from iknap import (
     suffix_coefficients,
 )
 from iknap.generators import FAMILIES, make_family_instance
+from iknap.solvers import some_move_gains
 
 
 def modular(items, horizon, caps, deltas):
@@ -262,6 +264,154 @@ class TestSolveExactBeyondBruteForce:
         assert result.nodes <= 40_000
 
 
+SEARCH_STATE_CASES = [
+    "mixed", "weight_0_items", "all_zero_deltas", "one_period",
+    "nothing_inserted", "everything_inserted",
+]
+
+
+def random_search_state(rng, case):
+    """A feasible local-search state: (items, time_of, outside, caps, deltas).
+
+    Periods are 0-based.  Insertion times are drawn first and capacities
+    then leave 0-3 units of slack, so tight states are common.
+    """
+    horizon = 1 if case == "one_period" else rng.randint(2, 4)
+    n = rng.randint(1, 7)
+    zero_share = 0.4 if case == "weight_0_items" else 0.0
+    items = {
+        i: Item(i, 0 if rng.random() < zero_share else rng.randint(1, 6), rng.randint(1, 6))
+        for i in range(1, n + 1)
+    }
+    time_of = {}
+    for i in items:
+        if case == "everything_inserted" or (case != "nothing_inserted" and rng.random() < 0.6):
+            time_of[i] = rng.randrange(horizon)
+    caps, cap = [], 0
+    for t in range(horizon):
+        load = sum(items[i].weight for i, s in time_of.items() if s <= t)
+        cap = max(cap, load + rng.choice([0, 0, 1, 2, 3]))
+        caps.append(cap)
+    deltas = [0] * horizon if case == "all_zero_deltas" else [rng.randint(0, 2) for _ in caps]
+    outside = sorted(items.keys() - time_of.keys())
+    return items, time_of, outside, caps, deltas
+
+
+def brute_force_move_gains(items, time_of, outside, caps, deltas):
+    """Whether some move gains, by building every moved state in full.
+
+    A shift puts an inserted item at any other period, an insert puts an
+    outside item at any period, a swap replaces an inserted item by an
+    outside one at any period.  A move gains when the new state is
+    feasible and worth strictly more.
+    """
+    horizon = len(caps)
+
+    def value(times):
+        return sum(items[i].profit * sum(deltas[s:]) for i, s in times.items())
+
+    def feasible(times):
+        return all(
+            sum(items[i].weight for i, s in times.items() if s <= t) <= caps[t]
+            for t in range(horizon)
+        )
+
+    moved = []
+    for t in range(horizon):
+        for a in time_of:
+            moved.append({**time_of, a: t})
+        for b in outside:
+            moved.append({**time_of, b: t})
+            for a in time_of:
+                swapped = {**time_of, b: t}
+                del swapped[a]
+                moved.append(swapped)
+    base = value(time_of)
+    return any(feasible(times) and value(times) > base for times in moved)
+
+
+PINNED_OUTPUTS = [
+    # family, n, T, and (value, nodes, chain digest) at budgets 0, 50 and 2000
+    ("graphic-classes", 7, 1,
+     ((90, 0, "e81deaa8e648"), (90, 12, "e81deaa8e648"), (90, 12, "e81deaa8e648"))),
+    ("graphic-classes", 7, 3,
+     ((222, 0, "b59a0ba3f9bf"), (222, 23, "b59a0ba3f9bf"), (222, 23, "b59a0ba3f9bf"))),
+    ("graphic-classes", 7, 6,
+     ((198, 0, "fc93bcdc095c"), (198, 37, "fc93bcdc095c"), (198, 37, "fc93bcdc095c"))),
+    ("graphic-classes", 60, 1,
+     ((398, 0, "a3efdd3e4215"), (398, 50, "a3efdd3e4215"), (398, 874, "a3efdd3e4215"))),
+    ("graphic-classes", 60, 3,
+     ((1340, 0, "ad1ac57e4853"), (1344, 50, "932ade4de520"), (1344, 869, "932ade4de520"))),
+    ("graphic-classes", 60, 6,
+     ((1550, 0, "23a30c207f1a"), (1550, 50, "23a30c207f1a"), (1550, 984, "23a30c207f1a"))),
+    ("graphic-classes", 400, 1,
+     ((3480, 0, "aa9e43e98e66"), (3480, 50, "aa9e43e98e66"), (3480, 2000, "aa9e43e98e66"))),
+    ("graphic-classes", 400, 3,
+     ((7776, 0, "733dfeed0745"), (7776, 50, "733dfeed0745"), (7776, 2000, "733dfeed0745"))),
+    ("graphic-classes", 400, 6,
+     ((8198, 0, "322b0d9beb4c"), (8204, 50, "36381ee9f9fb"), (8206, 2000, "88155588c6ac"))),
+    ("modular", 7, 1,
+     ((36, 0, "cbd9802cc36c"), (36, 15, "cbd9802cc36c"), (36, 15, "cbd9802cc36c"))),
+    ("modular", 7, 3,
+     ((118, 0, "4f19c554ec86"), (118, 22, "4f19c554ec86"), (118, 22, "4f19c554ec86"))),
+    ("modular", 7, 6,
+     ((101, 0, "5625f2d40fc6"), (101, 37, "5625f2d40fc6"), (101, 37, "5625f2d40fc6"))),
+    ("modular", 60, 1,
+     ((275, 0, "d1300eed8afb"), (275, 50, "d1300eed8afb"), (276, 974, "a097a06eaa87"))),
+    ("modular", 60, 3,
+     ((248, 0, "f9d40d6d30bd"), (248, 50, "f9d40d6d30bd"), (248, 880, "f9d40d6d30bd"))),
+    ("modular", 60, 6,
+     ((2184, 0, "40aa5752137f"), (2184, 50, "40aa5752137f"), (2186, 1629, "2a3b39e991b4"))),
+    ("modular", 400, 1,
+     ((3594, 0, "d3c30c73d641"), (3594, 50, "d3c30c73d641"), (3594, 2000, "d3c30c73d641"))),
+    ("modular", 400, 3,
+     ((7336, 0, "d9fcc4d07534"), (7336, 50, "d9fcc4d07534"), (7336, 2000, "d9fcc4d07534"))),
+    ("modular", 400, 6,
+     ((7961, 0, "17f8ad294373"), (7961, 50, "17f8ad294373"), (7961, 2000, "17f8ad294373"))),
+    ("partition-classes", 7, 1,
+     ((57, 0, "3d1db1dae960"), (57, 12, "3d1db1dae960"), (57, 12, "3d1db1dae960"))),
+    ("partition-classes", 7, 3,
+     ((28, 0, "f3d8cea29e21"), (28, 22, "f3d8cea29e21"), (28, 22, "f3d8cea29e21"))),
+    ("partition-classes", 7, 6,
+     ((52, 0, "79aba31e3e31"), (52, 37, "79aba31e3e31"), (52, 37, "79aba31e3e31"))),
+    ("partition-classes", 60, 1,
+     ((528, 0, "8427d1a927e4"), (528, 50, "8427d1a927e4"), (528, 588, "8427d1a927e4"))),
+    ("partition-classes", 60, 3,
+     ((759, 0, "108f5f1390dc"), (759, 50, "108f5f1390dc"), (759, 750, "108f5f1390dc"))),
+    ("partition-classes", 60, 6,
+     ((2072, 0, "c15090ff81fb"), (2072, 50, "c15090ff81fb"), (2072, 940, "c15090ff81fb"))),
+    ("partition-classes", 400, 1,
+     ((7200, 0, "e760416c9fae"), (7200, 50, "e760416c9fae"), (7200, 2000, "e760416c9fae"))),
+    ("partition-classes", 400, 3,
+     ((13945, 0, "5558e2d0e5e7"), (13945, 50, "5558e2d0e5e7"), (13945, 2000, "5558e2d0e5e7"))),
+    ("partition-classes", 400, 6,
+     ((8858, 0, "d59e4fb19c7a"), (8858, 50, "d59e4fb19c7a"), (8858, 2000, "d59e4fb19c7a"))),
+    ("uniform-classes", 7, 1,
+     ((48, 0, "486b00d57c07"), (48, 15, "486b00d57c07"), (48, 15, "486b00d57c07"))),
+    ("uniform-classes", 7, 3,
+     ((36, 0, "f5cf7aa16ea8"), (36, 23, "f5cf7aa16ea8"), (36, 23, "f5cf7aa16ea8"))),
+    ("uniform-classes", 7, 6,
+     ((245, 0, "c18bcd56ed81"), (251, 50, "2b4d792315f3"), (251, 57, "2b4d792315f3"))),
+    ("uniform-classes", 60, 1,
+     ((429, 0, "0d1e9a975c33"), (429, 50, "0d1e9a975c33"), (429, 858, "0d1e9a975c33"))),
+    ("uniform-classes", 60, 3,
+     ((2074, 0, "79d1c1209bcc"), (2074, 50, "79d1c1209bcc"), (2080, 986, "ae41c548ada8"))),
+    ("uniform-classes", 60, 6,
+     ((2652, 0, "96ec1770c00a"), (2652, 50, "96ec1770c00a"), (2652, 940, "96ec1770c00a"))),
+    ("uniform-classes", 400, 1,
+     ((0, 0, "ef2884d20f78"), (0, 50, "ef2884d20f78"), (0, 2000, "ef2884d20f78"))),
+    ("uniform-classes", 400, 3,
+     ((10011, 0, "02e51982835f"), (10014, 50, "0476b8395deb"), (10014, 2000, "0476b8395deb"))),
+    ("uniform-classes", 400, 6,
+     ((7170, 0, "c7c5deeaf0c2"), (7172, 50, "8434b693f20a"), (7172, 2000, "8434b693f20a"))),
+]
+
+
+def chain_digest(chain):
+    """First 12 hex digits of the SHA-256 of the chain's repr (items by id)."""
+    return hashlib.sha256(repr(chain).encode()).hexdigest()[:12]
+
+
 class TestSolveHeuristic:
     def test_exact_on_easy_instance(self):
         inst = ik([(6, 2), (5, 2), (4, 2)], [4], [1])
@@ -335,6 +485,49 @@ class TestSolveHeuristic:
         a = solve_heuristic(inst, seed=5)
         b = solve_heuristic(inst, seed=5)
         assert a.chain == b.chain and a.value == b.value
+
+    @pytest.mark.parametrize("case", SEARCH_STATE_CASES)
+    def test_some_move_gains_matches_brute_force(self, case):
+        rng = random.Random(f"some_move_gains/{case}")
+        outcomes = set()
+        for _ in range(300):
+            items, time_of, outside, caps, deltas = random_search_state(rng, case)
+            resid = [
+                cap - sum(items[i].weight for i, s in time_of.items() if s <= t)
+                for t, cap in enumerate(caps)
+            ]
+            claimed = some_move_gains(items, time_of, outside, resid, suffix_coefficients(deltas))
+            expected = brute_force_move_gains(items, time_of, outside, caps, deltas)
+            assert claimed == expected, (items, time_of, caps, deltas)
+            outcomes.add(expected)
+        assert outcomes == ({False} if case == "all_zero_deltas" else {False, True})
+
+    @pytest.mark.parametrize("family, n, horizon, expected", PINNED_OUTPUTS)
+    def test_output_is_pinned(self, family, n, horizon, expected):
+        # Values recorded when every round was drawn in full; ending a round
+        # that provably cannot gain must leave chain, value and nodes as they were.
+        inst = make_family_instance(family, n, horizon, random.Random(f"{family}/{n}/{horizon}"))
+        got = []
+        for budget in (0, 50, 2000):
+            result = solve_heuristic(
+                inst, seed=n + horizon, limits=SolveLimits(local_search_budget=budget)
+            )
+            got.append((result.value, result.nodes, chain_digest(result.chain)))
+        assert tuple(got) == expected
+
+    def test_round_without_a_gain_is_counted_not_drawn(self, monkeypatch):
+        draws = []
+
+        class CountingRandom(random.Random):
+            def randrange(self, *args):
+                draws.append(args)
+                return super().randrange(*args)
+
+        monkeypatch.setattr(random, "Random", CountingRandom)
+        # The greedy takes items 1 and 2; no insert of item 3 fits and no
+        # swap gains, so the one round has 3 moves and none is drawn.
+        result = solve_heuristic(ik([(6, 2), (5, 2), (4, 2)], [4], [1]))
+        assert (result.value, result.nodes, draws) == (11, 3, [])
 
 
 class TestBruteForce:
