@@ -11,15 +11,18 @@ malformed input: an instance that fails validation, a file missing a key,
 a non-integer n or T, an oracle that is not a JSON object, whose ground
 misses an instance item or that holds a non-integer or boolean profit,
 cap, item id or vertex, a coverage oracle with a repeated item id or
-unequal items and vertices, or a chain whose insertion times are not
-integers in 1..T or of the wrong length.  reduce-vc and generate --family
-vc-reduction exit 4 on a graph file with a non-integer token or a vertex
-of degree above 3, or a --k outside 1..|V|.  Usage errors exit 2:
+unequal items and vertices, a chain whose insertion times are not
+integers in 1..T or of the wrong length, a "sets" chain with a
+non-integer or boolean item id, or a non-integer or boolean phi or
+phi_bar.  reduce-vc and generate --family vc-reduction exit 4 on a graph
+file with a non-integer token or a vertex of degree above 3, or a --k
+outside 1..|V|.  Usage errors exit 2:
 generate rejects --n or -T below 1, --family vc-reduction without --graph
 or with --n or --seed (it takes its size from the graph, draws nothing at
 random and reads -T as its horizon, default 1), and --graph or --k with
-any other family.  bench records a malformed instance file as one error
-row per solver and exits 1 only when every row failed.
+any other family.  bench exits 1 with an io error when --instances is not
+a directory; it records a malformed instance file as one error row per
+solver and exits 1 only when every row failed.
 """
 
 from __future__ import annotations
@@ -35,6 +38,7 @@ from .generators import FAMILIES, make_family_instance
 from .hardness import build_reduction, read_edge_list
 from .instances import Chain, ensure_valid, profit_partition, profit_phi_bar
 from .modularize import solve_ik_aon, verify_solution
+from .oracles import _integer
 from .serialize import (
     chain_from_obj,
     dumps_canonical,
@@ -209,7 +213,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
         ensure_valid(inst)
         report = load_report(args.report)
         chain = chain_from_obj(report["chain"], inst.item_ids, inst.horizon)
-        claimed_phi, claimed_phi_bar = report["phi"], report["phi_bar"]
+        claimed_phi = _integer(report["phi"], "phi")
+        claimed_phi_bar = _integer(report["phi_bar"], "phi_bar")
     except MALFORMED as exc:
         return _malformed(exc)
     try:
@@ -248,6 +253,8 @@ def cmd_reduce(args: argparse.Namespace) -> int:
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
+    if not args.instances.is_dir():
+        raise OSError(f"--instances {args.instances} is not a directory")
     paths = sorted(args.instances.glob("*.json"))
     rows: list[dict] = []
     failures = 0

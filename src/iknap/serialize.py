@@ -72,7 +72,7 @@ def chain_from_obj(obj: dict, item_ids: Sequence[int], horizon: int):
     diagnose that).
     """
     if "sets" in obj:
-        sets = [set(s) for s in obj["sets"]]
+        sets = [{_integer(i, "chain item id") for i in s} for s in obj["sets"]]
         if len(sets) != horizon:
             raise ValueError(f"sets has {len(sets)} entries for T={horizon}")
         unknown = set().union(*sets) - set(item_ids)

@@ -43,9 +43,9 @@ class SolveLimits:
 
     The exact-solver limits bound the size, not the time: inside these
     defaults (m=18 kept items, T=6), 40 generated instances (four families,
-    seeds 100-109) took a median of 2.7 ms and at worst 0.32 s and 59 k
-    nodes on a 2-core host.  Setting them from measured worst cases is
-    ROADMAP D2 step 4.
+    seeds 100-109) took a median of 0.9 ms and at worst 0.07 s and 60 k
+    nodes (162 k nodes in all) on a 2-core host.  Setting them from
+    measured worst cases is ROADMAP D2 step 4.
     """
 
     max_n_exact: int = 18
@@ -95,17 +95,18 @@ def solve_exact(ik: Instance, limits: SolveLimits | None = None) -> SolveResult:
 
     Items are assigned a period in 1..T or "never", in descending p*D_1
     order, so at depth k the unassigned items are the last m-k of that
-    order.  Subtrees are pruned by (a) prefix-capacity infeasibility, (b) an
-    integer bound placing every remaining item at its earliest individually
-    feasible period, and (c) sum_t delta_t * floor(LP_t), the integer floors
-    of the per-period fractional knapsacks over the unassigned items: with
-    integer profits, whatever set is added by period t earns at most
-    floor(LP_t).  (d) Dominance: item i dominates j when i comes earlier in
-    the order, w_i <= w_j and p_i >= p_j.  Swapping the times of a dominated
-    pair with t_j < t_i frees weight in every period between them and
-    changes the profit by (p_i - p_j)(D_{t_j} - D_{t_i}) >= 0, so some
-    optimum inserts every item no earlier than its dominators, and j only
-    tries times from the latest one already given to a dominator on
+    order.  Subtrees are pruned by (a) prefix-capacity infeasibility: an
+    item only tries periods from which on it fits every residual.  (b) The
+    bound sum_t delta_t * floor(LP_t), where LP_t is the fractional knapsack
+    of the unassigned items at the least residual over periods t..T.  Chains
+    are nested, so whatever set is added by period t stays in every later
+    period and must fit that least residual; with integer profits it earns
+    at most floor(LP_t).  (c) Dominance: item i dominates j when i comes
+    earlier in the order, w_i <= w_j and p_i >= p_j.  Swapping the times of
+    a dominated pair with t_j < t_i frees weight in every period between
+    them and changes the profit by (p_i - p_j)(D_{t_j} - D_{t_i}) >= 0, so
+    some optimum inserts every item no earlier than its dominators, and j
+    only tries times from the latest one already given to a dominator on
     ("never" last, so a dominator left out leaves j out).  Only pairs where
     i comes first count, so equal items cannot form a cycle.  All arithmetic
     is integer.  Fully deterministic; among equal-value optima the first
@@ -134,17 +135,14 @@ def solve_exact(ik: Instance, limits: SolveLimits | None = None) -> SolveResult:
     dominators = [
         [i for i in range(j) if ws[i] <= ws[j] and ps[i] >= ps[j]] for j in range(m)
     ]
-    zero_suffix = [0] * (m + 1)  # profit of the weight-0 items among order[k:]
-    for i in range(m - 1, -1, -1):
-        zero_suffix[i] = zero_suffix[i + 1] + (0 if ws[i] else ps[i])
 
     def denser_first(a: int, b: int) -> int:
         return ps[b] * ws[a] - ps[a] * ws[b] or a - b
 
-    # Positive-weight items in profit-density order; tables[k] holds the
-    # (w, p) pairs of those among order[k:], for bound (c), built on first use.
-    dens_pos = sorted((i for i in range(m) if ws[i] > 0), key=cmp_to_key(denser_first))
-    tables: list[list[tuple[int, int]] | None] = [None] * m
+    # tables[k]: the (w, p) pairs of order[k:] in profit-density order, for
+    # bound (b); weight-0 items sort first and always fit whole.
+    dense = sorted(range(m), key=cmp_to_key(denser_first))
+    tables = [[(ws[i], ps[i]) for i in dense if i >= k] for k in range(m)]
 
     never = horizon
     resid = caps[:]
@@ -162,25 +160,17 @@ def solve_exact(ik: Instance, limits: SolveLimits | None = None) -> SolveResult:
                 best_val = cur_val
                 best_times = times[:]
             return
-        # msuf[t] = min residual capacity over periods t..T-1; non-decreasing,
-        # and msuf[T] = big with dsum[T] = 0 stands for "never".
+        # msuf[t] = min residual capacity over periods t..T-1, non-decreasing.
+        # msuf[T] = big only seeds that recurrence; it exceeds every kept
+        # weight, so the bisect below returns at most T ("never").
         msuf = [big] * (horizon + 1)
         for t in range(horizon - 1, -1, -1):
             msuf[t] = resid[t] if resid[t] < msuf[t + 1] else msuf[t + 1]
         bound = cur_val
-        for i in range(idx, m):
-            bound += ps[i] * dsum[bisect_left(msuf, ws[i])]
-        if bound <= best_val:
-            return
-        table = tables[idx]
-        if table is None:
-            table = tables[idx] = [(ws[i], ps[i]) for i in dens_pos if i >= idx]
-        bound = cur_val
-        zero = zero_suffix[idx]
         for t, d in live:
-            fill = zero
-            room = resid[t]
-            for w, p in table:
+            fill = 0
+            room = msuf[t]
+            for w, p in tables[idx]:
                 if w > room:
                     fill += p * room // w
                     break

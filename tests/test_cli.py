@@ -311,6 +311,36 @@ def sets_with_unknown_item(report):
     report["chain"] = {"sets": [[], [99]]}
 
 
+def chain_as_sets_with_item_1_as(report, value):
+    """The report's own chain in the "sets" form, with item 1 written as value."""
+    times = report["chain"]["insertion_times"]
+    assert times[0] is not None  # item 1 is in the toy instance's optimal chain
+    report["chain"] = {"sets": [
+        [value if i == 1 else i for i, s in enumerate(times, 1) if s is not None and s <= t]
+        for t in (1, 2)
+    ]}
+
+
+def sets_with_boolean_item(report):
+    chain_as_sets_with_item_1_as(report, True)
+
+
+def sets_with_fractional_item(report):
+    chain_as_sets_with_item_1_as(report, 1.0)
+
+
+def fractional_phi(report):
+    report["phi"] = float(report["phi"])  # == compares this equal to the true phi
+
+
+def fractional_phi_bar(report):
+    report["phi_bar"] = float(report["phi_bar"])
+
+
+def boolean_phi(report):
+    report["phi"] = True
+
+
 class TestMalformedInputExits4:
     @pytest.fixture
     def report_path(self, toy_instance, tmp_path):
@@ -367,7 +397,8 @@ class TestMalformedInputExits4:
         "edit",
         [insertion_time_out_of_range, fractional_insertion_time,
          insertion_times_wrong_length, missing_report_key,
-         sets_for_wrong_horizon, sets_with_unknown_item],
+         sets_for_wrong_horizon, sets_with_unknown_item, sets_with_boolean_item,
+         sets_with_fractional_item, fractional_phi, fractional_phi_bar, boolean_phi],
         ids=lambda f: f.__name__,
     )
     def test_report(self, toy_instance, report_path, capsys, edit):
@@ -437,6 +468,13 @@ class TestBench:
         lines = out.read_text().strip().splitlines()
         assert len(lines) == 1
         assert lines[0].startswith("instance,solver,value")
+
+    def test_missing_directory_is_an_io_error(self, tmp_path, capsys):
+        out = tmp_path / "bench.csv"
+        assert run("bench", "--instances", tmp_path / "nosuchdir", "--out", out,
+                   "--quiet") == 1
+        assert capsys.readouterr().err.startswith("io error: ")
+        assert not out.exists()
 
     def test_malformed_file_gives_error_rows_and_the_run_goes_on(self, tmp_path):
         instances = tmp_path / "instances"

@@ -218,6 +218,56 @@ def reference_greedy(inst: Instance) -> Chain:
     return Chain(inst.horizon, times)
 
 
+def pinned_exact_instance(family, n, horizon, edge):
+    """A modularized family instance; edge gives it weight-0 items and a zero delta."""
+    rng = random.Random(f"exact/{family}/{n}/{horizon}/{edge}")
+    inst = make_family_instance(family, n, horizon, rng)
+    reduced = modularize(preprocess_singletons(inst)[0]).ik
+    items, deltas = list(reduced.items), list(reduced.deltas)
+    if edge:
+        for k in rng.sample(range(len(items)), min(2, len(items))):
+            items[k] = Item(items[k].id, 0, items[k].profit)
+        deltas[rng.randrange(horizon)] = 0
+    return modular(items, horizon, reduced.capacities, deltas)
+
+
+PINNED_EXACT = [
+    # family, n, T, edge, and (value, chain digest) from solve_exact
+    ("graphic-classes", 8, 2, False, (64, "c43ed5bbf987")),
+    ("graphic-classes", 8, 2, True, (90, "89333a049289")),
+    ("graphic-classes", 12, 4, False, (221, "2139a6c4e676")),
+    ("graphic-classes", 12, 4, True, (176, "015fa72108d9")),
+    ("graphic-classes", 15, 5, False, (312, "32212ea0d2af")),
+    ("graphic-classes", 15, 5, True, (128, "8170a788e5fa")),
+    ("graphic-classes", 18, 6, False, (390, "39d0f00ac615")),
+    ("graphic-classes", 18, 6, True, (438, "6f262bcd7b55")),
+    ("modular", 8, 2, False, (90, "25e164d78747")),
+    ("modular", 8, 2, True, (0, "f65e9c5d16ff")),
+    ("modular", 12, 4, False, (356, "64e027b4abc9")),
+    ("modular", 12, 4, True, (102, "a0c849d8405a")),
+    ("modular", 15, 5, False, (490, "71e21dd3740f")),
+    ("modular", 15, 5, True, (447, "6c38b6acc1b5")),
+    ("modular", 18, 6, False, (582, "5acf051545e7")),
+    ("modular", 18, 6, True, (434, "dd49b58a9187")),
+    ("partition-classes", 8, 2, False, (4, "72a166c8584a")),
+    ("partition-classes", 8, 2, True, (24, "12010c4e9933")),
+    ("partition-classes", 12, 4, False, (104, "4d41dbe0fd5c")),
+    ("partition-classes", 12, 4, True, (266, "40fe39427a0f")),
+    ("partition-classes", 15, 5, False, (156, "e2d247091184")),
+    ("partition-classes", 15, 5, True, (770, "f6838b07a547")),
+    ("partition-classes", 18, 6, False, (480, "44cc9d613350")),
+    ("partition-classes", 18, 6, True, (322, "e8adb046f26b")),
+    ("uniform-classes", 8, 2, False, (108, "a1ab7cc4f96a")),
+    ("uniform-classes", 8, 2, True, (9, "e08c610eeb5f")),
+    ("uniform-classes", 12, 4, False, (309, "b98750176b70")),
+    ("uniform-classes", 12, 4, True, (152, "c63626c4e167")),
+    ("uniform-classes", 15, 5, False, (7, "a2e9c2fd7372")),
+    ("uniform-classes", 15, 5, True, (498, "e69abd14b852")),
+    ("uniform-classes", 18, 6, False, (270, "2c9497b8353b")),
+    ("uniform-classes", 18, 6, True, (835, "8051968db8d8")),
+]
+
+
 class TestSolveExactBeyondBruteForce:
     def test_subset_dp_matches_brute_force(self):
         rng = random.Random(5)
@@ -254,14 +304,33 @@ class TestSolveExactBeyondBruteForce:
 
     def test_heavy_tail_instance_stays_small(self):
         # Modular n=18, T=6, seed 108 took 3.2 M nodes before the dominance
-        # rule and 32,067 after it; nodes are deterministic, so this pins
-        # the search size, not a time.  467 is the subset-DP optimum.
+        # rule, 32,067 after it and 15,227 with the knapsack floors at the
+        # suffix-minimum residual; nodes are deterministic, so this pins the
+        # search size, not a time.  467 is the subset-DP optimum.
         inst = make_family_instance("modular", 18, 6, random.Random(108))
         reduced = modularize(preprocess_singletons(inst)[0]).ik
         assert len(reduced.items) == 18
         result = solve_exact(reduced)
         assert result.value == 467
         assert result.nodes <= 40_000
+
+
+    def test_raised_limits_instance_stays_small(self):
+        # Modular n=26, T=8, seed 1 took 263,954 nodes while the per-period
+        # knapsacks filled each period to its own residual, and 15,357 with
+        # them filled to the least residual from that period on.
+        inst = make_family_instance("modular", 26, 8, random.Random(1))
+        reduced = modularize(preprocess_singletons(inst)[0]).ik
+        result = solve_exact(reduced, SolveLimits(max_n_exact=26, max_t_exact=8))
+        assert result.value == 920
+        assert result.nodes <= 50_000
+
+    @pytest.mark.parametrize("family, n, horizon, edge, expected", PINNED_EXACT)
+    def test_output_is_pinned(self, family, n, horizon, edge, expected):
+        # Recorded with a second, earliest-period bound in place; a valid
+        # bound prunes no better leaf, so the first optimum found stays.
+        result = solve_exact(pinned_exact_instance(family, n, horizon, edge))
+        assert (result.value, chain_digest(result.chain)) == expected
 
 
 SEARCH_STATE_CASES = [
