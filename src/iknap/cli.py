@@ -261,6 +261,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
     for path in paths:
         try:
             inst = load_instance(path)
+            ensure_valid(inst)
             brute_value, _ = brute_force_chains(inst, args.limits.max_states_brute)
         except BudgetExceeded:
             brute_value = None

@@ -47,17 +47,13 @@ class SubcubicGraph:
         if bad:
             raise NotSubcubic(f"vertices {bad} have degree > {MAX_DEGREE}")
 
-    def degree(self, v: int) -> int:
-        return sum(1 for u, w in self.edges if v in (u, w))
-
 
 @dataclass(frozen=True)
 class VcReductionInstance:
-    """The produced instance plus the vertex<->item bijection and k."""
+    """The produced instance plus k and the vertex of each item."""
 
     instance: Instance
     k: int
-    item_of_vertex: dict[int, int]
     vertex_of_item: dict[int, int]
 
 
@@ -86,7 +82,6 @@ def build_reduction(g: SubcubicGraph, k: int, horizon: int = 1) -> VcReductionIn
     return VcReductionInstance(
         instance=inst,
         k=k,
-        item_of_vertex={v: i for i, v in vertex_of_item.items()},
         vertex_of_item=vertex_of_item,
     )
 

@@ -37,15 +37,56 @@ def _chain(horizon: int, ids: Sequence[int], times: Sequence[int]) -> Chain:
     return Chain(horizon, {ids[k]: t + 1 for k, t in enumerate(times) if t < horizon})
 
 
+# Longest step list knapsack_steps keeps per suffix, so a build handles at
+# most 2*STEPS pairs per item, whatever the weights.  Set from build time:
+# with w_i = p_i = 2^i, where every subset is a step, m=18 items build in
+# 12 ms on a 2-core host, under the slowest of the 40 n=18 solves in
+# SolveLimits; 4096 took 41 ms.
+STEPS = 1024
+
+
+def knapsack_steps(
+    ws: Sequence[int], ps: Sequence[int], cap: int
+) -> list[tuple[list[int], list[int]]]:
+    """Per suffix of the items, steps bounding its 0/1 knapsack optimum.
+
+    Entry k holds a weight list and a profit list, both strictly rising,
+    the weights from 0.  For every room r in 0..cap, the profit at the last
+    weight <= r is at least the best profit of a subset of items k..
+    weighing at most r.  While no list exceeds STEPS pairs it is exactly
+    that best profit: entry k lists the (weight, profit) pairs of the
+    subsets no heavier than cap that earn more than every lighter subset
+    (Nemhauser and Ullmann, 1969), built as entry k+1 merged with entry k+1
+    shifted by (ws[k], ps[k]).  A longer list is halved until it fits, each
+    two neighbours merged into (lighter weight, heavier profit).  That can
+    only raise the value at any room, and an entry built from raised values
+    bounds its suffix too, so every entry stays an upper bound.
+    """
+    row = [(0, 0)]
+    steps = [([0], [0])]
+    for w, p in zip(reversed(ws), reversed(ps)):
+        shifted = [(a + w, b + p) for a, b in row if a + w <= cap]
+        # By weight, the most profitable first, so each weight keeps one pair.
+        merged = sorted(row + shifted, key=lambda s: (s[0], -s[1]))
+        row = merged[:1]
+        for a, b in merged:
+            if b > row[-1][1]:
+                row.append((a, b))
+        while len(row) > STEPS:
+            row = [(a, b) for (a, _), (_, b) in zip(row[::2], row[1::2] + row[-1:])]
+        steps.append(([a for a, _ in row], [b for _, b in row]))
+    return steps[::-1]
+
+
 @dataclass
 class SolveLimits:
     """Size limits and budgets.
 
     The exact-solver limits bound the size, not the time: inside these
     defaults (m=18 kept items, T=6), 40 generated instances (four families,
-    seeds 100-109) took a median of 0.9 ms and at worst 0.07 s and 60 k
-    nodes (162 k nodes in all) on a 2-core host.  Setting them from
-    measured worst cases is ROADMAP D2 step 4.
+    seeds 100-109) took a median of 0.6 ms and at worst 16 ms and 5,019
+    nodes (16,759 nodes in all) on a 2-core host.  Setting them from
+    measured worst cases is ROADMAP D11.
     """
 
     max_n_exact: int = 18
@@ -97,20 +138,22 @@ def solve_exact(ik: Instance, limits: SolveLimits | None = None) -> SolveResult:
     order, so at depth k the unassigned items are the last m-k of that
     order.  Subtrees are pruned by (a) prefix-capacity infeasibility: an
     item only tries periods from which on it fits every residual.  (b) The
-    bound sum_t delta_t * floor(LP_t), where LP_t is the fractional knapsack
-    of the unassigned items at the least residual over periods t..T.  Chains
-    are nested, so whatever set is added by period t stays in every later
-    period and must fit that least residual; with integer profits it earns
-    at most floor(LP_t).  (c) Dominance: item i dominates j when i comes
-    earlier in the order, w_i <= w_j and p_i >= p_j.  Swapping the times of
-    a dominated pair with t_j < t_i frees weight in every period between
-    them and changes the profit by (p_i - p_j)(D_{t_j} - D_{t_i}) >= 0, so
-    some optimum inserts every item no earlier than its dominators, and j
-    only tries times from the latest one already given to a dominator on
-    ("never" last, so a dominator left out leaves j out).  Only pairs where
-    i comes first count, so equal items cannot form a cycle.  All arithmetic
-    is integer.  Fully deterministic; among equal-value optima the first
-    found in that search order is returned.
+    bound sum_t delta_t * K_t, K_t the 0/1 knapsack of the unassigned items
+    at the least residual over periods t..T, read from knapsack_steps once
+    per live period.  Chains are nested, so whatever set is added by period
+    t stays in every later period and must fit that least residual, and so
+    earns at most K_t.  Steps merged to fit STEPS only read higher, so the
+    bound stays valid and prunes no leaf better than the incumbent.
+    (c) Dominance: item i dominates j when i comes earlier in the order,
+    w_i <= w_j and p_i >= p_j.  Swapping the times of a dominated pair with
+    t_j < t_i frees weight in every period between them and changes the
+    profit by (p_i - p_j)(D_{t_j} - D_{t_i}) >= 0, so some optimum inserts
+    every item no earlier than its dominators, and j only tries times from
+    the latest one already given to a dominator on ("never" last, so a
+    dominator left out leaves j out).  Only pairs where i comes first count,
+    so equal items cannot form a cycle.  All arithmetic is integer.  Fully
+    deterministic; among equal-value optima the first found in that search
+    order is returned.
     """
     limits = limits or SolveLimits()
     horizon = ik.horizon
@@ -135,14 +178,7 @@ def solve_exact(ik: Instance, limits: SolveLimits | None = None) -> SolveResult:
     dominators = [
         [i for i in range(j) if ws[i] <= ws[j] and ps[i] >= ps[j]] for j in range(m)
     ]
-
-    def denser_first(a: int, b: int) -> int:
-        return ps[b] * ws[a] - ps[a] * ws[b] or a - b
-
-    # tables[k]: the (w, p) pairs of order[k:] in profit-density order, for
-    # bound (b); weight-0 items sort first and always fit whole.
-    dense = sorted(range(m), key=cmp_to_key(denser_first))
-    tables = [[(ws[i], ps[i]) for i in dense if i >= k] for k in range(m)]
+    steps = knapsack_steps(ws, ps, caps[-1])
 
     never = horizon
     resid = caps[:]
@@ -166,17 +202,10 @@ def solve_exact(ik: Instance, limits: SolveLimits | None = None) -> SolveResult:
         msuf = [big] * (horizon + 1)
         for t in range(horizon - 1, -1, -1):
             msuf[t] = resid[t] if resid[t] < msuf[t + 1] else msuf[t + 1]
+        sw, sp = steps[idx]
         bound = cur_val
         for t, d in live:
-            fill = 0
-            room = msuf[t]
-            for w, p in tables[idx]:
-                if w > room:
-                    fill += p * room // w
-                    break
-                fill += p
-                room -= w
-            bound += d * fill
+            bound += d * sp[bisect_right(sw, msuf[t]) - 1]
         if bound <= best_val:
             return
         w = ws[idx]

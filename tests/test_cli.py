@@ -483,6 +483,11 @@ class TestBench:
             "--seed", 2, "--out", instances / "good.json", "--quiet")
         (instances / "bad.json").write_text('{"n": 2}')
         (instances / "torn.json").write_text('{"n": ')
+        # T=2 with one capacity: validated before the brute-force reference
+        # runs, so the status does not depend on the brute budget.
+        short = json.loads((instances / "good.json").read_text())
+        short["capacities"] = short["capacities"][:1]
+        (instances / "short.json").write_text(json.dumps(short))
         out = tmp_path / "bench.csv"
         assert run("bench", "--instances", instances,
                    "--solvers", "exact,heuristic", "--out", out, "--quiet") == 0
@@ -492,6 +497,8 @@ class TestBench:
             ("bad.json", "heuristic", "error:KeyError"),
             ("good.json", "exact", "ok"),
             ("good.json", "heuristic", "ok"),
+            ("short.json", "exact", "error:InvalidInstance"),
+            ("short.json", "heuristic", "error:InvalidInstance"),
             ("torn.json", "exact", "error:JSONDecodeError"),
             ("torn.json", "heuristic", "error:JSONDecodeError"),
         ]

@@ -3,6 +3,7 @@
 import hashlib
 import random
 import tracemalloc
+from bisect import bisect_right
 from fractions import Fraction
 
 import pytest
@@ -26,8 +27,9 @@ from iknap import (
     solve_heuristic,
     suffix_coefficients,
 )
+from iknap import solvers
 from iknap.generators import FAMILIES, make_family_instance
-from iknap.solvers import some_move_gains
+from iknap.solvers import knapsack_steps, some_move_gains
 
 
 def modular(items, horizon, caps, deltas):
@@ -81,6 +83,14 @@ def dominance_edge_ik(rng, case):
         pairs[k] = (top + rng.randint(1, 3), pairs[k][1])
     items = [Item(i + 1, w, p) for i, (w, p) in enumerate(pairs)]
     return modular(items, horizon, caps, deltas)
+
+
+# Runs a test with the step lists exact and with them merged to 3 steps, so
+# the merge runs on nearly every list.  At 2 steps, a merge that wrongly
+# kept the heavier weight of each two neighbours still passed these tests.
+exact_and_merged_steps = pytest.mark.parametrize(
+    "steps", [solvers.STEPS, 3], ids=["exact_steps", "merged_steps"]
+)
 
 
 class TestSuffixCoefficients:
@@ -147,7 +157,9 @@ class TestSolveExact:
     @pytest.mark.parametrize(
         "case", ["duplicates", "weightless", "some_zero_deltas", "all_zero_deltas", "too_heavy"]
     )
-    def test_dominance_keeps_the_optimum(self, case):
+    @exact_and_merged_steps
+    def test_dominance_keeps_the_optimum(self, case, steps, monkeypatch):
+        monkeypatch.setattr(solvers, "STEPS", steps)
         rng = random.Random(f"dominance-{case}")
         for _ in range(150):
             inst = dominance_edge_ik(rng, case)
@@ -268,6 +280,85 @@ PINNED_EXACT = [
 ]
 
 
+def partition_n30():
+    # 22 kept items; 6.3 M nodes with the fractional knapsack floors, 1,266
+    # with the 0/1 knapsack steps.
+    inst = make_family_instance("partition-classes", 30, 8, random.Random(2))
+    reduced = modularize(preprocess_singletons(inst)[0]).ik
+    return reduced, SolveLimits(max_n_exact=30, max_t_exact=8), 1470, 3_000
+
+
+def strongly_correlated():
+    # Profits 0-10 above large weights: the fractional floors sit far above
+    # the 0/1 optimum, 6.8 M nodes against 15,450 with the knapsack steps.
+    rng = random.Random(18)
+    ws = [rng.randint(10**5, 10**6) for _ in range(18)]
+    pairs = [(w + rng.randint(0, 10), w) for w in ws]
+    total = sum(ws)
+    return ik(pairs, [total // 4, total // 3, total // 2], [1, 1, 1]), None, 9_469_578, 40_000
+
+
+def powers_of_two():
+    # Every subset sum differs and every subset is as dense as the next, so
+    # every subset within the capacity is a step: over 10^5 of them, merged
+    # down to at most STEPS at the default limits.  104 nodes.
+    pairs = [(2**i, 2**i) for i in range(18)]
+    total = 2**18 - 1
+    return ik(pairs, [total // 3, total // 2, 2 * total // 3], [1, 1, 1]), None, 349_523, 250
+
+
+KNAPSACK_BOUND_CASES = {
+    "partition_n30": partition_n30,
+    "strongly_correlated": strongly_correlated,
+    "powers_of_two": powers_of_two,
+}
+
+
+def subset_knapsack(ws, ps, cap):
+    """best[r]: the largest profit of a subset weighing at most r, by enumeration."""
+    best = [0] * (cap + 1)
+    for mask in range(1 << len(ws)):
+        chosen = [b for b in range(len(ws)) if mask >> b & 1]
+        w = sum(ws[b] for b in chosen)
+        p = sum(ps[b] for b in chosen)
+        for r in range(w, cap + 1):
+            best[r] = max(best[r], p)
+    return best
+
+
+class TestKnapsackSteps:
+    @pytest.mark.parametrize("steps", [solvers.STEPS, 2, 1])
+    def test_steps_bound_every_suffix_and_are_exact_below_the_cap(self, steps, monkeypatch):
+        capped = steps < solvers.STEPS  # lists of up to 2^8 pairs fit the default
+        monkeypatch.setattr(solvers, "STEPS", steps)
+        rng = random.Random(f"steps-{steps}")
+        seen = {"weightless": 0, "too_heavy": 0, "repeated": 0, "profit_above_cap": 0}
+        raised = 0
+        for _ in range(200):
+            cap = rng.randint(0, 25)
+            pool = [(rng.randint(0, 30), rng.randint(1, 60)) for _ in range(2)]
+            pairs = [rng.choice(pool) if rng.random() < 0.3 else
+                     (rng.choice([0, rng.randint(0, 30)]), rng.randint(1, 60))
+                     for _ in range(rng.randint(0, 8))]
+            ws, ps = [w for w, _ in pairs], [p for _, p in pairs]
+            seen["weightless"] += 0 in ws
+            seen["too_heavy"] += any(w > cap for w in ws)
+            seen["repeated"] += len(set(pairs)) < len(pairs)
+            seen["profit_above_cap"] += any(p > cap for p in ps)
+            rows = knapsack_steps(ws, ps, cap)
+            assert len(rows) == len(ws) + 1
+            for k, (sw, sp) in enumerate(rows):
+                assert len(sw) == len(sp) <= steps and sw[0] == 0
+                assert all(a < b for a, b in zip(sw, sw[1:]))
+                assert all(a < b for a, b in zip(sp, sp[1:]))
+                exact = subset_knapsack(ws[k:], ps[k:], cap)
+                got = [sp[bisect_right(sw, r) - 1] for r in range(cap + 1)]
+                assert all(g >= e for g, e in zip(got, exact)), (ws, ps, cap, k)
+                raised += got != exact
+        assert min(seen.values()) >= 20, seen
+        assert (raised > 0) == capped  # the merge ran exactly when capped
+
+
 class TestSolveExactBeyondBruteForce:
     def test_subset_dp_matches_brute_force(self):
         rng = random.Random(5)
@@ -275,7 +366,9 @@ class TestSolveExactBeyondBruteForce:
             inst = random_ik(rng, n_max=7)
             assert subset_dp_optimum(inst) == brute_force_chains(inst)[0]
 
-    def test_matches_subset_dp_on_modularized_families(self):
+    @exact_and_merged_steps
+    def test_matches_subset_dp_on_modularized_families(self, steps, monkeypatch):
+        monkeypatch.setattr(solvers, "STEPS", steps)
         # 10-13 kept items and T 3-5 are past brute force's reach; every other
         # case also gets a weight-0 item, an item heavier than W_T and a zero delta.
         rng = random.Random(11)
@@ -304,26 +397,35 @@ class TestSolveExactBeyondBruteForce:
 
     def test_heavy_tail_instance_stays_small(self):
         # Modular n=18, T=6, seed 108 took 3.2 M nodes before the dominance
-        # rule, 32,067 after it and 15,227 with the knapsack floors at the
-        # suffix-minimum residual; nodes are deterministic, so this pins the
-        # search size, not a time.  467 is the subset-DP optimum.
+        # rule, 32,067 after it, 15,227 with the fractional knapsack floors
+        # at the suffix-minimum residual and 87 with the 0/1 knapsack steps;
+        # nodes are deterministic, so this pins the search size, not a time.
+        # 467 is the subset-DP optimum.
         inst = make_family_instance("modular", 18, 6, random.Random(108))
         reduced = modularize(preprocess_singletons(inst)[0]).ik
         assert len(reduced.items) == 18
         result = solve_exact(reduced)
         assert result.value == 467
-        assert result.nodes <= 40_000
-
+        assert result.nodes <= 200
 
     def test_raised_limits_instance_stays_small(self):
         # Modular n=26, T=8, seed 1 took 263,954 nodes while the per-period
-        # knapsacks filled each period to its own residual, and 15,357 with
-        # them filled to the least residual from that period on.
+        # knapsacks filled each period to its own residual, 15,357 with them
+        # filled to the least residual from that period on, and 8,130 with
+        # the 0/1 knapsack steps at that residual.
         inst = make_family_instance("modular", 26, 8, random.Random(1))
         reduced = modularize(preprocess_singletons(inst)[0]).ik
         result = solve_exact(reduced, SolveLimits(max_n_exact=26, max_t_exact=8))
         assert result.value == 920
-        assert result.nodes <= 50_000
+        assert result.nodes <= 20_000
+
+    @pytest.mark.parametrize("case", sorted(KNAPSACK_BOUND_CASES))
+    def test_knapsack_bound_instance_stays_small(self, case):
+        # Each ceiling is about 2.5x the nodes the 0/1 knapsack steps take.
+        inst, limits, value, ceiling = KNAPSACK_BOUND_CASES[case]()
+        result = solve_exact(inst, limits)
+        assert result.value == value
+        assert result.nodes <= ceiling
 
     @pytest.mark.parametrize("family, n, horizon, edge, expected", PINNED_EXACT)
     def test_output_is_pinned(self, family, n, horizon, edge, expected):
