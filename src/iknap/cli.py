@@ -20,9 +20,11 @@ outside 1..|V|.  Usage errors exit 2:
 generate rejects --n or -T below 1, --family vc-reduction without --graph
 or with --n or --seed (it takes its size from the graph, draws nothing at
 random and reads -T as its horizon, default 1), and --graph or --k with
-any other family.  bench exits 1 with an io error when --instances is not
-a directory; it records a malformed instance file as one error row per
-solver and exits 1 only when every row failed.
+any other family, and bench rejects a --solvers list that is empty or
+names a solver outside auto, exact, heuristic and brute.  bench exits 1
+with an io error when --instances is not a directory; it records a
+malformed instance file as one error row per solver and exits 1 only
+when every row failed.
 """
 
 from __future__ import annotations
@@ -50,6 +52,7 @@ from .serialize import (
 from .solvers import SolveLimits, brute_force_chains
 
 DEFAULT_SEED = 2024
+SOLVERS = ("auto", "exact", "heuristic", "brute")
 
 # What decoding a malformed instance or report file raises.
 MALFORMED = (KeyError, TypeError, ValueError)
@@ -80,8 +83,16 @@ def _positive(text: str) -> int:
 
 
 def _names(text: str) -> tuple[str, ...]:
-    """argparse type for --solvers: a comma-separated list."""
-    return tuple(filter(None, (s.strip() for s in text.split(","))))
+    """argparse type for --solvers: a non-empty comma-separated list of SOLVERS."""
+    names = tuple(filter(None, (s.strip() for s in text.split(","))))
+    if not names:
+        raise argparse.ArgumentTypeError("needs at least one solver name")
+    unknown = [name for name in names if name not in SOLVERS]
+    if unknown:
+        raise argparse.ArgumentTypeError(
+            f"unknown solver {', '.join(map(repr, unknown))}; known: {', '.join(SOLVERS)}"
+        )
+    return names
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -109,8 +120,7 @@ def build_parser() -> argparse.ArgumentParser:
     solve = sub.add_parser("solve", help="run the full pipeline on an instance file")
     solve.set_defaults(run=cmd_solve)
     solve.add_argument("--instance", type=Path, required=True)
-    solve.add_argument("--solver", default="auto",
-                       choices=["auto", "exact", "heuristic", "brute"])
+    solve.add_argument("--solver", default="auto", choices=SOLVERS)
     solve.add_argument("--seed", type=int, default=DEFAULT_SEED)
     solve.add_argument("--limits", type=_limits, default="")
     solve.add_argument("--out", type=Path, help="report path (stdout if omitted)")

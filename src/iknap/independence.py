@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Iterable
 
 from .errors import ChainNotIndependent, NotDependent, OracleViolation, SolverFailure
@@ -78,12 +79,12 @@ def min_weight_basis(inst: Instance, class_items: Iterable[int]) -> ClassBasis:
     item: an incremental gain, or evaluate(B + i) for oracles without a
     grower.
     """
-    order = sorted(class_items, key=lambda i: (inst.weight_of(i), i))
     gain, add = grower_for(inst.oracle)
     basis: list[int] = []
     value = 0
-    for i in order:
-        p = inst.profit_of(i)
+    weight = 0
+    for it in sorted(map(inst.item, class_items), key=attrgetter("weight", "id")):
+        i, p = it.id, it.profit
         g = gain(i)
         if g > p:
             raise OracleViolation(
@@ -94,7 +95,8 @@ def min_weight_basis(inst: Instance, class_items: Iterable[int]) -> ClassBasis:
             add(i)
             basis.append(i)
             value += p
-    return ClassBasis(frozenset(basis), inst.total_weight(basis))
+            weight += it.weight
+    return ClassBasis(frozenset(basis), weight)
 
 
 def check_matroid_exchange(inst: Instance, class_items: Iterable[int]):

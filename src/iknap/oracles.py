@@ -11,6 +11,7 @@ can be stored as self-contained files.
 
 from __future__ import annotations
 
+import itertools
 import random
 import threading
 from dataclasses import dataclass
@@ -64,8 +65,13 @@ class AggregationOracle:
     """Wraps a set function and counts evaluations.
 
     evaluate() may be called from multiple threads: the wrapped function must
-    be stateless (all built-in families are) and the call counter is bumped
-    under a lock, exactly once per call.
+    be stateless (all built-in families are) and each call ticks the call
+    counter exactly once, by next() on an itertools.count.  That is one C
+    call, atomic under the GIL, so no tick is lost between threads and no
+    lock is taken per call.  The count relies on the GIL (CI runs CPython
+    3.10 and 3.11); a free-threaded build would need a lock per tick again.
+    Reading call_count ticks the counter too, so the read takes a lock and
+    subtracts the ticks of all reads so far.
 
     make_grower, if given, is a zero-argument factory that returns a fresh
     (gain, add) pair over a set B that starts empty, so the oracle keeps no
@@ -74,7 +80,7 @@ class AggregationOracle:
     factory, gains go through evaluate().
     """
 
-    __slots__ = ("_fn", "descriptor", "_count", "_lock", "_make_grower")
+    __slots__ = ("_fn", "descriptor", "_ticks", "_reads", "_lock", "_make_grower")
 
     def __init__(
         self,
@@ -84,43 +90,46 @@ class AggregationOracle:
     ):
         self._fn = fn
         self.descriptor = descriptor
-        self._count = 0
+        self._ticks = itertools.count()
+        self._reads = 0
         self._lock = threading.Lock()
         self._make_grower = make_grower
 
     def evaluate(self, items: Iterable[int]) -> int:
         s = frozenset(items)
-        with self._lock:
-            self._count += 1
+        next(self._ticks)
         return self._fn(s)
 
     @property
     def call_count(self) -> int:
-        return self._count
+        with self._lock:
+            calls = next(self._ticks) - self._reads
+            self._reads += 1
+            return calls
 
     def __repr__(self) -> str:
         kind = self.descriptor.get("kind", "?")
-        return f"AggregationOracle(kind={kind!r}, calls={self._count})"
+        return f"AggregationOracle(kind={kind!r}, calls={self.call_count})"
 
 
 def grower_for(oracle) -> Grower:
     """A fresh Grower over the oracle; each gain() counts as one call.
 
     An AggregationOracle with a make_grower factory answers from the pair it
-    returns, with the call count bumped under the oracle's lock.  Any other
-    object with an evaluate() method (coverage and user-supplied oracles, or
-    a wrapper around an oracle) gets gains from evaluate() on exactly the
-    set B + i; the value of the empty set is taken to be 0, and add(i) takes
-    the value of B + i from a gain(i) asked since B last grew.
+    returns, each gain ticking the oracle's call counter as evaluate() does,
+    with no lock.  Any other object with an evaluate() method (coverage and
+    user-supplied oracles, or a wrapper around an oracle) gets gains from
+    evaluate() on exactly the set B + i; the value of the empty set is taken
+    to be 0, and add(i) takes the value of B + i from a gain(i) asked since
+    B last grew.
     """
     make = oracle._make_grower if isinstance(oracle, AggregationOracle) else None
     if make is not None:
         gain, add = make()
-        lock = oracle._lock
+        tick = oracle._ticks.__next__
 
         def counted_gain(item: int) -> int:
-            with lock:
-                oracle._count += 1
+            tick()
             return gain(item)
 
         return Grower(counted_gain, add)

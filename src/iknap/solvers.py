@@ -15,7 +15,6 @@ from __future__ import annotations
 import random
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from functools import cmp_to_key
 from itertools import accumulate
 from typing import Iterator, Mapping, Sequence
 
@@ -66,12 +65,15 @@ def knapsack_steps(
     steps = [([0], [0])]
     for w, p in zip(reversed(ws), reversed(ps)):
         shifted = [(a + w, b + p) for a, b in row if a + w <= cap]
-        # By weight, the most profitable first, so each weight keeps one pair.
-        merged = sorted(row + shifted, key=lambda s: (s[0], -s[1]))
+        # By weight, then profit: a pair of the last kept weight replaces it.
+        merged = sorted(row + shifted)
         row = merged[:1]
         for a, b in merged:
             if b > row[-1][1]:
-                row.append((a, b))
+                if a == row[-1][0]:
+                    row[-1] = (a, b)
+                else:
+                    row.append((a, b))
         while len(row) > STEPS:
             row = [(a, b) for (a, _), (_, b) in zip(row[::2], row[1::2] + row[-1:])]
         steps.append(([a for a, _ in row], [b for _, b in row]))
@@ -303,19 +305,24 @@ def solve_heuristic(
     """Density greedy plus first-improvement local search.
 
     The greedy inserts items at their earliest feasible period: weight-0
-    items first, then by p*D_1/w descending (compared exactly, by integer
-    cross-multiplication), ties by id.  Local search then tries single-item
-    time shifts, fresh inserts, and swaps of an inserted item for an
-    uninserted one.  Each round numbers its moves arithmetically and draws
-    them lazily, as a seeded random permutation (a sparse Fisher-Yates).  A
-    round ends at the first improving move; the search stops when a whole
-    round finds none or local_search_budget moves have been tried.  Each
-    round first proves in O(n*T log n) whether any of its moves gains
-    (some_move_gains); a round where none does would draw all its moves, or
-    the rest of the budget, in vain, so those are counted as tried without
-    being drawn.  A round thus costs O(n*T log n + moves tried) time and
-    O(n + moves tried) memory.  Deterministic per seed, and never worse than
-    the greedy value.
+    items first, then by p*D_1/w descending, ties by id.  The density is
+    read as the integer ceil(p*D_1 * 2^s / w), s = 2*bit_length(max w).
+    Two distinct densities with weights <= max w differ by at least
+    1/max w^2, which exceeds 2^-s, so their scaled values differ by more
+    than 1 and their ceilings keep the order, while equal densities get
+    equal keys (all 0 when D_1 = 0, leaving the order to the ids); a float
+    p/w would tie distinct densities near 10^16.  Local search then tries
+    single-item time shifts, fresh inserts, and swaps of an inserted item
+    for an uninserted one.  Each round numbers its moves arithmetically and
+    draws them lazily, as a seeded random permutation (a sparse
+    Fisher-Yates).  A round ends at the first improving move; the search
+    stops when a whole round finds none or local_search_budget moves have
+    been tried.  Each round first proves in O(n*T log n) whether any of its
+    moves gains (some_move_gains); a round where none does would draw all
+    its moves, or the rest of the budget, in vain, so those are counted as
+    tried without being drawn.  A round thus costs O(n*T log n + moves
+    tried) time and O(n + moves tried) memory.  Deterministic per seed, and
+    never worse than the greedy value.
     """
     limits = limits or SolveLimits()
     horizon = ik.horizon
@@ -340,12 +347,11 @@ def solve_heuristic(
             resid[s] += w
         return t
 
-    def denser_first(a: Item, b: Item) -> int:
-        return dsum[0] * (b.profit * a.weight - a.profit * b.weight) or a.id - b.id
-
     weightless = [active[i] for i in sorted(active) if active[i].weight == 0]
+    s = 2 * max((it.weight for it in active.values()), default=0).bit_length()
     weighted = sorted(
-        (it for it in active.values() if it.weight), key=cmp_to_key(denser_first)
+        (it for it in active.values() if it.weight),
+        key=lambda it: (-(it.profit * dsum[0] << s) // it.weight, it.id),
     )
     for it in weightless + weighted:
         t = earliest_period(resid, it.weight)

@@ -505,6 +505,22 @@ class TestBench:
         (instances / "good.json").unlink()
         assert run("bench", "--instances", instances, "--out", out, "--quiet") == 1
 
+    @pytest.mark.parametrize(
+        "solvers", ["exact,bogus", "", " , "], ids=["unknown", "empty", "blank"]
+    )
+    def test_unknown_or_no_solver_is_a_usage_error(self, tmp_path, capsys, solvers):
+        instances = tmp_path / "instances"
+        instances.mkdir()
+        run("generate", "--family", "modular", "--n", 5, "-T", 2,
+            "--seed", 2, "--out", instances / "good.json", "--quiet")
+        out = tmp_path / "bench.csv"
+        with pytest.raises(SystemExit) as exc:
+            run("bench", "--instances", instances, "--solvers", solvers,
+                "--out", out, "--quiet")
+        assert exc.value.code == 2
+        assert "--solvers" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_over_budget_brute_leaves_ratio_empty(self, tmp_path):
         instances = tmp_path / "instances"
         instances.mkdir()

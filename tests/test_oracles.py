@@ -1,6 +1,7 @@
 """Oracle families, property checkers, call counting, descriptor codecs."""
 
 import random
+import sys
 import threading
 
 import networkx as nx
@@ -385,6 +386,49 @@ class TestCallCounter:
         for th in threads:
             th.join()
         assert oracle.call_count == 2000
+
+    def test_reading_the_count_is_not_a_call(self):
+        oracle = modular_oracle({1: 1, 2: 2})
+        oracle.evaluate({1})
+        assert oracle.call_count == 1
+        assert oracle.call_count == 1
+        assert repr(oracle) == "AggregationOracle(kind='modular', calls=1)"
+        grower_for(oracle).gain(2)
+        assert repr(oracle) == "AggregationOracle(kind='modular', calls=2)"
+        assert oracle.call_count == 2
+
+    def test_concurrent_gains_evaluations_and_reads(self):
+        oracle = modular_oracle({i: 1 for i in range(1, 9)})
+        seen = []
+        done = threading.Event()
+
+        def worker():
+            grower = grower_for(oracle)
+            for k in range(500):
+                oracle.evaluate({1, 2, 3})
+                grower.gain(k % 8 + 1)
+
+        def reader():
+            while not done.is_set():
+                seen.append(oracle.call_count)
+
+        workers = [threading.Thread(target=worker) for _ in range(4)]
+        watcher = threading.Thread(target=reader)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads often, so a lost tick would show
+        try:
+            watcher.start()
+            for th in workers:
+                th.start()
+            for th in workers:
+                th.join(timeout=30)
+            done.set()
+            watcher.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(th.is_alive() for th in workers + [watcher])
+        assert oracle.call_count == 4000
+        assert seen == sorted(seen) and all(0 <= c <= 4000 for c in seen)
 
 
 class TestGrower:

@@ -625,6 +625,35 @@ class TestSolveHeuristic:
             assert result.nodes == 0
             assert result.value == profit_phi_bar(inst.profits_by_id, inst.deltas, result.chain)
 
+    def test_density_key_is_exact_near_1e20(self):
+        # (w, w - 1) and (w + 1, w) have densities 1/(w*(w + 1)) apart: a float
+        # p/w ties them near 10^20 and falls back to the id, which puts the
+        # sparser item first whenever its id is smaller.
+        w = 10**20
+        tight = modular([Item(1, w, w - 1), Item(2, w + 1, w)], 1, [w + 1], [3])
+        greedy_only = SolveLimits(local_search_budget=0)
+        assert solve_heuristic(tight, limits=greedy_only).chain == Chain(1, {2: 1})
+        rng = random.Random(229)
+        for k in range(200):
+            items = []
+            for _ in range(rng.randint(1, 5)):
+                w = 10**20 + rng.randrange(10**9)
+                # Densities d - 1/w and d - 1/(w + 1) or d - 2/(w + 1): apart
+                # by about 1/w^2 or 1/w, both below a float's resolution at d.
+                d = rng.randrange(1, 10**6)
+                items += [(w, w * d - 1), (w + 1, (w + 1) * d - 1 - rng.randint(0, 1)),
+                          (0, rng.randint(1, 10**20))]
+            rng.shuffle(items)
+            horizon = rng.randint(1, 3)
+            top = rng.randrange(sum(w for w, _ in items) + 1)
+            caps = sorted(rng.randint(0, top) for _ in range(horizon - 1)) + [top]
+            deltas = [0] * horizon if k % 4 == 0 else [rng.randint(0, 3) for _ in caps]
+            inst = modular(
+                [Item(i, w, p) for i, (w, p) in enumerate(items, 1)], horizon, caps, deltas
+            )
+            result = solve_heuristic(inst, seed=k, limits=greedy_only)
+            assert result.chain == reference_greedy(inst)
+
     def test_local_search_never_worse_than_greedy(self):
         rng = random.Random(223)
         greedy_only = SolveLimits(local_search_budget=0)
