@@ -13,16 +13,18 @@ across threads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import InvalidInstance, OracleViolation, UnknownItemId
 from .oracles import _is_int, grower_for
 
 
-@dataclass(frozen=True)
-class Item:
-    """One knapsack item: weight >= 0, profit >= 1."""
+class Item(NamedTuple):
+    """One knapsack item: weight >= 0, profit >= 1.
+
+    A NamedTuple, so it is immutable and hashable and compares equal to a
+    plain tuple (id, weight, profit) with the same fields.
+    """
 
     id: int
     weight: int
@@ -184,20 +186,24 @@ def validate_instance(inst: Instance) -> list[str]:
                 f"LengthMismatch: {len(inst.deltas)} coefficients for T={inst.horizon}"
             )
     seen: set[int] = set()
-    for pos, it in enumerate(inst.items):
-        if it.id in seen:
-            problems.append(f"DuplicateItemId: id {it.id} at position {pos}")
-        seen.add(it.id)
-        if not _is_int(it.weight) or not _is_int(it.profit):
-            problems.append(f"NonIntegerField: item {it.id} weight/profit must be int")
+    # type(x) is int settles the common case without a call; _is_int takes the rest.
+    for pos, (item_id, weight, profit) in enumerate(inst.items):
+        if item_id in seen:
+            problems.append(f"DuplicateItemId: id {item_id} at position {pos}")
+        seen.add(item_id)
+        if not (
+            (type(weight) is int or _is_int(weight))
+            and (type(profit) is int or _is_int(profit))
+        ):
+            problems.append(f"NonIntegerField: item {item_id} weight/profit must be int")
             continue
-        if it.profit < 1:
-            problems.append(f"NonPositiveProfit: item {it.id} has p={it.profit}")
-        if it.weight < 0:
-            problems.append(f"NegativeWeight: item {it.id} has w={it.weight}")
+        if profit < 1:
+            problems.append(f"NonPositiveProfit: item {item_id} has p={profit}")
+        if weight < 0:
+            problems.append(f"NegativeWeight: item {item_id} has w={weight}")
     prev = 0
     for t, w in enumerate(inst.capacities, start=1):
-        if not _is_int(w):
+        if not (type(w) is int or _is_int(w)):
             problems.append(f"NonIntegerField: W_{t} must be int")
             continue
         if w < 0:
@@ -206,7 +212,7 @@ def validate_instance(inst: Instance) -> list[str]:
             problems.append(f"NonMonotoneCapacities: W_{t}={w} < W_{t - 1}={prev}")
         prev = w
     for t, d in enumerate(inst.deltas, start=1):
-        if not _is_int(d):
+        if not (type(d) is int or _is_int(d)):
             problems.append(f"NonIntegerField: delta_{t} must be int")
         elif d < 0:
             problems.append(f"NegativeDelta: delta_{t}={d}")
@@ -224,7 +230,7 @@ def _check_chain(inst: Instance, chain: Chain) -> None:
         raise ValueError(
             f"chain horizon {chain.horizon} != instance horizon {inst.horizon}"
         )
-    unknown = chain.final_set - set(inst.item_ids)
+    unknown = chain._times.keys() - inst._by_id.keys()
     if unknown:
         raise UnknownItemId(f"chain references unknown item ids {sorted(unknown)}")
 
@@ -232,9 +238,10 @@ def _check_chain(inst: Instance, chain: Chain) -> None:
 def is_feasible(inst: Instance, chain: Chain) -> bool:
     """True iff w(S_t) <= W_t for every period (nestedness is structural)."""
     _check_chain(inst, chain)
+    by_id = inst._by_id
     added = [0] * (inst.horizon + 1)
-    for i, t in chain.times.items():
-        added[t] += inst.weight_of(i)
+    for i, t in chain._times.items():
+        added[t] += by_id[i].weight
     running = 0
     for t in range(1, inst.horizon + 1):
         running += added[t]

@@ -15,6 +15,7 @@ import itertools
 import random
 import threading
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Callable, ClassVar, Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import OverlappingClasses, UnknownItemId
@@ -40,6 +41,19 @@ def _integer(value, name: str) -> int:
     if not _is_int(value):
         raise ValueError(f"{name} must be an integer, got {value!r}")
     return value
+
+
+def _integers(values: Iterable, name: str) -> list:
+    """values as a list, each checked by _integer.
+
+    One pass over the types settles the all-int case; only a list holding
+    another type is checked value by value, so the first bad value is named.
+    """
+    values = list(values)
+    if not {*map(type, values)} <= {int}:
+        for value in values:
+            _integer(value, name)
+    return values
 
 
 class _ItemTable(dict):
@@ -191,7 +205,7 @@ class UniformMatroid(MatroidSpec):
     def of(cls, ground: Iterable[int], cap: int) -> "UniformMatroid":
         if _integer(cap, "uniform matroid cap") < 0:
             raise ValueError("uniform matroid cap must be >= 0")
-        return cls(frozenset(_integer(i, "matroid item id") for i in ground), cap)
+        return cls(frozenset(_integers(ground, "matroid item id")), cap)
 
     def rank(self, s: frozenset) -> int:
         return min(len(s), self.rank_cap)
@@ -221,7 +235,7 @@ class PartitionMatroid(MatroidSpec):
         frozen = []
         ground: set[int] = set()
         for members, cap in groups:
-            members = frozenset(_integer(i, "matroid item id") for i in members)
+            members = frozenset(_integers(members, "matroid item id"))
             if _integer(cap, "partition matroid cap") < 0:
                 raise ValueError("partition matroid caps must be >= 0")
             if members & ground:
@@ -261,14 +275,14 @@ class GraphicMatroid(MatroidSpec):
 
     @classmethod
     def of(cls, edges: Sequence[tuple[int, int, int]]) -> "GraphicMatroid":
-        edges = tuple(
-            (
-                _integer(i, "matroid item id"),
-                _integer(u, "graphic vertex"),
-                _integer(v, "graphic vertex"),
-            )
-            for i, u, v in edges
-        )
+        edges = list(edges)
+        if not {*map(type, itertools.chain.from_iterable(edges))} <= {int}:
+            # Edge by edge, so the first bad field is the one named.
+            for i, u, v in edges:
+                _integer(i, "matroid item id")
+                _integer(u, "graphic vertex")
+                _integer(v, "graphic vertex")
+        edges = tuple([(i, u, v) for i, u, v in edges])
         items = [e[0] for e in edges]
         if len(set(items)) != len(items):
             raise ValueError("graphic matroid items must biject to edges")
@@ -355,7 +369,7 @@ def _matroid_from_obj(obj: dict) -> MatroidSpec:
     if kind == "partition":
         return MatroidSpec.partition([(g["members"], g["cap"]) for g in obj["groups"]])
     if kind == "graphic":
-        return MatroidSpec.graphic([(e["item"], e["u"], e["v"]) for e in obj["edges"]])
+        return MatroidSpec.graphic(list(map(itemgetter("item", "u", "v"), obj["edges"])))
     raise ValueError(f"unknown matroid kind {kind!r}")
 
 

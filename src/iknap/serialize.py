@@ -4,7 +4,8 @@ Instance files require item ids 1..n so the parallel arrays are
 unambiguous; chains serialize as one (1-based) insertion time or null per
 item, in instance order.  Dumps are canonical (sorted keys, fixed
 indentation, trailing newline) so identical inputs produce byte-identical
-files.
+files: byte for byte what json.dumps(obj, indent=2, sort_keys=True) writes,
+but written through json's C encoder, which indent=2 would bypass.
 """
 
 from __future__ import annotations
@@ -17,8 +18,60 @@ from .modularize import SolveReport
 from .oracles import _integer, oracle_from_descriptor
 
 
+#: Types json's C encoder writes as the indent=2 encoder does.
+_SCALARS = frozenset({str, int, float, bool, type(None)})
+
+
 def dumps_canonical(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    """json.dumps(obj, indent=2, sort_keys=True) plus a newline, byte for byte.
+
+    indent=2 sends json.dumps to its pure-Python encoder.  Here dicts and
+    lists are laid out in Python, and each scalar, and each list of
+    scalars, is written by one call to the C encoder.
+    """
+    parts: list[str] = []
+    _dump(obj, "\n", parts)
+    parts.append("\n")
+    return "".join(parts)
+
+
+def _dump(obj, newline: str, parts: list[str]) -> None:
+    """Append obj as indent=2 writes it where newline starts its lines."""
+    if isinstance(obj, dict):
+        if not obj:
+            parts.append("{}")
+            return
+        inner = newline + "  "
+        sep = "{" + inner
+        for key, value in sorted(obj.items()):
+            parts.append(sep + json.dumps(key if isinstance(key, str) else _key(key)) + ": ")
+            _dump(value, inner, parts)
+            sep = "," + inner
+        parts.append(newline + "}")
+    elif isinstance(obj, (list, tuple)):
+        if not obj:
+            parts.append("[]")
+            return
+        inner = newline + "  "
+        if {*map(type, obj)} <= _SCALARS:
+            text = json.dumps(obj, separators=("," + inner, ": "))
+            parts.append("[" + inner + text[1:-1] + newline + "]")
+            return
+        sep = "[" + inner
+        for value in obj:
+            parts.append(sep)
+            _dump(value, inner, parts)
+            sep = "," + inner
+        parts.append(newline + "]")
+    else:
+        parts.append(json.dumps(obj))
+
+
+def _key(key) -> str:
+    """A non-string dict key as json writes it: the number, true, false or null."""
+    if key is None or isinstance(key, (int, float)):
+        return json.dumps(key)
+    raise TypeError(f"keys must be str, int, float, bool or None, not {key.__class__.__name__}")
 
 
 def instance_to_obj(inst: Instance) -> dict:
@@ -44,7 +97,7 @@ def instance_from_obj(obj: dict) -> Instance:
     if len(weights) != n or len(profits) != n:
         raise ValueError(f"weights/profits arrays must have length n={n}")
     items = [Item(i + 1, weights[i], profits[i]) for i in range(n)]
-    oracle = oracle_from_descriptor(obj["oracle"], {it.id: it.profit for it in items})
+    oracle = oracle_from_descriptor(obj["oracle"], dict(zip(range(1, n + 1), profits)))
     horizon = _integer(obj["T"], "T")
     return Instance(items, horizon, obj["capacities"], obj["deltas"], oracle)
 

@@ -1,5 +1,6 @@
 """Instance model: validation, feasibility, profits, partition, preprocessing."""
 
+import enum
 import random
 from itertools import product
 
@@ -72,9 +73,45 @@ class TestValidation:
         assert inst.horizon is horizon
         assert validate_instance(inst) == [f"NonIntegerField: T={horizon!r} must be int"]
 
+    @pytest.mark.parametrize("field", range(4), ids=["weight", "profit", "capacity", "delta"])
+    def test_int_subclass_is_an_integer(self, field):
+        class One(enum.IntEnum):
+            ONE = 1
+
+        fields = [[1], [3], [5], [1]]  # weights, profits, capacities, deltas
+        fields[field][0] = One.ONE
+        assert validate_instance(modular_instance(*fields)) == []
+
+    @pytest.mark.parametrize("field", range(4), ids=["weight", "profit", "capacity", "delta"])
+    @pytest.mark.parametrize("raw", [True, 1.0, "1"], ids=["bool", "float", "string"])
+    def test_non_int_is_named_as_non_integer(self, field, raw):
+        fields = [[1], [3], [5], [1]]
+        fields[field][0] = raw
+        expected = [
+            "NonIntegerField: item 1 weight/profit must be int",
+            "NonIntegerField: item 1 weight/profit must be int",
+            "NonIntegerField: W_1 must be int",
+            "NonIntegerField: delta_1 must be int",
+        ][field]
+        assert validate_instance(modular_instance(*fields)) == [expected]
+
     def test_zero_capacity_prefix_allowed(self):
         inst = modular_instance([1, 2], [3, 4], [0, 5], [1, 1])
         assert validate_instance(inst) == []
+
+
+class TestItem:
+    def test_item_is_an_immutable_hashable_record(self):
+        item = Item(1, 2, 3)
+        with pytest.raises(AttributeError):
+            item.weight = 5
+        assert item == Item(id=1, weight=2, profit=3)
+        assert hash(item) == hash(Item(1, 2, 3))
+        assert item != Item(1, 2, 4)
+        assert repr(item) == "Item(id=1, weight=2, profit=3)"
+
+    def test_item_equals_the_plain_tuple_of_its_fields(self):
+        assert Item(1, 2, 3) == (1, 2, 3)
 
 
 class TestChain:

@@ -2,9 +2,11 @@
 
 import contextlib
 import copy
+import enum
 import io
 import json
 import random
+import re
 import tempfile
 from pathlib import Path
 
@@ -26,6 +28,7 @@ from iknap import (
     instance_from_obj,
     instance_to_obj,
     modular_oracle,
+    report_to_obj,
     solve_ik_aon,
     validate_instance,
 )
@@ -52,6 +55,14 @@ MODULAR = {"kind": "modular"}
 def three_item_instance(oracle):
     return {"n": 3, "T": 1, "weights": [1, 1, 1], "profits": [2, 2, 2],
             "capacities": [3], "deltas": [1], "oracle": copy.deepcopy(oracle)}
+
+
+def edit_oracle(obj, path, raw):
+    *parents, last = path
+    target = obj["oracle"]
+    for key in parents:
+        target = target[key]
+    target[last] = raw
 
 
 class TestInstanceCodec:
@@ -115,12 +126,36 @@ class TestInstanceCodec:
     def test_non_integer_descriptor_number_rejected(self, oracle, path, raw):
         obj = three_item_instance(oracle)
         instance_from_obj(copy.deepcopy(obj))  # the unedited descriptor decodes
-        *parents, last = path
-        target = obj["oracle"]
-        for key in parents:
-            target = target[key]
-        target[last] = raw
+        edit_oracle(obj, path, raw)
         with pytest.raises(ValueError, match="must be an integer"):
+            instance_from_obj(obj)
+
+    @pytest.mark.parametrize(
+        "oracle, edits, message",
+        [
+            (
+                GRAPHIC,
+                [(("edges", 0, "v"), 0.5), (("edges", 1, "item"), 1.5)],
+                "graphic vertex must be an integer, got 0.5",
+            ),
+            (
+                UNIFORM,
+                [(("rank_cap",), 1.5), (("ground", 0), 1.0)],
+                "uniform matroid cap must be an integer, got 1.5",
+            ),
+            (
+                PARTITION,
+                [(("groups", 0, "cap"), 1.5), (("groups", 0, "members", 1), 2.0)],
+                "matroid item id must be an integer, got 2.0",
+            ),
+        ],
+        ids=["graphic_vertex_before_next_edge", "uniform_cap_before_ground", "members_before_cap"],
+    )
+    def test_first_bad_descriptor_number_is_named(self, oracle, edits, message):
+        obj = three_item_instance(oracle)
+        for path, raw in edits:
+            edit_oracle(obj, ("classes", 0, "matroid") + path, raw)
+        with pytest.raises(ValueError, match=re.escape(message)):
             instance_from_obj(obj)
 
     @pytest.mark.parametrize(
@@ -159,6 +194,71 @@ class TestInstanceCodec:
         text = dumps_canonical(instance_to_obj(inst))
         assert text == dumps_canonical(json.loads(text))
         assert text.endswith("\n")
+
+
+def json_reference(obj) -> str:
+    """What dumps_canonical must write, byte for byte."""
+    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+
+class Small(enum.IntEnum):
+    ONE = 1
+
+
+JSON_SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.integers(min_value=10**40) | st.integers(max_value=-(10**40)),
+    st.floats(),
+    st.sampled_from([-0.0, 1e300, -1e-300, float("nan"), float("inf"), Small.ONE]),
+    st.text(),
+    st.sampled_from(
+        ['"', "\\", "\n\t\x00\x1f\x7f", "\u00e9t\u00e9", "\u65e5\u672c", "\U0001f600", "\u2028"]
+    ),
+)
+JSON_TREES = st.recursive(
+    JSON_SCALARS,
+    lambda children: st.one_of(
+        st.lists(children, max_size=6),
+        st.lists(children, max_size=6).map(tuple),
+        st.dictionaries(st.text(max_size=4), children, max_size=6),
+    ),
+    max_leaves=50,
+)
+
+
+@settings(max_examples=600, deadline=None, derandomize=True)
+@given(JSON_TREES)
+def test_canonical_dump_is_json_indent_2(obj):
+    assert dumps_canonical(obj) == json_reference(obj)
+
+
+@pytest.mark.parametrize(
+    "obj",
+    [{2: [1, {}], 1: "a"}, {None: 0}, {1.5: [], -0.0: {}, float("nan"): 1},
+     {True: (1,), False: [[]]}, [{10**40: None, Small.ONE: []}]],
+    ids=["int", "none", "float", "bool", "nested"],
+)
+def test_canonical_dump_writes_non_string_keys_as_json_does(obj):
+    assert dumps_canonical(obj) == json_reference(obj)
+
+
+@pytest.mark.parametrize("obj", [{(1, 2): 0}, {"a": {1, 2}}, [object()]], ids=["key", "set", "object"])
+def test_canonical_dump_rejects_what_json_rejects(obj):
+    with pytest.raises(TypeError) as expected:
+        json_reference(obj)
+    with pytest.raises(TypeError, match=re.escape(str(expected.value))):
+        dumps_canonical(obj)
+
+
+@pytest.mark.parametrize("n", [1, 7, 60, 400])
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_canonical_dump_of_instance_files_and_reports(family, n):
+    inst = FAMILIES[family](n, 3, random.Random(n))
+    report = solve_ik_aon(inst, solver="heuristic")
+    for obj in (instance_to_obj(inst), report_to_obj(report, inst.item_ids)):
+        assert dumps_canonical(obj) == json_reference(obj)
 
 
 class TestChainCodec:
