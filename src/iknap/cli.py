@@ -14,13 +14,12 @@ cap, item id or vertex, a coverage oracle with a repeated item id or
 unequal items and vertices, a chain whose insertion times are not
 integers in 1..T or of the wrong length, a "sets" chain with a
 non-integer or boolean item id, or a non-integer or boolean phi or
-phi_bar.  reduce-vc and generate --family vc-reduction exit 4 on a graph
-file with a non-integer token or a vertex of degree above 3, or a --k
-outside 1..|V|.  Usage errors exit 2:
-generate rejects --n or -T below 1, --family vc-reduction without --graph
-or with --n or --seed (it takes its size from the graph, draws nothing at
-random and reads -T as its horizon, default 1), and --graph or --k with
-any other family, and bench rejects a --solvers list that is empty or
+phi_bar.  reduce-vc, the one command that builds the vertex-cover
+instance (-T sets its horizon, default 1), exits 4 on a graph file with a
+non-integer token or a vertex of degree above 3, or a --k outside 1..|V|.
+Usage errors exit 2: generate rejects --n or -T below 1, reduce-vc a -T
+below 1, every command an option it does not take (such as --graph or
+--k for generate), and bench a --solvers list that is empty or
 names a solver outside auto, exact, heuristic and brute.  bench exits 1
 with an io error when --instances is not a directory; it records a
 malformed instance file as one error row per solver and exits 1 only
@@ -35,11 +34,11 @@ import random
 import sys
 from pathlib import Path
 
-from .errors import BadFamily, BudgetExceeded, LimitsExceeded, OracleViolation, UnknownItemId
+from .errors import BudgetExceeded, InvalidInstance, LimitsExceeded, OracleViolation, UnknownItemId
 from .generators import FAMILIES, make_family_instance
 from .hardness import build_reduction, read_edge_list
 from .instances import Chain, ensure_valid, profit_partition, profit_phi_bar
-from .modularize import solve_ik_aon, verify_solution
+from .modularize import SOLVERS, solve_ik_aon, verify_solution
 from .oracles import _integer
 from .serialize import (
     chain_from_obj,
@@ -52,7 +51,6 @@ from .serialize import (
 from .solvers import SolveLimits, brute_force_chains
 
 DEFAULT_SEED = 2024
-SOLVERS = ("auto", "exact", "heuristic", "brute")
 
 # What decoding a malformed instance or report file raises.
 MALFORMED = (KeyError, TypeError, ValueError)
@@ -103,17 +101,14 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     gen = sub.add_parser("generate", help="write a random instance file")
-    gen.set_defaults(run=cmd_generate, usage_error=gen.error)
-    gen.add_argument("--family", required=True,
-                     choices=sorted(FAMILIES) + ["vc-reduction"])
-    # Defaults are applied in cmd_generate, so vc-reduction can tell an
-    # explicit --n or --seed from none and keep its own horizon of 1.
-    gen.add_argument("--n", type=_positive, help="number of items (default 8)")
-    gen.add_argument("-T", "--horizon", type=_positive,
-                     help="periods (default 2; 1 for vc-reduction)")
-    gen.add_argument("--seed", type=int, help=f"random seed (default {DEFAULT_SEED})")
-    gen.add_argument("--graph", type=Path, help="edge-list file (vc-reduction only)")
-    gen.add_argument("--k", type=int, help="cover size (vc-reduction only, default 1)")
+    gen.set_defaults(run=cmd_generate)
+    gen.add_argument("--family", required=True, choices=sorted(FAMILIES))
+    gen.add_argument("--n", type=_positive, default=8,
+                     help="number of items (default %(default)s)")
+    gen.add_argument("-T", "--horizon", type=_positive, default=2,
+                     help="periods (default %(default)s)")
+    gen.add_argument("--seed", type=int, default=DEFAULT_SEED,
+                     help="random seed (default %(default)s)")
     gen.add_argument("--out", type=Path, required=True)
     gen.add_argument("--quiet", action="store_true")
 
@@ -136,6 +131,8 @@ def build_parser() -> argparse.ArgumentParser:
     reduce.set_defaults(run=cmd_reduce)
     reduce.add_argument("--graph", type=Path, required=True)
     reduce.add_argument("--k", type=int, required=True)
+    reduce.add_argument("-T", "--horizon", type=_positive, default=1,
+                        help="periods (default %(default)s)")
     reduce.add_argument("--out", type=Path, required=True)
     reduce.add_argument("--quiet", action="store_true")
 
@@ -162,22 +159,7 @@ def _malformed(exc: Exception) -> int:
 
 
 def cmd_generate(args: argparse.Namespace) -> int:
-    if args.family == "vc-reduction":
-        if args.graph is None:
-            args.usage_error("--graph is required for --family vc-reduction")
-        if args.n is not None or args.seed is not None:
-            args.usage_error("--n and --seed do not apply to --family vc-reduction")
-        k = 1 if args.k is None else args.k
-        try:
-            graph = read_edge_list(args.graph)
-            inst = build_reduction(graph, k, horizon=args.horizon or 1).instance
-        except ValueError as exc:  # a bad graph file or k
-            return _malformed(exc)
-    else:
-        if args.graph is not None or args.k is not None:
-            args.usage_error(f"--graph and --k do not apply to --family {args.family}")
-        rng = random.Random(DEFAULT_SEED if args.seed is None else args.seed)
-        inst = make_family_instance(args.family, args.n or 8, args.horizon or 2, rng)
+    inst = make_family_instance(args.family, args.n, args.horizon, random.Random(args.seed))
     save_instance(inst, args.out)
     classes = len(profit_partition(inst))
     _say(
@@ -191,12 +173,11 @@ def cmd_generate(args: argparse.Namespace) -> int:
 def cmd_solve(args: argparse.Namespace) -> int:
     try:
         inst = load_instance(args.instance)
-        ensure_valid(inst)
     except MALFORMED as exc:
         return _malformed(exc)
     try:
         report = solve_ik_aon(inst, solver=args.solver, limits=args.limits, seed=args.seed)
-    except UnknownItemId as exc:  # the oracle's ground misses an instance item
+    except (InvalidInstance, UnknownItemId) as exc:  # or an item outside the oracle ground
         return _malformed(exc)
     except OracleViolation as exc:
         print(f"oracle-contract violation: {exc}", file=sys.stderr)
@@ -250,7 +231,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 def cmd_reduce(args: argparse.Namespace) -> int:
     try:
         graph = read_edge_list(args.graph)
-        reduction = build_reduction(graph, args.k)
+        reduction = build_reduction(graph, args.k, args.horizon)
     except ValueError as exc:  # a bad graph file or k
         return _malformed(exc)
     save_instance(reduction.instance, args.out)
@@ -318,9 +299,6 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.run(args)
-    except BadFamily as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)
         return 1

@@ -161,7 +161,5 @@ def make_family_instance(
     try:
         builder = FAMILIES[family]
     except KeyError:
-        raise BadFamily(
-            f"unknown family {family!r}; known: {sorted(FAMILIES)} and vc-reduction"
-        ) from None
+        raise BadFamily(f"unknown family {family!r}; known: {sorted(FAMILIES)}") from None
     return builder(n, horizon, rng)

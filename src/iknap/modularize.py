@@ -13,7 +13,7 @@ import time
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .errors import InfeasibleInternal, OracleViolation, SolverFailure
+from .errors import InfeasibleInternal, LimitsExceeded, OracleViolation, SolverFailure
 from .independence import ClassBasis, min_weight_basis
 from .instances import (
     Chain,
@@ -80,9 +80,17 @@ class SolveReport:
     dropped_items: tuple[int, ...] = ()
 
 
+SOLVERS = ("auto", "exact", "heuristic", "brute")
+
+
 def _run_ik_solver(
     name: str, ik: Instance, limits: SolveLimits, seed: int
 ) -> SolveResult:
+    if name == "auto":
+        try:
+            return solve_exact(ik, limits)
+        except LimitsExceeded:
+            return solve_heuristic(ik, seed=seed, limits=limits)
     if name == "exact":
         return solve_exact(ik, limits)
     if name == "heuristic":
@@ -90,7 +98,7 @@ def _run_ik_solver(
     if name == "brute":
         value, chain = brute_force_chains(ik, limits.max_states_brute)
         return SolveResult(chain=chain, value=value, optimal=True, nodes=0, solver="brute")
-    raise SolverFailure(f"unknown solver {name!r}; expected exact, heuristic, or brute")
+    raise SolverFailure(f"unknown solver {name!r}; expected one of {', '.join(SOLVERS)}")
 
 
 def solve_ik_aon(
@@ -101,8 +109,8 @@ def solve_ik_aon(
 ) -> SolveReport:
     """Full pipeline: validate, preprocess, modularize, solve, recheck.
 
-    "auto" picks the exact solver whenever the kept item count and horizon
-    are within limits, the heuristic otherwise.  The returned chain is over
+    "auto" runs the exact solver and, when the kept item count or horizon
+    exceeds its limits, the heuristic instead.  The returned chain is over
     original item ids and is always re-verified: feasibility against the
     original capacities, and the oracle profit recomputed from scratch,
     which must equal the modular profit.  A mismatch means the oracle broke
@@ -114,22 +122,16 @@ def solve_ik_aon(
     ensure_valid(inst)
     reduced, dropped = preprocess_singletons(inst)
     mod = modularize(reduced)
-    name = solver
-    if solver == "auto":
-        in_limits = (
-            len(mod.ik) <= limits.max_n_exact and inst.horizon <= limits.max_t_exact
-        )
-        name = "exact" if in_limits else "heuristic"
-    result = _run_ik_solver(name, mod.ik, limits, seed)
+    result = _run_ik_solver(solver, mod.ik, limits, seed)
     chain = result.chain
     if not is_feasible(inst, chain):
         raise InfeasibleInternal(
-            f"solver {name!r} returned an infeasible chain: {chain!r}"
+            f"solver {result.solver!r} returned an infeasible chain: {chain!r}"
         )
     phi_bar = profit_phi_bar(inst.profits_by_id, inst.deltas, chain)
     if phi_bar != result.value:
         raise InfeasibleInternal(
-            f"solver {name!r} misreported its value: {result.value} != {phi_bar}"
+            f"solver {result.solver!r} misreported its value: {result.value} != {phi_bar}"
         )
     phi = profit_phi(inst, chain)
     if phi != phi_bar:
@@ -144,7 +146,7 @@ def solve_ik_aon(
         oracle_calls=inst.oracle.call_count - calls_before,
         kept_items=mod.kept_ids,
         chain=chain,
-        solver=name,
+        solver=result.solver,
         elapsed_ms=elapsed_ms,
         dropped_items=dropped,
     )

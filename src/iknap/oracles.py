@@ -83,7 +83,10 @@ class AggregationOracle:
     counter exactly once, by next() on an itertools.count.  That is one C
     call, atomic under the GIL, so no tick is lost between threads and no
     lock is taken per call.  The count relies on the GIL (CI runs CPython
-    3.10 and 3.11); a free-threaded build would need a lock per tick again.
+    3.10 to 3.13, all with it); a free-threaded build would need a lock per
+    tick again.  The contract rests on this docstring: on a GIL build,
+    TestCallCounter passes with an unlocked `self._n += 1` counter too, so
+    no test catches a lost tick.
     Reading call_count ticks the counter too, so the read takes a lock and
     subtracts the ticks of all reads so far.
 

@@ -264,7 +264,8 @@ def some_move_gains(
     """
     horizon = len(resid)
     msuf = list(accumulate(reversed(resid), min))[::-1]
-    by_weight = sorted((items[b].weight, items[b].profit) for b in outside)
+    # Each Item is unpacked once: a NamedTuple field read is slower on 3.11.
+    by_weight = sorted((w, p) for _, w, p in map(items.__getitem__, outside))
     weights = [w for w, _ in by_weight]
     best = [0] + list(accumulate((p for _, p in by_weight), max))
 
@@ -275,7 +276,8 @@ def some_move_gains(
         return True
     at: list[list[tuple[int, int]]] = [[] for _ in range(horizon)]
     for a, g in time_of.items():
-        at[g].append((-items[a].weight, items[a].profit))
+        _, w, p = items[a]
+        at[g].append((-w, p))
     for g, pairs in enumerate(at):
         if not pairs:
             continue
@@ -335,14 +337,14 @@ def solve_heuristic(
     time_of: dict[int, int] = {}
 
     def insert(i: int, t: int) -> None:
-        w = active[i].weight
+        _, w, _ = active[i]
         for s in range(t, horizon):
             resid[s] -= w
         time_of[i] = t
 
     def remove(i: int) -> int:
         t = time_of.pop(i)
-        w = active[i].weight
+        _, w, _ = active[i]
         for s in range(t, horizon):
             resid[s] += w
         return t
@@ -389,30 +391,31 @@ def solve_heuristic(
                 if t >= old:
                     t += 1
                 # Only an earlier period gains; it must fit up to the old one.
-                gain = active[a].profit * (dsum[t] - dsum[old])
-                if gain > 0 and min(resid[t:old]) >= active[a].weight:
+                _, w, p = active[a]
+                if p * (dsum[t] - dsum[old]) > 0 and min(resid[t:old]) >= w:
                     remove(a)
                     insert(a, t)
                     improved = True
                     break
                 continue
             j, s = divmod(move - shifts, k + 1)
-            b = active[outside[j]]
+            b, wb, pb = active[outside[j]]
             if s == 0:
-                t = earliest_period(resid, b.weight)
-                if t is not None and b.profit * dsum[t] > 0:
-                    insert(b.id, t)
+                t = earliest_period(resid, wb)
+                if t is not None and pb * dsum[t] > 0:
+                    insert(b, t)
                     improved = True
                     break
                 continue
             a = inserted[s - 1]
-            loss = active[a].profit * dsum[time_of[a]]
-            if b.profit * dsum[0] <= loss:
+            _, _, pa = active[a]
+            loss = pa * dsum[time_of[a]]
+            if pb * dsum[0] <= loss:
                 continue  # even the earliest period cannot pay for the swap
             old = remove(a)
-            t = earliest_period(resid, b.weight)
-            if t is not None and b.profit * dsum[t] > loss:
-                insert(b.id, t)
+            t = earliest_period(resid, wb)
+            if t is not None and pb * dsum[t] > loss:
+                insert(b, t)
                 improved = True
                 break
             insert(a, old)

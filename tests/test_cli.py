@@ -44,12 +44,12 @@ class TestGenerate:
             assert fam in capsys.readouterr().out
             assert validate_instance(load_instance(out)) == []
 
+    # The vc-reduction instance file is written by reduce-vc, not generate.
     def test_vc_reduction_from_edge_list(self, tmp_path):
         graph = tmp_path / "k3.txt"
         graph.write_text(K3_EDGES)
         out = tmp_path / "vc.json"
-        assert run("generate", "--family", "vc-reduction", "--graph", graph,
-                   "--k", 1, "--out", out, "--quiet") == 0
+        assert run("reduce-vc", "--graph", graph, "--k", 1, "--out", out, "--quiet") == 0
         obj = json.loads(out.read_text())
         assert obj["n"] == 3 and obj["T"] == 1 and obj["capacities"] == [1]
         assert obj["oracle"]["kind"] == "coverage"
@@ -58,8 +58,8 @@ class TestGenerate:
         graph = tmp_path / "k3.txt"
         graph.write_text(K3_EDGES)
         out = tmp_path / "vc.json"
-        assert run("generate", "--family", "vc-reduction", "--graph", graph,
-                   "--k", 2, "-T", 3, "--out", out, "--quiet") == 0
+        assert run("reduce-vc", "--graph", graph, "--k", 2, "-T", 3,
+                   "--out", out, "--quiet") == 0
         obj = json.loads(out.read_text())
         assert obj["T"] == 3 and obj["capacities"] == [2, 2, 2] and obj["deltas"] == [1, 1, 1]
 
@@ -69,18 +69,17 @@ class TestGenerate:
         graph.write_text(K3_EDGES)
         out = tmp_path / "vc.json"
         with pytest.raises(SystemExit) as exc:
-            run("generate", "--family", "vc-reduction", "--graph", graph,
-                "--k", 1, *extra, "--out", out)
+            run("reduce-vc", "--graph", graph, "--k", 1, *extra, "--out", out)
         assert exc.value.code == 2
-        assert "do not apply to --family vc-reduction" in capsys.readouterr().err
+        assert f"unrecognized arguments: {extra[0]}" in capsys.readouterr().err
         assert not out.exists()
 
     def test_vc_reduction_without_graph_is_a_usage_error(self, tmp_path, capsys):
         out = tmp_path / "vc.json"
         with pytest.raises(SystemExit) as exc:
-            run("generate", "--family", "vc-reduction", "--out", out)
+            run("reduce-vc", "--k", 1, "--out", out)
         assert exc.value.code == 2
-        assert "--graph is required for --family vc-reduction" in capsys.readouterr().err
+        assert "the following arguments are required: --graph" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("family", ["modular", "uniform-classes"])
@@ -96,22 +95,15 @@ class TestGenerate:
         with pytest.raises(SystemExit) as exc:
             run("generate", "--family", family, flag, value, "--out", out)
         assert exc.value.code == 2
-        assert f"--graph and --k do not apply to --family {family}" in capsys.readouterr().err
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_vc_reduction_cover_size_defaults_to_1(self, tmp_path):
-        graph = tmp_path / "k3.txt"
-        graph.write_text(K3_EDGES)
-        implicit, explicit = tmp_path / "a.json", tmp_path / "b.json"
-        assert run("generate", "--family", "vc-reduction", "--graph", graph,
-                   "--out", implicit, "--quiet") == 0
-        assert run("generate", "--family", "vc-reduction", "--graph", graph,
-                   "--k", 1, "--out", explicit, "--quiet") == 0
-        assert implicit.read_bytes() == explicit.read_bytes()
-
-    def test_unknown_family_rejected_by_parser(self, tmp_path):
-        with pytest.raises(SystemExit):
-            run("generate", "--family", "nonsense", "--out", tmp_path / "x.json")
+    def test_unknown_family_rejected_by_parser(self, tmp_path, capsys):
+        for family in ("nonsense", "vc-reduction"):  # reduce-vc builds the latter
+            with pytest.raises(SystemExit) as exc:
+                run("generate", "--family", family, "--out", tmp_path / "x.json")
+            assert exc.value.code == 2
+            assert "invalid choice" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "family, n, horizon",
@@ -212,6 +204,12 @@ class TestSolveAndVerify:
         assert run("solve", "--instance", toy_instance, "--solver", "exact",
                    "--limits", "max_n_exact=2", "--out", tmp_path / "r.json",
                    "--quiet") == 3
+
+    def test_auto_falls_back_to_the_heuristic_past_the_limits(self, toy_instance, tmp_path):
+        report_path = tmp_path / "r.json"
+        assert run("solve", "--instance", toy_instance, "--limits", "max_n_exact=2",
+                   "--out", report_path, "--quiet") == 0
+        assert json.loads(report_path.read_text())["solver"] == "heuristic"
 
     def test_unknown_limits_key_is_a_usage_error(self, toy_instance, tmp_path):
         with pytest.raises(SystemExit):
@@ -417,6 +415,16 @@ class TestReduceVc:
         inst = load_instance(out)
         assert inst.capacities == (2,)
 
+    def test_horizon_below_1_is_a_usage_error(self, tmp_path, capsys):
+        graph = tmp_path / "k3.txt"
+        graph.write_text(K3_EDGES)
+        out = tmp_path / "vc.json"
+        with pytest.raises(SystemExit) as exc:
+            run("reduce-vc", "--graph", graph, "--k", 1, "-T", 0, "--out", out)
+        assert exc.value.code == 2
+        assert "must be >= 1" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "graph_text, k, message",
         [
@@ -425,16 +433,13 @@ class TestReduceVc:
             (K3_EDGES, 4, "k=4 outside 1..3"),
             (K3_EDGES, 0, "k=0 outside 1..3"),
         ],
-        ids=["non_integer_token", "degree_4", "k_above_n", "k_zero"],
+        ids=["reduce-vc-non_integer_token", "reduce-vc-degree_4", "reduce-vc-k_above_n",
+             "reduce-vc-k_zero"],
     )
-    @pytest.mark.parametrize("command", ["reduce-vc", "generate"])
-    def test_bad_graph_or_k_exits_4(self, tmp_path, capsys, command, graph_text, k, message):
+    def test_bad_graph_or_k_exits_4(self, tmp_path, capsys, graph_text, k, message):
         graph, out = tmp_path / "g.txt", tmp_path / "vc.json"
         graph.write_text(graph_text)
-        argv = ["--graph", graph, "--k", k, "--out", out, "--quiet"]
-        if command == "generate":
-            argv = ["--family", "vc-reduction", *argv]
-        assert run(command, *argv) == 4
+        assert run("reduce-vc", "--graph", graph, "--k", k, "--out", out, "--quiet") == 4
         err = capsys.readouterr().err
         assert err.startswith("malformed input: ") and err.count("\n") == 1
         assert message in err

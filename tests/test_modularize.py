@@ -7,6 +7,7 @@ import pytest
 
 from iknap import (
     AggregationOracle,
+    BadFamily,
     Chain,
     InfeasibleInternal,
     Instance,
@@ -14,6 +15,7 @@ from iknap import (
     Item,
     LimitsExceeded,
     MatroidSpec,
+    SolveLimits,
     SolveResult,
     brute_force_chains,
     greedy_matroid_chain,
@@ -29,6 +31,7 @@ from iknap import (
     profit_phi,
     profit_phi_bar,
     solve_exact,
+    solve_heuristic,
     solve_ik_aon,
     verify_solution,
 )
@@ -155,6 +158,13 @@ class TestIncrementalScale:
         assert inst.oracle.call_count == 2 * len(inst) - len(dropped)
 
 
+@pytest.mark.parametrize("family", ["vc-reduction", "nonsense"])
+def test_unknown_family_names_only_the_random_families(family):
+    with pytest.raises(BadFamily) as exc:
+        make_family_instance(family, 3, 1, random.Random(0))
+    assert str(exc.value).endswith(f"known: {sorted(FAMILIES)}")
+
+
 class TestSolveIkAon:
     def test_matroid_rank_instances_match_greedy_chain(self):
         rng = random.Random(7)
@@ -207,6 +217,21 @@ class TestSolveIkAon:
         assert solve_ik_aon(small, solver="brute").phi == solve_ik_aon(small).phi
         heur = solve_ik_aon(small, solver="heuristic")
         assert heur.phi <= solve_ik_aon(small).phi
+
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    def test_auto_is_exact_within_both_limits_and_heuristic_past_either(self, family):
+        inst = make_family_instance(family, 12, 3, random.Random(15))
+        ik = modularize(preprocess_singletons(inst)[0]).ik
+        fit = SolveLimits(max_n_exact=len(ik), max_t_exact=ik.horizon)
+        exact, heuristic = solve_exact(ik, fit), solve_heuristic(ik, seed=5, limits=fit)
+        assert exact.chain != heuristic.chain  # so the chain tells the solvers apart
+        report = solve_ik_aon(inst, "auto", fit, seed=5)
+        assert report.solver == "exact" and report.chain == exact.chain
+        for past in (dataclasses.replace(fit, max_n_exact=len(ik) - 1),
+                     dataclasses.replace(fit, max_t_exact=ik.horizon - 1)):
+            report = solve_ik_aon(inst, "auto", past, seed=5)
+            assert report.solver == "heuristic"
+            assert report.chain == solve_heuristic(ik, seed=5, limits=past).chain
 
     def test_explicit_exact_on_oversized_instance_fails(self):
         rng = random.Random(23)
