@@ -30,5 +30,5 @@ print("oracle calls:", report.oracle_calls)
 optimum, witness = brute_force_chains(inst)
 print("\nbrute-force optimum:", optimum, "->", "match" if optimum == report.phi else "MISMATCH")
 
-outcome = verify_solution(inst, report.chain, report.phi)
-print("independent recheck:", "ok" if outcome.ok else outcome.mismatches)
+mismatches = verify_solution(inst, report.chain, report.phi, report.phi_bar)
+print("independent recheck:", mismatches or "ok")

@@ -32,7 +32,6 @@ from .generators import (
 )
 from .hardness import (
     SubcubicGraph,
-    VcReductionInstance,
     build_reduction,
     extract_cover,
     generate_subcubic,
@@ -65,7 +64,6 @@ from .instances import (
 from .modularize import (
     ModularizedInstance,
     SolveReport,
-    VerificationReport,
     modularize,
     solve_ik_aon,
     verify_solution,

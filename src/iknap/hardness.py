@@ -1,12 +1,12 @@
 """Vertex-cover reduction instances on subcubic graphs.
 
 Max k-vertex cover on a degree-<=3 graph embeds into a one-period instance
-with unit weights, capacity k, and an edge-coverage oracle.  Coverage
-marginals on subcubic graphs lie in {0,1,2,3}, and the oracle is monotone
-submodular, but it is generally NOT all-or-nothing: a degree-2 vertex added
-to the empty set contributes 2, not its unit profit.  These instances are
-therefore exercised through the brute-force path, not the modularization
-pipeline.
+with one unit-weight item per vertex (item v + 1 is vertex v), capacity k,
+and an edge-coverage oracle.  Coverage marginals on subcubic graphs lie in
+{0,1,2,3}, and the oracle is monotone submodular, but it is generally NOT
+all-or-nothing: a degree-2 vertex added to the empty set contributes 2, not
+its unit profit.  These instances are therefore exercised through the
+brute-force path, not the modularization pipeline.
 """
 
 from __future__ import annotations
@@ -30,6 +30,8 @@ class SubcubicGraph:
     edges: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
+        if self.n_vertices < 0:
+            raise NotSubcubic(f"negative vertex count {self.n_vertices}")
         degree = [0] * self.n_vertices
         seen: set[tuple[int, int]] = set()
         for u, v in self.edges:
@@ -48,17 +50,8 @@ class SubcubicGraph:
             raise NotSubcubic(f"vertices {bad} have degree > {MAX_DEGREE}")
 
 
-@dataclass(frozen=True)
-class VcReductionInstance:
-    """The produced instance plus k and the vertex of each item."""
-
-    instance: Instance
-    k: int
-    vertex_of_item: dict[int, int]
-
-
-def build_reduction(g: SubcubicGraph, k: int, horizon: int = 1) -> VcReductionInstance:
-    """Instance with one unit-weight, unit-profit item per vertex.
+def build_reduction(g: SubcubicGraph, k: int, horizon: int = 1) -> Instance:
+    """Instance with one unit-weight, unit-profit item per vertex: item v + 1 is vertex v.
 
     The standard construction uses one period with capacity k and
     coefficient 1, so a chain's profit is exactly the cover value of its
@@ -70,33 +63,27 @@ def build_reduction(g: SubcubicGraph, k: int, horizon: int = 1) -> VcReductionIn
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
     items = [Item(id=v + 1, weight=1, profit=1) for v in range(g.n_vertices)]
-    vertex_of_item = {v + 1: v for v in range(g.n_vertices)}
-    oracle = coverage_oracle(g.edges, vertex_of_item)
-    inst = Instance(
+    oracle = coverage_oracle(g.edges, {v + 1: v for v in range(g.n_vertices)})
+    return Instance(
         items,
         horizon=horizon,
         capacities=(k,) * horizon,
         deltas=(1,) * horizon,
         oracle=oracle,
     )
-    return VcReductionInstance(
-        instance=inst,
-        k=k,
-        vertex_of_item=vertex_of_item,
-    )
 
 
-def extract_cover(ri: VcReductionInstance, chain: Chain) -> tuple[frozenset, int]:
+def extract_cover(inst: Instance, chain: Chain) -> tuple[frozenset, int]:
     """Map a feasible chain back to (vertex set, number of covered edges).
 
-    The cover is read off the first period; for the standard one-period
-    construction the covered-edge count equals the chain's profit.
+    Item v + 1 is vertex v.  The cover is read off the first period; for the
+    standard one-period construction the covered-edge count equals the
+    chain's profit.
     """
-    if chain.horizon != ri.instance.horizon or not is_feasible(ri.instance, chain):
+    if chain.horizon != inst.horizon or not is_feasible(inst, chain):
         raise InfeasibleChain(f"chain {chain!r} is not feasible for the reduction")
     first = chain.set_at(1)
-    vertices = frozenset(ri.vertex_of_item[i] for i in first)
-    return vertices, ri.instance.oracle.evaluate(first)
+    return frozenset(i - 1 for i in first), inst.oracle.evaluate(first)
 
 
 def generate_subcubic(n: int, edge_prob: float = 0.5, seed: int = 0) -> SubcubicGraph:
@@ -153,6 +140,8 @@ def read_edge_list(path) -> SubcubicGraph:
     if len(tokens) < 2:
         raise ValueError(f"{path}: missing 'n m' header")
     n, m = int(tokens[0]), int(tokens[1])
+    if n < 0 or m < 0:
+        raise ValueError(f"{path}: negative count in 'n m' header {n} {m}")
     flat = tokens[2:]
     if len(flat) != 2 * m:
         raise ValueError(f"{path}: expected {2 * m} endpoints, found {len(flat)}")

@@ -46,8 +46,8 @@ class Chain:
             raise ValueError(f"chain horizon must be an integer >= 1, got {horizon!r}")
         times = dict(times or {})
         for i, t in times.items():
-            # _is_int(t), inlined: a heuristic chain holds thousands of items.
-            if type(t) is not int or not 1 <= t <= horizon:
+            # An exact int makes no _is_int call: a heuristic chain holds thousands.
+            if (type(t) is not int and not _is_int(t)) or not 1 <= t <= horizon:
                 raise ValueError(
                     f"insertion time must be an integer in 1..{horizon}, got {t!r} for item {i}"
                 )

@@ -152,44 +152,34 @@ def solve_ik_aon(
     )
 
 
-@dataclass
-class VerificationReport:
-    """Outcome of an independent recheck of a claimed solution."""
-
-    ok: bool
-    nested: bool
-    feasible: bool
-    phi: int | None
-    mismatches: list[str]
-
-
 def verify_solution(
-    inst: Instance, chain: "Chain | Sequence[Iterable[int]]", claimed_phi: int
-) -> VerificationReport:
-    """Recheck feasibility and recompute the oracle profit from scratch.
+    inst: Instance,
+    chain: "Chain | Sequence[Iterable[int]]",
+    claimed_phi: int,
+    claimed_phi_bar: int,
+) -> list[str]:
+    """Recheck a claimed solution; return its mismatches, empty when it holds.
 
-    Accepts either a Chain or explicit sets S_1..S_T (which lets tampered,
-    non-nested set lists be diagnosed).  Mismatches are reported, never
-    raised.
+    Accepts either a Chain or explicit sets S_1..S_T, so a tampered,
+    non-nested set list is diagnosed (NotNested, and nothing else) rather
+    than raised.  Otherwise the chain is checked against the capacities
+    (Infeasible), its oracle profit is recomputed from scratch (PhiMismatch)
+    and so is its plain profit sum (PhiBarMismatch), in that order.
     """
     if not isinstance(chain, Chain):
         try:
             chain = Chain.from_sets(chain)
         except ValueError as exc:
-            return VerificationReport(
-                ok=False,
-                nested=False,
-                feasible=False,
-                phi=None,
-                mismatches=[f"NotNested: {exc}"],
-            )
-    mismatches: list[str] = []
-    feasible = is_feasible(inst, chain)
-    if not feasible:
+            return [f"NotNested: {exc}"]
+    mismatches = []
+    if not is_feasible(inst, chain):
         mismatches.append("Infeasible: some period exceeds its capacity")
     phi = profit_phi(inst, chain)
     if phi != claimed_phi:
         mismatches.append(f"PhiMismatch: recomputed {phi} != claimed {claimed_phi}")
-    return VerificationReport(
-        ok=not mismatches, nested=True, feasible=feasible, phi=phi, mismatches=mismatches
-    )
+    phi_bar = profit_phi_bar(inst.profits_by_id, inst.deltas, chain)
+    if phi_bar != claimed_phi_bar:
+        mismatches.append(
+            f"PhiBarMismatch: recomputed {phi_bar} != claimed {claimed_phi_bar}"
+        )
+    return mismatches

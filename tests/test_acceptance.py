@@ -219,7 +219,7 @@ def test_criterion_08_vertex_cover_reduction_fidelity():
         n = rng.randint(2, 10)
         graph = generate_subcubic(n, edge_prob=rng.uniform(0.2, 0.9), seed=rng.randint(0, 10**6))
         graphs += 1
-        oracle = build_reduction(graph, 1).instance.oracle
+        oracle = build_reduction(graph, 1).oracle
         ids = list(range(1, n + 1))
         table = {
             frozenset(c): oracle.evaluate(c)
@@ -231,8 +231,7 @@ def test_criterion_08_vertex_cover_reduction_fidelity():
                 assert table[frozenset(s | {i})] - value in (0, 1, 2, 3)
         assert check_submodularity(oracle, ids) is None
         for k in range(1, n + 1):
-            reduction = build_reduction(graph, k)
-            optimum, _ = brute_force_chains(reduction.instance)
+            optimum, _ = brute_force_chains(build_reduction(graph, k))
             direct, _ = max_k_vertex_cover(graph, k)
             assert optimum == direct, (graph, k)
             pairs += 1

@@ -11,7 +11,7 @@ import pytest
 
 from iknap.cli import main
 from iknap.serialize import chain_from_obj, load_instance
-from iknap import validate_instance
+from iknap import Chain, is_feasible, profit_phi, profit_phi_bar, validate_instance
 
 
 def run(*argv):
@@ -175,6 +175,38 @@ class TestSolveAndVerify:
         report_path.write_text(json.dumps(report))
         assert run("verify", "--instance", toy_instance, "--report", report_path) == 1
         assert "PhiBarMismatch" in capsys.readouterr().err
+
+    def test_verified_report_prints_the_exact_success_line(
+        self, toy_instance, tmp_path, capsys
+    ):
+        report_path = tmp_path / "report.json"
+        run("solve", "--instance", toy_instance, "--out", report_path, "--quiet")
+        phi = json.loads(report_path.read_text())["phi"]
+        assert run("verify", "--instance", toy_instance, "--report", report_path) == 0
+        captured = capsys.readouterr()
+        assert captured.out == f"report verified: phi={phi}, chain feasible\n"
+        assert captured.err == ""
+
+    def test_every_mismatch_is_printed_in_order(self, toy_instance, tmp_path, capsys):
+        report_path = tmp_path / "report.json"
+        run("solve", "--instance", toy_instance, "--out", report_path, "--quiet")
+        report = json.loads(report_path.read_text())
+        inst = load_instance(toy_instance)
+        everything_at_1 = Chain(inst.horizon, {i: 1 for i in inst.item_ids})
+        assert not is_feasible(inst, everything_at_1)
+        phi = profit_phi(inst, everything_at_1)
+        phi_bar = profit_phi_bar(inst.profits_by_id, inst.deltas, everything_at_1)
+        report["chain"] = {"insertion_times": [1] * len(inst)}
+        report["phi"], report["phi_bar"] = phi + 1, phi_bar + 2
+        report_path.write_text(json.dumps(report))
+        assert run("verify", "--instance", toy_instance, "--report", report_path) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "Infeasible: some period exceeds its capacity",
+            f"PhiMismatch: recomputed {phi} != claimed {phi + 1}",
+            f"PhiBarMismatch: recomputed {phi_bar} != claimed {phi_bar + 2}",
+        ]
 
     def test_non_nested_chain_fails_verification(self, toy_instance, tmp_path, capsys):
         report_path = tmp_path / "report.json"
@@ -432,9 +464,11 @@ class TestReduceVc:
             ("5 4\n0 1\n0 2\n0 3\n0 4\n", 1, "have degree > 3"),
             (K3_EDGES, 4, "k=4 outside 1..3"),
             (K3_EDGES, 0, "k=0 outside 1..3"),
+            ("-3 0\n", 1, "negative count in 'n m' header -3 0"),
+            ("2 -1\n", 1, "negative count in 'n m' header 2 -1"),
         ],
         ids=["reduce-vc-non_integer_token", "reduce-vc-degree_4", "reduce-vc-k_above_n",
-             "reduce-vc-k_zero"],
+             "reduce-vc-k_zero", "reduce-vc-negative_n", "reduce-vc-negative_m"],
     )
     def test_bad_graph_or_k_exits_4(self, tmp_path, capsys, graph_text, k, message):
         graph, out = tmp_path / "g.txt", tmp_path / "vc.json"

@@ -40,6 +40,10 @@ class TestSubcubicGraph:
         with pytest.raises(NotSubcubic):
             SubcubicGraph(2, ((0, 1), (1, 0)))
 
+    def test_negative_vertex_count_rejected(self):
+        with pytest.raises(NotSubcubic, match="negative vertex count -1"):
+            SubcubicGraph(-1, ())
+
     def test_vertex_range_checked(self):
         with pytest.raises(NotSubcubic):
             SubcubicGraph(2, ((0, 5),))
@@ -47,8 +51,7 @@ class TestSubcubicGraph:
 
 class TestBuildReduction:
     def test_triangle_structure_and_value(self):
-        reduction = build_reduction(TRIANGLE, 1)
-        inst = reduction.instance
+        inst = build_reduction(TRIANGLE, 1)
         assert len(inst) == 3
         assert inst.horizon == 1
         assert inst.capacities == (1,)
@@ -58,7 +61,7 @@ class TestBuildReduction:
         assert value == 2  # any single triangle vertex covers its two edges
 
     def test_path_middle_vertex(self):
-        value, chain = brute_force_chains(build_reduction(PATH, 1).instance)
+        value, chain = brute_force_chains(build_reduction(PATH, 1))
         assert value == 2
         assert chain.final_set == {2}  # the middle vertex's item
 
@@ -70,24 +73,23 @@ class TestBuildReduction:
 
     def test_random_graph_matches_subset_enumeration(self):
         graph = generate_subcubic(8, edge_prob=0.6, seed=11)
-        reduction = build_reduction(graph, 3)
-        value, _ = brute_force_chains(reduction.instance)
+        value, _ = brute_force_chains(build_reduction(graph, 3))
         best, _ = max_k_vertex_cover(graph, 3)
         assert value == best
 
     def test_multi_period_variant_is_constructible(self):
         # exploratory only: constant capacity, unit coefficients
-        inst = build_reduction(TRIANGLE, 1, horizon=3).instance
+        inst = build_reduction(TRIANGLE, 1, horizon=3)
         assert inst.horizon == 3
         assert inst.capacities == (1, 1, 1)
         value, chain = brute_force_chains(inst)
         assert value == 6  # the best single vertex counts once per period
-        vertices, covered = extract_cover(build_reduction(TRIANGLE, 1, horizon=3), chain)
+        vertices, covered = extract_cover(inst, chain)
         assert covered == 2 and len(vertices) == 1
 
     def test_marginals_bounded_by_degree(self):
         graph = generate_subcubic(7, edge_prob=0.7, seed=13)
-        oracle = build_reduction(graph, 2).instance.oracle
+        oracle = build_reduction(graph, 2).oracle
         ids = list(range(1, 8))
         from helpers import subsets
 
@@ -98,25 +100,23 @@ class TestBuildReduction:
                 assert 0 <= marginal <= 3
 
     def test_reduction_oracle_is_submodular_but_not_aon(self):
-        reduction = build_reduction(PATH, 1)
-        oracle = reduction.instance.oracle
+        inst = build_reduction(PATH, 1)
+        oracle = inst.oracle
         assert check_submodularity(oracle, [1, 2, 3]) is None
         profits = {1: 1, 2: 1, 3: 1}
         assert check_aon_property(oracle, profits, [1, 2, 3]) is not None
         with pytest.raises(OracleViolation):
-            preprocess_singletons(reduction.instance)
+            preprocess_singletons(inst)
 
 
 class TestExtractCover:
     def test_single_vertex_cover(self):
-        reduction = build_reduction(TRIANGLE, 1)
-        vertices, covered = extract_cover(reduction, Chain(1, {1: 1}))
+        vertices, covered = extract_cover(build_reduction(TRIANGLE, 1), Chain(1, {1: 1}))
         assert vertices == frozenset({0})
         assert covered == 2
 
     def test_empty_chain(self):
-        reduction = build_reduction(TRIANGLE, 2)
-        vertices, covered = extract_cover(reduction, Chain.empty(1))
+        vertices, covered = extract_cover(build_reduction(TRIANGLE, 2), Chain.empty(1))
         assert vertices == frozenset()
         assert covered == 0
 
@@ -126,17 +126,16 @@ class TestExtractCover:
             n = rng.randint(2, 8)
             graph = generate_subcubic(n, edge_prob=rng.uniform(0.3, 0.9), seed=rng.randint(0, 999))
             k = rng.randint(1, n)
-            reduction = build_reduction(graph, k)
-            _, chain = brute_force_chains(reduction.instance)
-            vertices, covered = extract_cover(reduction, chain)
+            inst = build_reduction(graph, k)
+            _, chain = brute_force_chains(inst)
+            vertices, covered = extract_cover(inst, chain)
             assert len(vertices) <= k
             best, _ = max_k_vertex_cover(graph, k)
             assert covered == best
 
     def test_infeasible_chain_rejected(self):
-        reduction = build_reduction(TRIANGLE, 1)
         with pytest.raises(InfeasibleChain):
-            extract_cover(reduction, Chain(1, {1: 1, 2: 1}))
+            extract_cover(build_reduction(TRIANGLE, 1), Chain(1, {1: 1, 2: 1}))
 
 
 class TestGenerateSubcubic:

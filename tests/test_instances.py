@@ -143,6 +143,14 @@ class TestChain:
         with pytest.raises(ValueError, match="chain horizon must be an integer"):
             Chain(horizon, {1: 1})
 
+    def test_int_subclass_insertion_time(self):
+        class P(enum.IntEnum):
+            ONE = 1
+
+        assert Chain(1, {1: P.ONE}).insertion_time(1) == 1
+        with pytest.raises(ValueError, match="insertion time must be an integer"):
+            Chain(1, {1: True})
+
     @pytest.mark.parametrize("time", [2.0, 1.5, True, "2"], ids=["float", "fraction", "bool", "string"])
     def test_non_integer_insertion_time(self, time):
         with pytest.raises(ValueError, match="insertion time must be an integer"):

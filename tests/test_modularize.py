@@ -280,27 +280,34 @@ class TestVerifySolution:
             fam = rng.choice(list(FAMILIES))
             inst = FAMILIES[fam](rng.randint(1, 8), rng.randint(1, 3), rng)
             report = solve_ik_aon(inst)
-            outcome = verify_solution(inst, report.chain, report.phi)
-            assert outcome.ok and outcome.feasible and outcome.phi == report.phi
+            assert verify_solution(inst, report.chain, report.phi, report.phi_bar) == []
 
     def test_forged_value_detected(self):
         rng = random.Random(41)
         inst = make_modular_instance(5, 2, rng)
         report = solve_ik_aon(inst)
-        outcome = verify_solution(inst, report.chain, report.phi + 1)
-        assert not outcome.ok
-        assert any("PhiMismatch" in m for m in outcome.mismatches)
+        mismatches = verify_solution(inst, report.chain, report.phi + 1, report.phi_bar)
+        assert mismatches == [f"PhiMismatch: recomputed {report.phi} != claimed {report.phi + 1}"]
+
+    def test_forged_modular_value_detected(self):
+        rng = random.Random(41)
+        inst = make_modular_instance(5, 2, rng)
+        report = solve_ik_aon(inst)
+        mismatches = verify_solution(inst, report.chain, report.phi, report.phi_bar + 2)
+        assert mismatches == [
+            f"PhiBarMismatch: recomputed {report.phi_bar} != claimed {report.phi_bar + 2}"
+        ]
 
     def test_non_nested_sets_reported(self):
         rng = random.Random(43)
         inst = make_modular_instance(3, 2, rng)
-        outcome = verify_solution(inst, [{1, 2}, {2}], 0)
-        assert not outcome.ok and not outcome.nested
-        assert any("NotNested" in m for m in outcome.mismatches)
+        mismatches = verify_solution(inst, [{1, 2}, {2}], 0, 0)
+        assert len(mismatches) == 1 and mismatches[0].startswith("NotNested: ")
 
     def test_infeasible_chain_reported(self):
         inst = Instance(
             [Item(1, 5, 2)], 1, (1,), (1,), modular_oracle({1: 2})
         )
-        outcome = verify_solution(inst, Chain(1, {1: 1}), 2)
-        assert not outcome.ok and not outcome.feasible
+        assert verify_solution(inst, Chain(1, {1: 1}), 2, 2) == [
+            "Infeasible: some period exceeds its capacity"
+        ]

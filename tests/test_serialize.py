@@ -318,7 +318,7 @@ def damaged_instance_objs(draw):
     n, horizon, seed = draw(st.integers(1, 7)), draw(st.integers(1, 3)), draw(st.integers(0, 99))
     if family == "vc-reduction":
         k = draw(st.integers(1, n))
-        inst = build_reduction(generate_subcubic(n, seed=seed), k, horizon).instance
+        inst = build_reduction(generate_subcubic(n, seed=seed), k, horizon)
     else:
         inst = FAMILIES[family](n, horizon, random.Random(seed))
     obj = json.loads(dumps_canonical(instance_to_obj(inst)))
