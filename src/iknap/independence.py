@@ -11,11 +11,11 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from operator import attrgetter
+from operator import itemgetter
 from typing import Iterable
 
 from .errors import ChainNotIndependent, NotDependent, OracleViolation, SolverFailure
-from .instances import Chain, Instance
+from .instances import Chain, Instance, Item
 from .oracles import (
     EXCHANGE_EXHAUSTIVE_LIMIT,
     _CHECKER_SEED,
@@ -72,19 +72,28 @@ def min_weight_basis(inst: Instance, class_items: Iterable[int]) -> ClassBasis:
     """Greedy basis of a profit class: weight-ascending, smallest id on ties.
 
     The independent subsets of a single profit class form a matroid, so the
-    greedy output is maximal and of minimum total weight.  The basis B stays
-    independent, so gamma(B) = p(B) and B + i is independent exactly when
-    the gain of i over B is p_i; a larger gain means gamma(B + i) > p(B + i)
-    and raises OracleViolation.  Costs exactly one oracle query per class
-    item: an incremental gain, or evaluate(B + i) for oracles without a
-    grower.
+    greedy output is maximal and of minimum total weight.  Sorts the class
+    by id, then stably by weight, and runs the loop modularize shares.
     """
-    gain, add = grower_for(inst.oracle)
+    order = sorted(map(inst.item, class_items), key=itemgetter(0))
+    order.sort(key=itemgetter(1))
+    return _greedy_basis(inst.oracle, order)
+
+
+def _greedy_basis(oracle, run: Iterable[Item]) -> ClassBasis:
+    """The greedy basis of items given in (weight, id) order, grown from empty.
+
+    The basis B stays independent, so gamma(B) = p(B) and B + i is
+    independent exactly when the gain of i over B is p_i; a larger gain
+    means gamma(B + i) > p(B + i) and raises OracleViolation.  Costs
+    exactly one oracle query per item: an incremental gain, or
+    evaluate(B + i) for oracles without a grower.
+    """
+    gain, add = grower_for(oracle)
     basis: list[int] = []
     value = 0
     weight = 0
-    for it in sorted(map(inst.item, class_items), key=attrgetter("weight", "id")):
-        i, p = it.id, it.profit
+    for i, w, p in run:
         g = gain(i)
         if g > p:
             raise OracleViolation(
@@ -95,7 +104,7 @@ def min_weight_basis(inst: Instance, class_items: Iterable[int]) -> ClassBasis:
             add(i)
             basis.append(i)
             value += p
-            weight += it.weight
+            weight += w
     return ClassBasis(frozenset(basis), weight)
 
 

@@ -13,6 +13,7 @@ across threads.
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import InvalidInstance, OracleViolation, UnknownItemId
@@ -136,7 +137,7 @@ class Instance:
 
     @property
     def item_ids(self) -> tuple[int, ...]:
-        return tuple(it.id for it in self.items)
+        return tuple(map(itemgetter(0), self.items))
 
     def item(self, item_id: int) -> Item:
         try:

@@ -11,17 +11,18 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from itertools import groupby
+from operator import itemgetter
 from typing import Iterable, Sequence
 
 from .errors import InfeasibleInternal, LimitsExceeded, OracleViolation, SolverFailure
-from .independence import ClassBasis, min_weight_basis
+from .independence import ClassBasis, _greedy_basis
 from .instances import (
     Chain,
     Instance,
     ensure_valid,
     is_feasible,
     preprocess_singletons,
-    profit_partition,
     profit_phi,
     profit_phi_bar,
 )
@@ -53,17 +54,21 @@ def modularize(inst: Instance) -> ModularizedInstance:
     """Restrict to the union of per-class minimum-weight greedy bases.
 
     Expects a validated, singleton-preprocessed instance.  Costs one sort
-    per class plus exactly one oracle query per item: an incremental gain
-    for the built-in modular and matroid-rank-sum oracles, so the whole
-    reduction is linear in n up to the sort, and evaluate(B + i) for any
-    other oracle.
+    by (profit, weight, id), in which each class is a run, grown from empty
+    in increasing class profit, plus exactly one oracle query per item: an
+    incremental gain for the built-in modular and matroid-rank-sum oracles,
+    so the whole reduction is linear in n up to the sort, and
+    evaluate(B + i) for any other oracle.
     """
-    bases = tuple(min_weight_basis(inst, members) for _, members in profit_partition(inst))
-    kept = sorted(i for basis in bases for i in basis.members)
-    items = [inst.item(i) for i in kept]
-    oracle = modular_oracle({it.id: it.profit for it in items})
+    by_id = sorted(inst.items, key=itemgetter(0))
+    order = sorted(by_id, key=itemgetter(1))
+    order.sort(key=itemgetter(2))
+    bases = tuple(_greedy_basis(inst.oracle, run) for _, run in groupby(order, itemgetter(2)))
+    kept = frozenset().union(*[basis.members for basis in bases])
+    items = [it for it in by_id if it[0] in kept]
+    oracle = modular_oracle({i: p for i, _, p in items})
     ik = Instance(items, inst.horizon, inst.capacities, inst.deltas, oracle)
-    return ModularizedInstance(ik=ik, kept_ids=tuple(kept), bases=bases)
+    return ModularizedInstance(ik=ik, kept_ids=ik.item_ids, bases=bases)
 
 
 @dataclass

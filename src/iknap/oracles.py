@@ -90,6 +90,9 @@ class AggregationOracle:
     Reading call_count ticks the counter too, so the read takes a lock and
     subtracts the ticks of all reads so far.
 
+    descriptor may be a zero-argument function instead of a dict; the
+    first read of the descriptor attribute calls it, and a solve never does.
+
     make_grower, if given, is a zero-argument factory that returns a fresh
     (gain, add) pair over a set B that starts empty, so the oracle keeps no
     state between calls; the modular and matroid-rank-sum families supply
@@ -97,20 +100,27 @@ class AggregationOracle:
     factory, gains go through evaluate().
     """
 
-    __slots__ = ("_fn", "descriptor", "_ticks", "_reads", "_lock", "_make_grower")
+    __slots__ = ("_fn", "_descriptor", "_ticks", "_reads", "_lock", "_make_grower")
 
     def __init__(
         self,
         fn: Callable[[frozenset], int],
-        descriptor: dict,
+        descriptor: "dict | Callable[[], dict]",
         make_grower: "Callable[[], tuple[Callable, Callable]] | None" = None,
     ):
         self._fn = fn
-        self.descriptor = descriptor
+        self._descriptor = descriptor
         self._ticks = itertools.count()
         self._reads = 0
         self._lock = threading.Lock()
         self._make_grower = make_grower
+
+    @property
+    def descriptor(self) -> dict:
+        with self._lock:  # so two threads reading it first get one dict
+            if callable(self._descriptor):
+                self._descriptor = self._descriptor()
+            return self._descriptor
 
     def evaluate(self, items: Iterable[int]) -> int:
         s = frozenset(items)
@@ -432,10 +442,10 @@ def matroid_rank_sum_oracle(
 
         return gain, add
 
-    descriptor = {
-        "kind": "matroid_rank_sum",
-        "classes": [{"profit": p, "matroid": spec.to_obj()} for p, spec in specs],
-    }
+    def descriptor() -> dict:
+        classes = [{"profit": p, "matroid": spec.to_obj()} for p, spec in specs]
+        return {"kind": "matroid_rank_sum", "classes": classes}
+
     return AggregationOracle(fn, descriptor, make_grower)
 
 

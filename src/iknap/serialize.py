@@ -11,6 +11,9 @@ but written through json's C encoder, which indent=2 would bypass.
 from __future__ import annotations
 
 import json
+from functools import lru_cache
+from itertools import repeat
+from json.encoder import encode_basestring_ascii
 from typing import Sequence
 
 from .instances import Chain, Instance, Item
@@ -27,7 +30,8 @@ def dumps_canonical(obj) -> str:
 
     indent=2 sends json.dumps to its pure-Python encoder.  Here dicts and
     lists are laid out in Python, and each scalar, and each list of
-    scalars, is written by one call to the C encoder.
+    scalars, is written by one call to the C encoder; the encoder for a
+    list at one indent is built once.
     """
     parts: list[str] = []
     _dump(obj, "\n", parts)
@@ -44,7 +48,8 @@ def _dump(obj, newline: str, parts: list[str]) -> None:
         inner = newline + "  "
         sep = "{" + inner
         for key, value in sorted(obj.items()):
-            parts.append(sep + json.dumps(key if isinstance(key, str) else _key(key)) + ": ")
+            key = key if isinstance(key, str) else _key(key)
+            parts.append(sep + encode_basestring_ascii(key) + ": ")
             _dump(value, inner, parts)
             sep = "," + inner
         parts.append(newline + "}")
@@ -54,7 +59,7 @@ def _dump(obj, newline: str, parts: list[str]) -> None:
             return
         inner = newline + "  "
         if {*map(type, obj)} <= _SCALARS:
-            text = json.dumps(obj, separators=("," + inner, ": "))
+            text = _list_encoder(inner)(obj)
             parts.append("[" + inner + text[1:-1] + newline + "]")
             return
         sep = "[" + inner
@@ -65,6 +70,12 @@ def _dump(obj, newline: str, parts: list[str]) -> None:
         parts.append(newline + "]")
     else:
         parts.append(json.dumps(obj))
+
+
+@lru_cache(maxsize=None)
+def _list_encoder(inner: str):
+    """json.dumps(values, separators=("," + inner, ": ")), built once per nesting depth."""
+    return json.JSONEncoder(separators=("," + inner, ": ")).encode
 
 
 def _key(key) -> str:
@@ -96,7 +107,8 @@ def instance_from_obj(obj: dict) -> Instance:
     profits = obj["profits"]
     if len(weights) != n or len(profits) != n:
         raise ValueError(f"weights/profits arrays must have length n={n}")
-    items = [Item(i + 1, weights[i], profits[i]) for i in range(n)]
+    # tuple.__new__ builds each Item in C, where Item() runs a Python __new__.
+    items = list(map(tuple.__new__, repeat(Item), zip(range(1, n + 1), weights, profits)))
     oracle = oracle_from_descriptor(obj["oracle"], dict(zip(range(1, n + 1), profits)))
     horizon = _integer(obj["T"], "T")
     return Instance(items, horizon, obj["capacities"], obj["deltas"], oracle)

@@ -16,6 +16,7 @@ import random
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from itertools import accumulate
+from operator import itemgetter
 from typing import Iterator, Mapping, Sequence
 
 from .errors import BudgetExceeded, LimitsExceeded
@@ -306,9 +307,10 @@ def solve_heuristic(
 ) -> SolveResult:
     """Density greedy plus first-improvement local search.
 
-    The greedy inserts items at their earliest feasible period: weight-0
-    items first, then by p*D_1/w descending, ties by id.  The density is
-    read as the integer ceil(p*D_1 * 2^s / w), s = 2*bit_length(max w).
+    The greedy inserts items at their earliest feasible period, in one pass:
+    weight-0 items first, then by p*D_1/w descending, ties by id, ranked by
+    one stable sort of the id-ordered items on their precomputed keys.  The
+    density is read as the integer ceil(p*D_1 * 2^s / w), s = 2*bit_length(max w).
     Two distinct densities with weights <= max w differ by at least
     1/max w^2, which exceeds 2^-s, so their scaled values differ by more
     than 1 and their ceilings keep the order, while equal densities get
@@ -349,16 +351,21 @@ def solve_heuristic(
             resid[s] += w
         return t
 
-    weightless = [active[i] for i in sorted(active) if active[i].weight == 0]
-    s = 2 * max((it.weight for it in active.values()), default=0).bit_length()
-    weighted = sorted(
-        (it for it in active.values() if it.weight),
-        key=lambda it: (-(it.profit * dsum[0] << s) // it.weight, it.id),
-    )
-    for it in weightless + weighted:
-        t = earliest_period(resid, it.weight)
-        if t is not None:
-            insert(it.id, t)
+    by_id = sorted(active.values(), key=itemgetter(0))
+    weighted = [it for it in by_id if it[1]]
+    d1 = dsum[0]
+    s = 2 * max([w for _, w, _ in weighted], default=0).bit_length()
+    keys = [-(p * d1 << s) // w for _, w, p in weighted]
+    order = [it for it in by_id if not it[1]]
+    order += map(weighted.__getitem__, sorted(range(len(weighted)), key=keys.__getitem__))
+    for i, w, _ in order:  # earliest_period and insert, inlined
+        t = horizon
+        while t and resid[t - 1] >= w:
+            t -= 1
+        if t < horizon:
+            for u in range(t, horizon):
+                resid[u] -= w
+            time_of[i] = t
 
     tried = 0
     budget = limits.local_search_budget
@@ -421,7 +428,7 @@ def solve_heuristic(
             insert(a, old)
 
     chain = Chain(horizon, {i: t + 1 for i, t in time_of.items()})
-    value = sum(active[i].profit * dsum[t] for i, t in time_of.items())
+    value = sum([active[i].profit * dsum[t] for i, t in time_of.items()])
     return SolveResult(chain=chain, value=value, optimal=False, nodes=tried, solver="heuristic")
 
 

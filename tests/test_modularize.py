@@ -15,6 +15,7 @@ from iknap import (
     Item,
     LimitsExceeded,
     MatroidSpec,
+    OracleViolation,
     SolveLimits,
     SolveResult,
     brute_force_chains,
@@ -23,6 +24,7 @@ from iknap import (
     is_independent,
     iter_feasible_chains,
     matroid_rank_sum_oracle,
+    min_weight_basis,
     modular_oracle,
     modularize,
     oracle_from_descriptor,
@@ -142,6 +144,72 @@ class TestEvaluateFallback:
                         grown.add(i)
             assert proxy.asked[: len(expected)] == expected
             assert len(proxy.asked) == 2 * len(inst) - len(dropped)
+
+
+def _renamed_matroid(obj, new_id):
+    if obj["kind"] == "uniform":
+        return {**obj, "ground": [new_id[i] for i in obj["ground"]]}
+    if obj["kind"] == "partition":
+        groups = [{**g, "members": [new_id[i] for i in g["members"]]} for g in obj["groups"]]
+        return {**obj, "groups": groups}
+    return {**obj, "edges": [{**e, "item": new_id[e["item"]]} for e in obj["edges"]]}
+
+
+def renamed_and_shuffled(inst, rng):
+    """inst with scattered, partly negative ids, its items shuffled, its oracle rebuilt."""
+    new_id = dict(zip(inst.item_ids, rng.sample(range(-3 * len(inst), 3 * len(inst)), len(inst))))
+    items = [Item(new_id[i], w, p) for i, w, p in inst.items]
+    rng.shuffle(items)
+    descriptor = inst.oracle.descriptor
+    if descriptor["kind"] == "matroid_rank_sum":
+        classes = [
+            {**c, "matroid": _renamed_matroid(c["matroid"], new_id)}
+            for c in descriptor["classes"]
+        ]
+        descriptor = {**descriptor, "classes": classes}
+    oracle = oracle_from_descriptor(descriptor, {it.id: it.profit for it in items})
+    return Instance(items, inst.horizon, inst.capacities, inst.deltas, oracle)
+
+
+class TestPerClassDefinition:
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    def test_modularize_is_min_weight_basis_over_profit_partition(self, family):
+        for seed in range(5):
+            rng = random.Random(seed)
+            inst = renamed_and_shuffled(make_family_instance(family, 40, 2, rng), rng)
+            reduced, _ = preprocess_singletons(inst)
+            ref = with_oracle(
+                reduced, oracle_from_descriptor(reduced.oracle.descriptor, reduced.profits_by_id)
+            )
+            before = ref.oracle.call_count
+            bases = tuple(min_weight_basis(ref, ids) for _, ids in profit_partition(ref))
+            ref_calls = ref.oracle.call_count - before
+            kept = tuple(sorted(i for basis in bases for i in basis.members))
+            before = reduced.oracle.call_count
+            mod = modularize(reduced)
+            assert reduced.oracle.call_count - before == ref_calls == len(reduced)
+            assert mod.bases == bases
+            assert mod.kept_ids == kept
+            assert mod.ik.items == tuple(reduced.item(i) for i in kept)
+
+    def test_gain_above_profit_raises_the_same_violation(self):
+        # Classes {1, 2} at profit 1 and {-3, 7} at profit 5; the pair {-3, 7}
+        # is worth 100 more than its profit sum.
+        profits = {1: 1, 2: 1, -3: 5, 7: 5}
+
+        def fn(s):
+            return sum(profits[i] for i in s) + (100 if {-3, 7} <= s else 0)
+
+        items = [Item(7, 2, 5), Item(2, 1, 1), Item(-3, 2, 5), Item(1, 1, 1)]
+        inst = Instance(items, 1, (10,), (1,), AggregationOracle(fn, {"kind": "pair-bonus"}))
+        message = (
+            "gamma(S) = 110 > p(S) = 10 for S=[-3, 7]; "
+            "oracle is outside the all-or-nothing class"
+        )
+        for reduce in (modularize, lambda inst: min_weight_basis(inst, {7, -3})):
+            with pytest.raises(OracleViolation) as exc:
+                reduce(inst)
+            assert str(exc.value) == message
 
 
 class TestIncrementalScale:

@@ -9,6 +9,7 @@ import pytest
 
 from iknap import (
     AggregationOracle,
+    Instance,
     MatroidSpec,
     OverlappingClasses,
     UnknownItemId,
@@ -21,7 +22,9 @@ from iknap import (
     matroid_rank_sum_oracle,
     modular_oracle,
     oracle_from_descriptor,
+    solve_ik_aon,
 )
+from iknap.oracles import GraphicMatroid, PartitionMatroid, UniformMatroid
 from helpers import subsets, supermodular_oracle
 
 
@@ -513,3 +516,25 @@ class TestDescriptors:
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
             oracle_from_descriptor({"kind": "mystery"}, {})
+
+    @pytest.mark.parametrize(
+        "family", ["uniform-classes", "partition-classes", "graphic-classes"]
+    )
+    def test_rank_sum_descriptor_is_built_on_first_read(self, family, monkeypatch):
+        inst = make_family_instance(family, 30, 2, random.Random(3))
+        descriptor = inst.oracle.descriptor
+        built = []
+        for kind in (UniformMatroid, PartitionMatroid, GraphicMatroid):
+            to_obj = kind.to_obj
+            monkeypatch.setattr(
+                kind, "to_obj", lambda spec, to_obj=to_obj: built.append(spec) or to_obj(spec)
+            )
+        oracle = oracle_from_descriptor(descriptor, inst.profits_by_id)
+        solve_ik_aon(
+            Instance(inst.items, inst.horizon, inst.capacities, inst.deltas, oracle), "heuristic"
+        )
+        assert built == []
+        assert oracle.descriptor == descriptor
+        assert len(built) == len(descriptor["classes"])
+        assert oracle.descriptor is oracle.descriptor
+        assert len(built) == len(descriptor["classes"])

@@ -730,6 +730,31 @@ class TestSolveHeuristic:
         assert (result.value, result.nodes, draws) == (11, 3, [])
 
 
+class TestItemOrder:
+    @pytest.mark.parametrize("seed", range(12))
+    def test_shuffled_items_give_the_same_chain(self, seed):
+        # Weights 0..3 and profits 1..3 make weight-0 items and equal densities
+        # common; ids are scattered and partly negative.
+        rng = random.Random(seed)
+        n = 12 if seed % 2 else 40
+        ids = rng.sample(range(-50, 50), n)
+        items = [Item(i, rng.randint(0, 3), rng.randint(1, 3)) for i in ids]
+        horizon = rng.randint(1, 3)
+        caps = sorted(rng.randint(0, 2 * n) for _ in range(horizon))
+        deltas = [rng.randint(0, 2) for _ in range(horizon)] if seed % 3 else [0] * horizon
+        solves = [lambda inst: solve_heuristic(inst, seed=seed)]
+        if n <= SolveLimits().max_n_exact:
+            solves.append(solve_exact)
+        for solve in solves:
+            expected = solve(modular(sorted(items), horizon, caps, deltas))
+            for _ in range(4):
+                rng.shuffle(items)
+                got = solve(modular(items, horizon, caps, deltas))
+                assert (got.chain, got.value, got.nodes) == (
+                    expected.chain, expected.value, expected.nodes
+                )
+
+
 class TestBruteForce:
     def test_no_items(self):
         value, chain = brute_force_chains(ik([], [3], [1]))
