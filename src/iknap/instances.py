@@ -317,7 +317,8 @@ def preprocess_singletons(inst: Instance) -> tuple[Instance, tuple[int, ...]]:
     submodularity), so removing it preserves the optimal value.  Any
     singleton value other than 0 or p_i breaks the all-or-nothing contract.
     Makes one oracle query per item: the gain of i over the empty set, which
-    is evaluate({i}) for oracles without an incremental grower.
+    is evaluate({i}) for oracles without an incremental grower.  Returns
+    inst itself when nothing is dropped.
     """
     kept: list[Item] = []
     dropped: list[int] = []
@@ -332,5 +333,6 @@ def preprocess_singletons(inst: Instance) -> tuple[Instance, tuple[int, ...]]:
             raise OracleViolation(
                 f"gamma({{{it.id}}}) = {g}, expected 0 or p_{it.id} = {it.profit}"
             )
-    reduced = Instance(kept, inst.horizon, inst.capacities, inst.deltas, inst.oracle)
-    return reduced, tuple(dropped)
+    if not dropped:
+        return inst, ()
+    return Instance(kept, inst.horizon, inst.capacities, inst.deltas, inst.oracle), tuple(dropped)

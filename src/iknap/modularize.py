@@ -116,10 +116,12 @@ def solve_ik_aon(
 
     "auto" runs the exact solver and, when the kept item count or horizon
     exceeds its limits, the heuristic instead.  The returned chain is over
-    original item ids and is always re-verified: feasibility against the
-    original capacities, and the oracle profit recomputed from scratch,
-    which must equal the modular profit.  A mismatch means the oracle broke
-    the all-or-nothing contract.
+    original item ids, and verify_solution rechecks it against the original
+    instance with the solver's value claimed as phi and phi_bar.  A
+    PhiMismatch alone (the chain fits, its profit sum is right) means the
+    oracle broke the all-or-nothing contract: OracleViolation.  Any other
+    mismatch is the solver's fault: InfeasibleInternal.  Both messages name
+    the solver and carry the mismatch lines.
     """
     limits = limits or SolveLimits()
     started = time.perf_counter()
@@ -128,31 +130,20 @@ def solve_ik_aon(
     reduced, dropped = preprocess_singletons(inst)
     mod = modularize(reduced)
     result = _run_ik_solver(solver, mod.ik, limits, seed)
-    chain = result.chain
-    if not is_feasible(inst, chain):
-        raise InfeasibleInternal(
-            f"solver {result.solver!r} returned an infeasible chain: {chain!r}"
-        )
-    phi_bar = profit_phi_bar(inst.profits_by_id, inst.deltas, chain)
-    if phi_bar != result.value:
-        raise InfeasibleInternal(
-            f"solver {result.solver!r} misreported its value: {result.value} != {phi_bar}"
-        )
-    phi = profit_phi(inst, chain)
-    if phi != phi_bar:
-        raise OracleViolation(
-            f"oracle profit {phi} != modular profit {phi_bar} on the kept items; "
-            "the aggregation oracle violates the all-or-nothing contract"
-        )
-    elapsed_ms = (time.perf_counter() - started) * 1000.0
+    mismatches = verify_solution(inst, result.chain, result.value, result.value)
+    if mismatches:
+        failed = f"solver {result.solver!r} failed its recheck: {'; '.join(mismatches)}"
+        if len(mismatches) > 1 or not mismatches[0].startswith("PhiMismatch"):
+            raise InfeasibleInternal(failed)
+        raise OracleViolation(f"{failed}; the oracle violates the all-or-nothing contract")
     return SolveReport(
-        phi=phi,
-        phi_bar=phi_bar,
+        phi=result.value,
+        phi_bar=result.value,
         oracle_calls=inst.oracle.call_count - calls_before,
         kept_items=mod.kept_ids,
-        chain=chain,
+        chain=result.chain,
         solver=result.solver,
-        elapsed_ms=elapsed_ms,
+        elapsed_ms=(time.perf_counter() - started) * 1000.0,
         dropped_items=dropped,
     )
 

@@ -81,3 +81,17 @@ def random_independent_chain(inst, class_items, horizon, rng: random.Random) -> 
             final.add(i)
     times = {i: rng.randint(1, horizon) for i in final}
     return Chain(horizon, times)
+
+
+# A 2-item coverage instance whose every singleton equals its profit, so
+# preprocessing and modularize keep both items, but gamma({1, 2}) = 2 < p = 3:
+# the contract breaks only on the solver's chain {1, 2}, at the recheck.
+RECHECK_ONLY_VIOLATION = {
+    "n": 2,
+    "T": 1,
+    "weights": [1, 1],
+    "profits": [1, 2],
+    "capacities": [2],
+    "deltas": [1],
+    "oracle": {"kind": "coverage", "edges": [[0, 1], [1, 2]], "items": [1, 2], "vertices": [0, 1]},
+}

@@ -12,6 +12,7 @@ import pytest
 from iknap.cli import main
 from iknap.serialize import chain_from_obj, load_instance
 from iknap import Chain, is_feasible, profit_phi, profit_phi_bar, validate_instance
+from helpers import RECHECK_ONLY_VIOLATION
 
 
 def run(*argv):
@@ -224,6 +225,26 @@ class TestSolveAndVerify:
         run("reduce-vc", "--graph", graph, "--k", 1, "--out", inst, "--quiet")
         assert run("solve", "--instance", inst, "--out", tmp_path / "r.json",
                    "--quiet") == 2
+
+    def test_oracle_violation_at_the_recheck_exits_2(self, tmp_path, capsys):
+        inst = tmp_path / "pair.json"
+        inst.write_text(json.dumps(RECHECK_ONLY_VIOLATION))
+        report_path = tmp_path / "r.json"
+        assert run("solve", "--instance", inst, "--out", report_path) == 2
+        assert capsys.readouterr().err.startswith("oracle-contract violation:")
+        assert not report_path.exists()
+
+    def test_verify_rejects_the_modular_value_on_that_chain(self, tmp_path, capsys):
+        inst = tmp_path / "pair.json"
+        inst.write_text(json.dumps(RECHECK_ONLY_VIOLATION))
+        report_path = tmp_path / "r.json"
+        report_path.write_text(json.dumps(
+            {"phi": 3, "phi_bar": 3, "chain": {"insertion_times": [1, 1]}}
+        ))
+        assert run("verify", "--instance", inst, "--report", report_path) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "PhiMismatch: recomputed 2 != claimed 3"
+        ]
 
     def test_oversized_exact_exits_3(self, tmp_path):
         inst = tmp_path / "big.json"

@@ -31,6 +31,7 @@ from iknap.generators import (
     make_partition_classes_instance,
     make_uniform_classes_instance,
 )
+from iknap.oracles import EXCHANGE_EXHAUSTIVE_LIMIT
 from helpers import (
     exchange_breaking_oracle,
     maximal_independent_subsets,
@@ -247,6 +248,27 @@ class TestMatroidExchange:
         assert witness is not None
         s, s2, a = witness
         assert len(s) < len(s2) and s <= a and s2 <= a
+        assert not any(is_independent(inst, s | {j}) for j in s2 - s)
+
+
+    def test_sampled_matroid_class_passes(self):
+        inst = uniform_class(10, 4)
+        assert 10 > EXCHANGE_EXHAUSTIVE_LIMIT
+        assert check_matroid_exchange(inst, range(1, 11)) is None
+
+    def test_sampled_non_matroid_class_breaks_exchange(self):
+        # Independent: at most one item, or any subset of {1..5}.  Then {j}
+        # for j > 5 cannot grow from {1, 2}, though that pair is larger.
+        low = frozenset(range(1, 6))
+        oracle = AggregationOracle(
+            lambda s: max(len(s & low), min(len(s), 1)), {"kind": "adversarial-exchange"}
+        )
+        inst = single_class_instance(oracle, 10, profit=1)
+        witness = check_matroid_exchange(inst, range(1, 11))
+        assert witness is not None
+        s, s2, a = witness
+        assert len(s) < len(s2) and s <= a and s2 <= a
+        assert is_independent(inst, s) and is_independent(inst, s2)
         assert not any(is_independent(inst, s | {j}) for j in s2 - s)
 
 

@@ -138,6 +138,14 @@ class TestChain:
         with pytest.raises(ValueError):
             Chain(2, {1: 3})
 
+    @pytest.mark.parametrize("t", [0, 4])
+    def test_set_at_outside_the_horizon(self, t):
+        chain = Chain(3, {1: 2})
+        with pytest.raises(ValueError) as exc:
+            chain.set_at(t)
+        assert str(exc.value) == f"period {t} outside 1..3"
+        assert [chain.set_at(u) for u in (1, 2, 3)] == chain.sets()
+
     @pytest.mark.parametrize("horizon", [2.5, 3.0, True, "3"], ids=["fraction", "float", "bool", "string"])
     def test_non_integer_horizon(self, horizon):
         with pytest.raises(ValueError, match="chain horizon must be an integer"):
@@ -170,6 +178,22 @@ class TestFeasibility:
         inst = modular_instance([2], [1], [2], [1])
         with pytest.raises(UnknownItemId):
             is_feasible(inst, Chain(1, {7: 1}))
+
+    def test_item_lookup_by_unknown_id_raises(self):
+        inst = modular_instance([2, 3], [1, 4], [5], [1])
+        with pytest.raises(UnknownItemId) as exc:
+            inst.item(7)
+        assert str(exc.value) == "item id 7 not in instance"
+        assert inst.item(2) == Item(2, 3, 4)
+
+    @pytest.mark.parametrize("check, right", [(is_feasible, True), (profit_phi, 2)])
+    @pytest.mark.parametrize("horizon", [1, 3])
+    def test_wrong_horizon_chain_raises(self, check, right, horizon):
+        inst = modular_instance([2, 3], [1, 4], [5, 5], [1, 1])
+        with pytest.raises(ValueError) as exc:
+            check(inst, Chain(horizon, {1: 1}))
+        assert str(exc.value) == f"chain horizon {horizon} != instance horizon 2"
+        assert check(inst, Chain(2, {1: 1})) == right
 
     def test_matches_direct_summation(self):
         rng = random.Random(5)
@@ -259,6 +283,13 @@ class TestProfits:
         with pytest.raises(UnknownItemId):
             profit_phi_bar({1: 5}, [1], Chain(1, {2: 1}))
 
+    @pytest.mark.parametrize("horizon", [1, 3])
+    def test_phi_bar_wrong_horizon_chain_raises(self, horizon):
+        with pytest.raises(ValueError) as exc:
+            profit_phi_bar({1: 5}, [1, 2], Chain(horizon, {1: 1}))
+        assert str(exc.value) == f"chain horizon {horizon} != len(deltas)=2"
+        assert profit_phi_bar({1: 5}, [1, 2], Chain(2, {1: 1})) == 15
+
 
 class TestProfitClasses:
     def test_grouping_by_equality(self):
@@ -291,11 +322,13 @@ class TestProfitClasses:
 
 
 class TestPreprocessSingletons:
-    def test_modular_drops_nothing(self):
+    def test_modular_drops_nothing_and_returns_the_instance_itself(self):
         inst = modular_instance([1, 2], [3, 4], [3, 3], [1, 1])
+        before = inst.oracle.call_count
         reduced, dropped = preprocess_singletons(inst)
         assert dropped == ()
-        assert reduced.item_ids == inst.item_ids
+        assert reduced is inst
+        assert inst.oracle.call_count - before == len(inst)
 
     def test_zero_marginal_item_dropped_and_optimum_unchanged(self):
         # class {3} sits behind a cap-0 matroid: gamma({3}) = 0

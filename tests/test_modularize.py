@@ -1,6 +1,8 @@
 """The reduction pipeline: modularize, solve end to end, verify."""
 
 import dataclasses
+import hashlib
+import importlib
 import random
 
 import pytest
@@ -44,6 +46,12 @@ from iknap.generators import (
     make_modular_instance,
     make_uniform_classes_instance,
 )
+from iknap.modularize import SOLVERS
+from iknap.serialize import dumps_canonical, instance_from_obj, report_to_obj
+from helpers import RECHECK_ONLY_VIOLATION
+
+# iknap.modularize, the module: the package attribute of that name is the function.
+pipeline = importlib.import_module("iknap.modularize")
 
 
 class TestModularize:
@@ -233,7 +241,29 @@ def test_unknown_family_names_only_the_random_families(family):
     assert str(exc.value).endswith(f"known: {sorted(FAMILIES)}")
 
 
+PINNED_REPORTS = [
+    # family, solver, and the first 12 hex digits of the SHA-256 of the
+    # canonical report less elapsed_ms; graphic and modular drop no item,
+    # partition and uniform drop two.
+    ("graphic-classes", "exact", "7f8d2a5b58bb"),
+    ("graphic-classes", "heuristic", "b94ea0632100"),
+    ("modular", "exact", "2075651c3a3e"),
+    ("modular", "heuristic", "baa8f510ee2b"),
+    ("partition-classes", "exact", "a407731179c5"),
+    ("partition-classes", "heuristic", "5bf626ac42fd"),
+    ("uniform-classes", "exact", "6110b327100d"),
+    ("uniform-classes", "heuristic", "8e32a1675813"),
+]
+
+
 class TestSolveIkAon:
+    @pytest.mark.parametrize("family, solver, expected", PINNED_REPORTS)
+    def test_report_is_pinned(self, family, solver, expected):
+        inst = make_family_instance(family, 12, 3, random.Random(f"{family}/report"))
+        obj = report_to_obj(solve_ik_aon(inst, solver, seed=7), inst.item_ids)
+        del obj["elapsed_ms"]
+        assert hashlib.sha256(dumps_canonical(obj).encode()).hexdigest()[:12] == expected
+
     def test_matroid_rank_instances_match_greedy_chain(self):
         rng = random.Random(7)
         for _ in range(25):
@@ -333,12 +363,54 @@ class TestSolveIkAon:
                 chain=overfull, value=10**9, optimal=True, nodes=0, solver=name
             )
 
-        import importlib
-
-        pipeline = importlib.import_module("iknap.modularize")
         monkeypatch.setattr(pipeline, "_run_ik_solver", broken)
         with pytest.raises(InfeasibleInternal):
             solve_ik_aon(inst)
+
+    @pytest.mark.parametrize("solver", SOLVERS)
+    def test_misreported_value_is_an_internal_failure(self, monkeypatch, solver):
+        inst = make_modular_instance(6, 2, random.Random(31))
+        run = pipeline._run_ik_solver
+
+        def misreports(name, ik, limits, seed):
+            result = run(name, ik, limits, seed)
+            assert is_feasible(inst, result.chain)  # only the value is wrong
+            return dataclasses.replace(result, value=result.value + 1)
+
+        monkeypatch.setattr(pipeline, "_run_ik_solver", misreports)
+        with pytest.raises(InfeasibleInternal):
+            solve_ik_aon(inst, solver)
+
+    @pytest.mark.parametrize("solver", SOLVERS)
+    def test_contract_broken_only_on_the_chain_is_an_oracle_violation(self, solver):
+        inst = instance_from_obj(RECHECK_ONLY_VIOLATION)
+        assert preprocess_singletons(inst)[1] == ()  # every singleton equals its profit
+        with pytest.raises(OracleViolation):
+            solve_ik_aon(inst, solver)
+
+    def test_recheck_failures_name_the_solver_and_the_mismatch_lines(self, monkeypatch):
+        inst = instance_from_obj(RECHECK_ONLY_VIOLATION)
+        with pytest.raises(OracleViolation) as exc:
+            solve_ik_aon(inst, "exact")
+        assert str(exc.value) == (
+            "solver 'exact' failed its recheck: PhiMismatch: recomputed 2 != claimed 3; "
+            "the oracle violates the all-or-nothing contract"
+        )
+        inst = make_modular_instance(6, 2, random.Random(31))
+        value = solve_ik_aon(inst, "exact").phi
+        run = pipeline._run_ik_solver
+        monkeypatch.setattr(
+            pipeline,
+            "_run_ik_solver",
+            lambda *args: dataclasses.replace(run(*args), value=value + 1),
+        )
+        with pytest.raises(InfeasibleInternal) as exc:
+            solve_ik_aon(inst, "exact")
+        assert str(exc.value) == (
+            "solver 'exact' failed its recheck: "
+            f"PhiMismatch: recomputed {value} != claimed {value + 1}; "
+            f"PhiBarMismatch: recomputed {value} != claimed {value + 1}"
+        )
 
 
 class TestVerifySolution:

@@ -24,7 +24,12 @@ from iknap import (
     oracle_from_descriptor,
     solve_ik_aon,
 )
-from iknap.oracles import GraphicMatroid, PartitionMatroid, UniformMatroid
+from iknap.oracles import (
+    SUBMODULAR_EXHAUSTIVE_LIMIT,
+    GraphicMatroid,
+    PartitionMatroid,
+    UniformMatroid,
+)
 from helpers import subsets, supermodular_oracle
 
 
@@ -343,6 +348,27 @@ class TestCheckers:
         assert witness is not None
         s, t, i = witness
         assert s <= t and i not in t
+
+    def test_decrease_is_a_monotonicity_counterexample(self):
+        values = {frozenset(): 0, frozenset({1}): 2, frozenset({2}): 1, frozenset({1, 2}): 1}
+        oracle = AggregationOracle(values.__getitem__, {"kind": "adversarial-decreasing"})
+        s, t, i = check_submodularity(oracle, [1, 2])
+        assert t == s | {i} and i not in s
+        assert oracle.evaluate(t) < oracle.evaluate(s)
+
+    def test_sampled_decrease_is_found_above_size_ten(self):
+        oracle = AggregationOracle(lambda s: 20 - len(s), {"kind": "adversarial-decreasing"})
+        assert 11 > SUBMODULAR_EXHAUSTIVE_LIMIT
+        s, t, _ = check_submodularity(oracle, range(1, 12))
+        assert s <= t and oracle.evaluate(s) > oracle.evaluate(t)
+
+    def test_sampled_supermodular_counterexample_above_size_ten(self):
+        oracle = AggregationOracle(lambda s: len(s) ** 2, {"kind": "adversarial-supermodular"})
+        s, t, i = check_submodularity(oracle, range(1, 12))
+        assert s <= t and i not in t
+        assert oracle.evaluate(s) <= oracle.evaluate(t)  # monotone: only the marginal fails
+        gain = oracle.evaluate(s | {i}) - oracle.evaluate(s)
+        assert gain < oracle.evaluate(t | {i}) - oracle.evaluate(t)
 
     def test_exhaustive_at_the_size_ten_threshold(self):
         rng = random.Random(8)

@@ -715,6 +715,19 @@ class TestSolveHeuristic:
             got.append((result.value, result.nodes, chain_digest(result.chain)))
         assert tuple(got) == expected
 
+    def test_swap_frees_room_for_a_shift(self):
+        # The greedy (4, 5 and 6 at period 1, 3 at 2) leaves no room for a
+        # shift or an insert.  Swapping 6 out for 1 at period 3 frees 3 units
+        # at period 1, and shifting 3 from 2 to 1 then gains 12.
+        items = [Item(1, 9, 12), Item(3, 8, 12), Item(4, 0, 5), Item(5, 3, 9), Item(6, 3, 5)]
+        inst = modular(items, 3, (11, 17, 20), (1, 1, 3))
+        greedy = solve_heuristic(inst, seed=1245, limits=SolveLimits(local_search_budget=0))
+        assert (greedy.chain, greedy.value) == (Chain(3, {3: 2, 4: 1, 5: 1, 6: 1}), 143)
+        result = solve_heuristic(inst, seed=1245)
+        assert result.chain == Chain(3, {1: 3, 3: 1, 4: 1, 5: 1})
+        assert (result.value, result.nodes) == (166, 24)
+        assert result.value == solve_exact(inst).value
+
     def test_round_without_a_gain_is_counted_not_drawn(self, monkeypatch):
         draws = []
 
