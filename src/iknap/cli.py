@@ -6,14 +6,17 @@ invocations produce identical files; elapsed_ms is the only
 nondeterministic report field.
 
 Exit codes for solve: 0 success, 2 oracle-contract violation, 3 size or
-budget limits exceeded.  verify exits 1 on any mismatch.  Both exit 4 on
+budget limits exceeded, 5 internal solver failure (a solver whose answer
+fails its recheck, a bug signal, printed as one line).  verify exits 1 on
+any mismatch.  Both exit 4 on
 malformed input: an instance that fails validation, a file missing a key,
 a non-integer n or T, an oracle that is not a JSON object, whose ground
 misses an instance item or that holds a non-integer or boolean profit,
 cap, item id or vertex, a coverage oracle with a repeated item id or
 unequal items and vertices, a chain whose insertion times are not
 integers in 1..T or of the wrong length, a "sets" chain with a
-non-integer or boolean item id, or a non-integer or boolean phi or
+non-integer or boolean item id, a report that is not an object or whose
+kept_items is not a list of integers, or a non-integer or boolean phi or
 phi_bar.  reduce-vc, the one command that builds the vertex-cover
 instance (-T sets its horizon, default 1), exits 4 on a graph file with a
 non-integer token, a negative n or m in its header or a vertex of degree
@@ -35,7 +38,14 @@ import random
 import sys
 from pathlib import Path
 
-from .errors import BudgetExceeded, InvalidInstance, LimitsExceeded, OracleViolation, UnknownItemId
+from .errors import (
+    BudgetExceeded,
+    InvalidInstance,
+    LimitsExceeded,
+    OracleViolation,
+    SolverFailure,
+    UnknownItemId,
+)
 from .generators import FAMILIES, make_family_instance
 from .hardness import build_reduction, read_edge_list
 from .instances import ensure_valid, profit_partition
@@ -186,6 +196,9 @@ def cmd_solve(args: argparse.Namespace) -> int:
     except (LimitsExceeded, BudgetExceeded) as exc:
         print(f"limits exceeded: {exc}", file=sys.stderr)
         return 3
+    except SolverFailure as exc:
+        print(f"internal solver failure: {exc}", file=sys.stderr)
+        return 5
     payload = dumps_canonical(report_to_obj(report, inst.item_ids))
     if args.out is None:
         sys.stdout.write(payload)

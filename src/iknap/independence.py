@@ -73,39 +73,24 @@ def min_weight_basis(inst: Instance, class_items: Iterable[int]) -> ClassBasis:
 
     The independent subsets of a single profit class form a matroid, so the
     greedy output is maximal and of minimum total weight.  Sorts the class
-    by id, then stably by weight, and runs the loop modularize shares.
+    by id, then stably by weight, and makes the bulk call modularize makes.
     """
     order = sorted(map(inst.item, class_items), key=itemgetter(0))
     order.sort(key=itemgetter(1))
-    return _greedy_basis(inst.oracle, order)
+    return _greedy_basis(grower_for(inst.oracle).greedy, order)
 
 
-def _greedy_basis(oracle, run: Iterable[Item]) -> ClassBasis:
+def _greedy_basis(greedy, run: list[Item]) -> ClassBasis:
     """The greedy basis of items given in (weight, id) order, grown from empty.
 
-    The basis B stays independent, so gamma(B) = p(B) and B + i is
-    independent exactly when the gain of i over B is p_i; a larger gain
-    means gamma(B + i) > p(B + i) and raises OracleViolation.  Costs
-    exactly one oracle query per item: an incremental gain, or
-    evaluate(B + i) for oracles without a grower.
+    greedy is a Grower's greedy call.  The basis B stays independent, so
+    gamma(B) = p(B) and B + i is independent exactly when the gain of i
+    over B is p_i; a larger gain means gamma(B + i) > p(B + i) and raises
+    OracleViolation.  Costs exactly one oracle query per item, all in one
+    bulk call: evaluate(B + i) per item for oracles without a bulk answer.
     """
-    gain, add = grower_for(oracle)
-    basis: list[int] = []
-    value = 0
-    weight = 0
-    for i, w, p in run:
-        g = gain(i)
-        if g > p:
-            raise OracleViolation(
-                f"gamma(S) = {value + g} > p(S) = {value + p} for S={sorted(basis + [i])}; "
-                "oracle is outside the all-or-nothing class"
-            )
-        if g == p:
-            add(i)
-            basis.append(i)
-            value += p
-            weight += w
-    return ClassBasis(frozenset(basis), weight)
+    kept = greedy(run)
+    return ClassBasis(frozenset(map(itemgetter(0), kept)), sum(map(itemgetter(1), kept)))
 
 
 def check_matroid_exchange(inst: Instance, class_items: Iterable[int]):

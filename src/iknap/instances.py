@@ -316,15 +316,17 @@ def preprocess_singletons(inst: Instance) -> tuple[Instance, tuple[int, ...]]:
     An item with gamma({i}) = 0 contributes nothing to any set (by
     submodularity), so removing it preserves the optimal value.  Any
     singleton value other than 0 or p_i breaks the all-or-nothing contract.
-    Makes one oracle query per item: the gain of i over the empty set, which
-    is evaluate({i}) for oracles without an incremental grower.  Returns
-    inst itself when nothing is dropped.
+    Makes one oracle query per item, all in one bulk call of the oracle's
+    grower (evaluate({i}) per item for oracles without a bulk answer), and
+    checks the answers after it.  Returns inst itself when nothing is
+    dropped, which one list compare decides.
     """
+    gains = grower_for(inst.oracle).singletons(inst.item_ids)
+    if gains == list(map(itemgetter(2), inst.items)):
+        return inst, ()
     kept: list[Item] = []
     dropped: list[int] = []
-    gain = grower_for(inst.oracle).gain
-    for it in inst.items:
-        g = gain(it.id)
+    for it, g in zip(inst.items, gains):
         if g == it.profit:
             kept.append(it)
         elif g == 0:
@@ -333,6 +335,4 @@ def preprocess_singletons(inst: Instance) -> tuple[Instance, tuple[int, ...]]:
             raise OracleViolation(
                 f"gamma({{{it.id}}}) = {g}, expected 0 or p_{it.id} = {it.profit}"
             )
-    if not dropped:
-        return inst, ()
     return Instance(kept, inst.horizon, inst.capacities, inst.deltas, inst.oracle), tuple(dropped)

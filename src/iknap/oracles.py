@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from operator import itemgetter
 from typing import Callable, ClassVar, Iterable, Mapping, NamedTuple, Sequence
 
-from .errors import OverlappingClasses, UnknownItemId
+from .errors import OracleViolation, OverlappingClasses, UnknownItemId
 
 #: Ground-set sizes up to which the checkers enumerate instead of sampling.
 AON_EXHAUSTIVE_LIMIT = 12
@@ -64,15 +64,19 @@ class _ItemTable(dict):
 
 
 class Grower(NamedTuple):
-    """gamma(B + i) - gamma(B) for a set B grown one item at a time from empty.
+    """Bulk answers over one oracle; each item answered counts as one call.
 
-    gain(i) takes an item not in B and counts as one call on the oracle;
-    add(i) puts into B an item whose gain was asked since B last grew.
-    Built by grower_for().  Not thread-safe: one caller, one loop.
+    singletons(ids) returns gamma({i}) for each id, in order.  greedy(run)
+    takes (id, weight, profit) items with distinct ids, in the order to try
+    them, and grows a set B from empty: an item joins B when its gain
+    gamma(B + i) - gamma(B) is its profit, and a larger gain raises
+    OracleViolation.  It returns the items that joined, in run order.
+    Built by grower_for(); the two calls share no state, so one grower
+    serves any number of runs.
     """
 
-    gain: Callable[[int], int]
-    add: Callable[[int], None]
+    singletons: Callable[[Sequence[int]], list]
+    greedy: Callable[[Sequence[tuple]], list]
 
 
 class AggregationOracle:
@@ -82,22 +86,27 @@ class AggregationOracle:
     be stateless (all built-in families are) and each call ticks the call
     counter exactly once, by next() on an itertools.count.  That is one C
     call, atomic under the GIL, so no tick is lost between threads and no
-    lock is taken per call.  The count relies on the GIL (CI runs CPython
-    3.10 to 3.13, all with it); a free-threaded build would need a lock per
-    tick again.  The contract rests on this docstring: on a GIL build,
-    TestCallCounter passes with an unlocked `self._n += 1` counter too, so
-    no test catches a lost tick.
+    lock is taken per call.  A bulk call of a grower ticks the counter n
+    times in one C loop (next() on an islice that skips to the n-th tick),
+    which holds the GIL until it ends, so it loses no tick either.  The
+    count relies on the GIL (CI runs CPython 3.10 to 3.13, all with it); a
+    free-threaded build would need a lock per tick again.  The contract
+    rests on this docstring: on a GIL build, TestCallCounter passes with an
+    unlocked `self._n += 1` counter too, so no test catches a lost tick.
     Reading call_count ticks the counter too, so the read takes a lock and
     subtracts the ticks of all reads so far.
 
     descriptor may be a zero-argument function instead of a dict; the
     first read of the descriptor attribute calls it, and a solve never does.
 
-    make_grower, if given, is a zero-argument factory that returns a fresh
-    (gain, add) pair over a set B that starts empty, so the oracle keeps no
-    state between calls; the modular and matroid-rank-sum families supply
-    one.  grower_for() counts each of its gains as one call; without a
-    factory, gains go through evaluate().
+    make_grower, if given, is a zero-argument factory that returns a
+    (singletons, greedy) pair with the calls of a Grower.  The calls keep
+    no state between them, so the oracle keeps none between grows (the
+    modular oracle returns one shared pair; the matroid-rank-sum one builds
+    a pair per grower).  They neither tick nor fall back: each returns None
+    for input it cannot answer, such as an id outside the ground or a run
+    whose items do not carry their class's profit.  grower_for() adds the
+    ticks and the evaluate() fallback.
     """
 
     __slots__ = ("_fn", "_descriptor", "_ticks", "_reads", "_lock", "_make_grower")
@@ -140,54 +149,104 @@ class AggregationOracle:
 
 
 def grower_for(oracle) -> Grower:
-    """A fresh Grower over the oracle; each gain() counts as one call.
+    """A Grower over the oracle; each item a call answers counts as one call.
 
-    An AggregationOracle with a make_grower factory answers from the pair it
-    returns, each gain ticking the oracle's call counter as evaluate() does,
-    with no lock.  Any other object with an evaluate() method (coverage and
-    user-supplied oracles, or a wrapper around an oracle) gets gains from
-    evaluate() on exactly the set B + i; the value of the empty set is taken
-    to be 0, and add(i) takes the value of B + i from a gain(i) asked since
-    B last grew.
+    An AggregationOracle with a make_grower factory answers each call in
+    bulk from the pair it returns and then ticks its call counter once per
+    item, with no lock.  Input the pair cannot answer, and any other object
+    with an evaluate() method (coverage and user-supplied oracles, or a
+    wrapper around an oracle), goes through evaluate(): {i} for each
+    singleton, and exactly B + i for each item of a greedy run, the value of
+    the empty set taken to be 0.  Both paths give the same answers, call
+    counts and errors.
     """
     make = oracle._make_grower if isinstance(oracle, AggregationOracle) else None
-    if make is not None:
-        gain, add = make()
-        tick = oracle._ticks.__next__
+    if make is None:
+        return _evaluate_grower(oracle)
+    bulk_singletons, bulk_greedy = make()
+    ticks = oracle._ticks
 
-        def counted_gain(item: int) -> int:
-            tick()
-            return gain(item)
+    def singletons(ids: Sequence[int]) -> list:
+        gains = bulk_singletons(ids)
+        if gains is None:
+            return _evaluate_grower(oracle).singletons(ids)
+        if gains:  # skip to the len(gains)-th tick, in C
+            next(itertools.islice(ticks, len(gains) - 1, None))
+        return gains
 
-        return Grower(counted_gain, add)
+    def greedy(run: Sequence[tuple]) -> list:
+        kept = bulk_greedy(run)
+        if kept is None:
+            return _evaluate_grower(oracle).greedy(run)
+        if run:
+            next(itertools.islice(ticks, len(run) - 1, None))
+        return kept
 
-    members: set[int] = set()
-    value = 0
-    asked: dict[int, int] = {}  # gamma(B + i) for each i asked since B last grew
-
-    def evaluate_gain(item: int) -> int:
-        asked[item] = oracle.evaluate(members | {item})
-        return asked[item] - value
-
-    def evaluate_add(item: int) -> None:
-        nonlocal value
-        if item not in asked:
-            raise ValueError(f"add({item}) must follow gain({item})")
-        members.add(item)
-        value = asked[item]
-        asked.clear()
-
-    return Grower(evaluate_gain, evaluate_add)
+    return Grower(singletons, greedy)
 
 
-def _find(parent: dict[int, int], x: int) -> int:
-    """Root of x in a union-find forest kept as a parent map; compresses the path."""
-    root = x
-    while parent.setdefault(root, root) != root:
-        root = parent[root]
-    while parent[x] != root:
-        parent[x], x = root, parent[x]
-    return root
+def _evaluate_grower(oracle) -> Grower:
+    """The Grower that asks oracle.evaluate() once per item."""
+    evaluate = oracle.evaluate
+
+    def singletons(ids: Sequence[int]) -> list:
+        return [evaluate({i}) for i in ids]
+
+    def greedy(run: Sequence[tuple]) -> list:
+        # B stays independent, so gamma(B) = p(B) = value.
+        kept = []
+        members: set[int] = set()
+        value = 0
+        for it in run:
+            i, _, p = it
+            g = evaluate(members | {i}) - value
+            if g > p:
+                raise OracleViolation(
+                    f"gamma(S) = {value + g} > p(S) = {value + p} for S={sorted(members | {i})}; "
+                    "oracle is outside the all-or-nothing class"
+                )
+            if g == p:
+                kept.append(it)
+                members.add(i)
+                value += p
+        return kept
+
+    return Grower(singletons, greedy)
+
+
+def _forest(edges: Iterable[tuple[int, int, int]]) -> list[int]:
+    """Items of the (item, u, v) edges that join two trees, grown from no edge.
+
+    An inline union-find by size: each vertex seen maps to the vertex list
+    of its tree, so a find is one dict lookup, and a union relabels the
+    smaller tree's vertices in one C call.
+    """
+    tree: dict[int, list[int]] = {}
+    get = tree.get
+    kept = []
+    for item, u, v in edges:
+        tu = get(u)
+        tv = get(v)
+        if tu is None:
+            if tv is None:
+                if u == v:
+                    continue
+                tree[u] = tree[v] = [u, v]
+            else:
+                tv.append(u)
+                tree[u] = tv
+        elif tv is None:
+            tu.append(v)
+            tree[v] = tu
+        elif tu is tv:
+            continue
+        else:
+            if len(tu) < len(tv):
+                tu, tv = tv, tu
+            tu += tv
+            tree.update(dict.fromkeys(tv, tu))
+        kept.append(item)
+    return kept
 
 
 @dataclass(frozen=True)
@@ -197,10 +256,11 @@ class MatroidSpec:
     Build one with MatroidSpec.uniform, .partition or .graphic: each is the
     validating of() constructor of its kind's subclass.  Each kind also owns
     its closed-form rank(s) for a set s inside ground, its to_obj()
-    descriptor, and state(): a (gain, add) pair over a set B that starts
-    empty, where gain(i) says whether B + i has higher rank than B and
-    add(i) puts i into B; the uniform and partition states count free
-    capacity, which may go negative once B is dependent.
+    descriptor, loops(): the ids of rank 0, and greedy(ids): the ids that
+    raise the rank of the set grown from empty in the given order, for a
+    list of distinct ids of ground.  greedy builds what it needs on each
+    call (a counter per group, a union-find), so a spec holds only its
+    definition.
     """
 
     ground: frozenset
@@ -223,14 +283,11 @@ class UniformMatroid(MatroidSpec):
     def rank(self, s: frozenset) -> int:
         return min(len(s), self.rank_cap)
 
-    def state(self):
-        free = self.rank_cap
+    def loops(self) -> frozenset:
+        return self.ground if self.rank_cap == 0 else frozenset()
 
-        def add(item: int) -> None:
-            nonlocal free
-            free -= 1
-
-        return (lambda item: free > 0), add
+    def greedy(self, ids: list) -> list:
+        return ids[: self.rank_cap]
 
     def to_obj(self) -> dict:
         return {"kind": "uniform", "ground": sorted(self.ground), "rank_cap": self.rank_cap}
@@ -260,14 +317,19 @@ class PartitionMatroid(MatroidSpec):
     def rank(self, s: frozenset) -> int:
         return sum(min(len(s & g), cap) for g, cap in self.groups)
 
-    def state(self):
+    def loops(self) -> frozenset:
+        return frozenset().union(*[g for g, cap in self.groups if cap == 0])
+
+    def greedy(self, ids: list) -> list:
         group = {i: k for k, (members, _) in enumerate(self.groups) for i in members}
         free = [cap for _, cap in self.groups]
-
-        def add(item: int) -> None:
-            free[group[item]] -= 1
-
-        return (lambda item: free[group[item]] > 0), add
+        kept = []
+        for i in ids:
+            k = group[i]
+            if free[k]:
+                free[k] -= 1
+                kept.append(i)
+        return kept
 
     def to_obj(self) -> dict:
         return {
@@ -302,30 +364,14 @@ class GraphicMatroid(MatroidSpec):
         return cls(frozenset(items), edges)
 
     def rank(self, s: frozenset) -> int:
-        parent: dict[int, int] = {}
-        rank = 0
-        for item, u, v in self.edges:
-            if item not in s:
-                continue
-            ru, rv = _find(parent, u), _find(parent, v)
-            if ru != rv:
-                parent[rv] = ru
-                rank += 1
-        return rank
+        return len(_forest([e for e in self.edges if e[0] in s]))
 
-    def state(self):
-        ends = {i: (u, v) for i, u, v in self.edges}
-        parent: dict[int, int] = {}
+    def loops(self) -> frozenset:
+        return frozenset([i for i, u, v in self.edges if u == v])
 
-        def gain(item: int) -> bool:
-            u, v = ends[item]
-            return _find(parent, u) != _find(parent, v)
-
-        def add(item: int) -> None:
-            u, v = ends[item]
-            parent[_find(parent, v)] = _find(parent, u)
-
-        return gain, add
+    def greedy(self, ids: list) -> list:
+        edge_of = dict(zip(map(itemgetter(0), self.edges), self.edges))
+        return _forest(map(edge_of.__getitem__, ids))
 
     def to_obj(self) -> dict:
         return {
@@ -370,8 +416,25 @@ def _modular(table: _ItemTable) -> AggregationOracle:
     def fn(s: frozenset) -> int:
         return sum(map(table.__getitem__, s))
 
-    # Marginals do not depend on B, so every grower shares one stateless pair.
-    pair = (table.__getitem__, lambda item: None)
+    # A gain does not depend on B: it is the table's value, and a run is all
+    # kept exactly when those values are the run's profits.  So every grower
+    # shares one stateless pair.
+    def singletons(ids):
+        try:
+            return list(map(table.__getitem__, ids))
+        except UnknownItemId:
+            return None
+
+    def greedy(run):
+        try:
+            for i, _, p in run:
+                if table[i] != p:
+                    return None
+        except UnknownItemId:
+            return None
+        return run
+
+    pair = (singletons, greedy)
     return AggregationOracle(fn, {"kind": "modular"}, lambda: pair)
 
 
@@ -406,7 +469,6 @@ def matroid_rank_sum_oracle(
         if overlap:
             raise OverlappingClasses(f"items {sorted(overlap)} appear in two classes")
         ground |= spec.ground
-    class_of: dict[int, int] | None = None  # item id -> index of its class in specs
 
     def fn(s: frozenset) -> int:
         unknown = s - ground if not s <= ground else None
@@ -415,32 +477,37 @@ def matroid_rank_sum_oracle(
         return sum(p * spec.rank(s & spec.ground) for p, spec in specs)
 
     def make_grower():
-        """Per-class matroid states, each built the first time one of its items comes up."""
-        nonlocal class_of
-        if class_of is None:  # built for the first grower: oracles never grown stay small
-            class_of = {i: k for k, (_, spec) in enumerate(specs) for i in spec.ground}
-        classes = class_of
-        states: list = [None] * len(specs)  # (profit, gain, add) of each class once built
+        spec_of = dict(specs)  # class profits are distinct
 
-        def build(k: int) -> tuple:
-            p, spec = specs[k]
-            states[k] = (p, *spec.state())
-            return states[k]
-
-        def gain(item: int) -> int:
-            # A plain dict with try is faster here than an _ItemTable subscript.
+        def singletons(ids):
+            gain_of: dict[int, int] = {}
+            for p, spec in specs:
+                gain_of.update(dict.fromkeys(spec.ground, p))
+                gain_of.update(dict.fromkeys(spec.loops(), 0))
             try:
-                k = classes[item]
+                return list(map(gain_of.__getitem__, ids))
             except KeyError:
-                raise UnknownItemId(f"item id {item} outside oracle ground") from None
-            p, independent, _ = states[k] or build(k)
-            return p if independent(item) else 0
+                return None
 
-        def add(item: int) -> None:
-            k = classes[item]
-            (states[k] or build(k))[2](item)
+        def greedy(run):
+            # A run of one class, each item at its class profit, goes to the
+            # class's spec; anything else takes the evaluate() path.
+            ids = list(map(itemgetter(0), run))
+            p = run[0][2] if run else None
+            spec = spec_of.get(p)
+            if (
+                spec is None
+                or not spec.ground.issuperset(ids)
+                or list(map(itemgetter(2), run)).count(p) != len(run)
+            ):
+                return None
+            kept = spec.greedy(ids)
+            if len(kept) == len(ids):
+                return run
+            kept = set(kept)
+            return list(itertools.compress(run, map(kept.__contains__, ids)))
 
-        return gain, add
+        return singletons, greedy
 
     def descriptor() -> dict:
         classes = [{"profit": p, "matroid": spec.to_obj()} for p, spec in specs]

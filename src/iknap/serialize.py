@@ -18,7 +18,7 @@ from typing import Sequence
 
 from .instances import Chain, Instance, Item
 from .modularize import SolveReport
-from .oracles import _integer, oracle_from_descriptor
+from .oracles import _integer, _integers, oracle_from_descriptor
 
 
 #: Types json's C encoder writes as the indent=2 encoder does.
@@ -166,5 +166,17 @@ def report_to_obj(report: SolveReport, item_ids: Sequence[int]) -> dict:
 
 
 def load_report(path) -> dict:
+    """A report file's object, with kept_items, if there, a list of integers.
+
+    verify reads phi, phi_bar and chain, and checks each where it reads
+    it; other keys may be missing or extra.
+    """
     with open(path, encoding="utf-8") as fh:
-        return json.load(fh)
+        obj = json.load(fh)
+    if not isinstance(obj, dict):
+        raise ValueError(f"report must be an object, got {type(obj).__name__}")
+    kept = obj.get("kept_items", [])
+    if not isinstance(kept, list):
+        raise ValueError(f"kept_items must be a list, got {type(kept).__name__}")
+    _integers(kept, "kept item id")
+    return obj

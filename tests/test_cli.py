@@ -4,10 +4,18 @@ Everything algorithmic is tested elsewhere; these tests treat the CLI as a
 black box over files.
 """
 
+import contextlib
 import csv
+import dataclasses
+import importlib
+import io
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from iknap.cli import main
 from iknap.serialize import chain_from_obj, load_instance
@@ -246,6 +254,26 @@ class TestSolveAndVerify:
             "PhiMismatch: recomputed 2 != claimed 3"
         ]
 
+    @pytest.mark.parametrize("solver", ["exact", "heuristic"])
+    def test_recheck_failure_exits_5_with_one_line(
+        self, toy_instance, tmp_path, capsys, monkeypatch, solver
+    ):
+        pipeline = importlib.import_module("iknap.modularize")
+        solve = pipeline._run_ik_solver
+
+        def misreports(*args):
+            result = solve(*args)
+            return dataclasses.replace(result, value=result.value + 1)
+
+        monkeypatch.setattr(pipeline, "_run_ik_solver", misreports)
+        report_path = tmp_path / "r.json"
+        assert run("solve", "--instance", toy_instance, "--solver", solver,
+                   "--out", report_path) == 5
+        err = capsys.readouterr().err
+        assert err.startswith(f"internal solver failure: solver {solver!r} failed its recheck: ")
+        assert err.count("\n") == 1 and "PhiBarMismatch" in err
+        assert not report_path.exists()
+
     def test_oversized_exact_exits_3(self, tmp_path):
         inst = tmp_path / "big.json"
         run("generate", "--family", "modular", "--n", 25, "-T", 2,
@@ -456,6 +484,130 @@ class TestMalformedInputExits4:
         edit_json(report_path, edit)
         self.assert_exit_4(capsys, "verify", "--instance", toy_instance,
                            "--report", report_path)
+
+
+@pytest.fixture(scope="module")
+def solved_toy(tmp_path_factory):
+    """The toy instance file and the object of its solve report."""
+    path = tmp_path_factory.mktemp("toy") / "toy.json"
+    report = path.with_name("report.json")
+    assert run("generate", "--family", "partition-classes", "--n", 7, "-T", 2,
+               "--seed", 12, "--out", path, "--quiet") == 0
+    assert run("solve", "--instance", path, "--out", report, "--quiet") == 0
+    return path, json.loads(report.read_text())
+
+
+def run_captured(*argv):
+    """Exit code and standard error of one in-process run."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = run(*argv)
+    return code, err.getvalue()
+
+
+#: Values of a type no field of a report or instance file takes; short text
+#: keys, so a drawn object never holds "kind", "sets" or "insertion_times".
+WRONG_TYPES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.floats(allow_nan=False),
+    st.text(max_size=5),
+    st.dictionaries(st.text(max_size=3), st.integers(), max_size=2),
+    st.lists(
+        st.one_of(st.none(), st.booleans(), st.floats(allow_nan=False), st.text(max_size=2)),
+        min_size=1,
+        max_size=3,
+    ),
+)
+NON_OBJECTS = st.one_of(
+    st.none(), st.integers(), st.text(max_size=5), st.lists(st.integers(), max_size=3)
+)
+EXTRA_VALUES = st.one_of(st.none(), st.integers(), st.text(max_size=3))
+
+
+@st.composite
+def damaged(draw, good, damages, optional=frozenset()):
+    """good with at least one key damaged, or no object at all.
+
+    damages maps each key to the damages it may take: "missing", or "type"
+    for a value of a wrong type.  Keys in optional may also go missing and
+    extra keys may come in, without undoing the damage.
+    """
+    if draw(st.integers(0, 9)) == 0:
+        return draw(NON_OBJECTS)
+    obj = dict(good)
+    chosen = draw(st.sets(st.sampled_from(sorted(damages)), min_size=1))
+    for key in sorted(chosen):
+        if draw(st.sampled_from(damages[key])) == "missing":
+            del obj[key]
+        else:
+            obj[key] = draw(WRONG_TYPES)
+    for key in sorted(optional - chosen):
+        if draw(st.booleans()):
+            del obj[key]
+    obj.update(draw(st.dictionaries(
+        st.text(max_size=6).filter(lambda key: key not in good), EXTRA_VALUES, max_size=2
+    )))
+    return obj
+
+
+REPORT_KEYS = {"phi", "phi_bar", "oracle_calls", "kept_items", "chain", "solver", "elapsed_ms"}
+INSTANCE_KEYS = {"n", "T", "weights", "profits", "capacities", "deltas", "oracle"}
+
+
+class TestDamagedFiles:
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_verify_exits_1_or_4_without_a_traceback(self, solved_toy, data):
+        instance, good = solved_toy
+        # verify reads phi, phi_bar and chain, and checks kept_items' type:
+        # kept_items may be missing, as may the keys it does not read.
+        report = data.draw(damaged(
+            good,
+            damages={
+                "phi": ["missing", "type"],
+                "phi_bar": ["missing", "type"],
+                "chain": ["missing", "type"],
+                "kept_items": ["type"],
+            },
+            optional=REPORT_KEYS - {"phi", "phi_bar", "chain"},
+        ))
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "report.json"
+            path.write_text(json.dumps(report))
+            code, err = run_captured("verify", "--instance", instance, "--report", path)
+        assert code in (1, 4), (report, err)
+        assert "Traceback" not in err
+        assert code == 1 or (err.startswith("malformed input: ") and err.count("\n") == 1)
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_bench_gives_one_error_row_per_solver_for_each_damaged_file(self, solved_toy, data):
+        instance, _ = solved_toy
+        good = json.loads(instance.read_text())
+        files = data.draw(st.lists(
+            damaged(good, dict.fromkeys(INSTANCE_KEYS, ["missing", "type"])),
+            min_size=1,
+            max_size=3,
+        ))
+        with tempfile.TemporaryDirectory() as tmp:
+            folder = Path(tmp) / "instances"
+            folder.mkdir()
+            (folder / "good.json").write_text(json.dumps(good))
+            for k, obj in enumerate(files):
+                (folder / f"damaged{k}.json").write_text(json.dumps(obj))
+            out = Path(tmp) / "bench.csv"
+            code, err = run_captured("bench", "--instances", folder,
+                                     "--solvers", "exact,heuristic", "--out", out)
+            rows = [(r["instance"], r["solver"], r["status"]) for r in csv.DictReader(out.open())]
+        names = [f"damaged{k}.json" for k in range(len(files))] + ["good.json"]
+        assert code == 0 and err == ""
+        assert [(name, solver) for name, solver, _ in rows] == [
+            (name, solver) for name in names for solver in ("exact", "heuristic")
+        ]
+        assert [status.startswith("error:") for _, _, status in rows] == (
+            [True] * 2 * len(files) + [False] * 2
+        )
 
 
 class TestReduceVc:

@@ -39,6 +39,8 @@ from iknap import (
     solve_ik_aon,
     verify_solution,
 )
+from iknap.errors import UnknownItemId
+from iknap.independence import ClassBasis
 from iknap.generators import (
     FAMILIES,
     make_family_instance,
@@ -218,6 +220,175 @@ class TestPerClassDefinition:
             with pytest.raises(OracleViolation) as exc:
                 reduce(inst)
             assert str(exc.value) == message
+
+
+def reduction_outcome(inst, preprocess=True):
+    """What the reduction gives, or the error it raises, with the calls it made."""
+    try:
+        reduced, dropped = preprocess_singletons(inst) if preprocess else (inst, ())
+        mod = modularize(reduced)
+    except (UnknownItemId, OracleViolation) as exc:
+        return type(exc), str(exc), inst.oracle.call_count
+    return dropped, mod.bases, mod.kept_ids, mod.ik.items, inst.oracle.call_count
+
+
+def both_paths(items, make_oracle, preprocess=True):
+    """The reduction's outcome through the bulk calls and through evaluate() alone."""
+    inst = Instance(items, 1, [100], [1], make_oracle())
+    bulk = reduction_outcome(inst, preprocess)
+    slow = reduction_outcome(with_oracle(inst, EvaluateOnly(make_oracle())), preprocess)
+    assert bulk == slow
+    return bulk
+
+
+def rank_sum(*classes):
+    return lambda: matroid_rank_sum_oracle(classes)
+
+
+def class_items(make_oracle, weights=(3, 1, 4, 1, 5, 9, 2, 6, 5, 3)):
+    """One item per ground id, at its class profit, with weights repeating by id."""
+    pairs = sorted(
+        (i, c["profit"])
+        for c in make_oracle().descriptor["classes"]
+        for i in ids_of(c["matroid"])
+    )
+    return [Item(i, weights[k % len(weights)], p) for k, (i, p) in enumerate(pairs)]
+
+
+def ids_of(matroid):
+    if matroid["kind"] == "uniform":
+        return matroid["ground"]
+    if matroid["kind"] == "partition":
+        return [i for g in matroid["groups"] for i in g["members"]]
+    return [e["item"] for e in matroid["edges"]]
+
+
+#: Hand-built rank sums: a cap-0 uniform class, cap-0 partition groups (one
+#: class with no other group), and graphic classes that reuse vertex ids,
+#: with self-loops and parallel edges.
+HAND_BUILT = {
+    "uniform-cap-0": rank_sum(
+        (2, MatroidSpec.uniform([1, 2, 3], 2)),
+        (5, MatroidSpec.uniform([4, 5], 0)),
+        (7, MatroidSpec.uniform([6], 1)),
+    ),
+    "partition-cap-0": rank_sum(
+        (3, MatroidSpec.partition([([1, 2, 3], 1), ([4, 5], 0), ([6], 1)])),
+        (4, MatroidSpec.partition([([7, 8, 9], 0)])),
+        (8, MatroidSpec.partition([([10, 11], 2), ([12, 13, 14], 1)])),
+    ),
+    "graphic-reused-vertices": rank_sum(
+        (2, MatroidSpec.graphic([(1, 0, 1), (2, 0, 1), (3, 1, 1), (4, 1, 2), (5, 0, 2)])),
+        (6, MatroidSpec.graphic(
+            [(6, 0, 1), (7, 1, 2), (8, 0, 2), (9, 2, 2), (10, 0, 1), (11, 3, 0)]
+        )),
+    ),
+    "scattered-negative-ids": rank_sum(
+        (1, MatroidSpec.graphic([(-40, -1, -2), (7, -2, -3), (-3, -3, -1), (900, -5, -5)])),
+        (4, MatroidSpec.partition([([-7, 15], 1), ([-100], 0)])),
+        (9, MatroidSpec.uniform([-2, 33, -61], 2)),
+    ),
+}
+
+
+class TestBulkAgainstEvaluate:
+    """The bulk calls give the evaluate() path's bases, kept and dropped items,
+    call counts and error texts."""
+
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    def test_generated_families(self, family):
+        for seed in range(8):
+            rng = random.Random(seed)
+            inst = make_family_instance(family, (12, 40)[seed % 2], 2, rng)
+            if seed >= 4:
+                inst = renamed_and_shuffled(inst, rng)
+            descriptor, profits = inst.oracle.descriptor, inst.profits_by_id
+            both_paths(inst.items, lambda: oracle_from_descriptor(descriptor, profits))
+
+    @pytest.mark.parametrize("name", sorted(HAND_BUILT))
+    def test_hand_built(self, name):
+        make = HAND_BUILT[name]
+        items = class_items(make)
+        rng = random.Random(3)
+        for _ in range(10):
+            dropped, bases, kept, _, calls = both_paths(items, make)
+            assert calls == 2 * len(items) - len(dropped)
+            assert [b.members <= set(kept) for b in bases] == [True] * len(bases)
+            rng.shuffle(items)
+
+    def test_hand_built_bases(self):
+        make = HAND_BUILT["graphic-reused-vertices"]
+        dropped, bases, kept, _, _ = both_paths(class_items(make), make)
+        # Weights 3 1 4 1 5 | 9 2 6 5 3 3 for items 1-5 | 6-11; self-loops 3
+        # and 9 are dropped, and parallel edges 1 and 6 close cycles.
+        assert dropped == (3, 9)
+        assert [(sorted(b.members), b.weight) for b in bases] == [
+            ([2, 4], 2), ([7, 10, 11], 8),
+        ]
+        assert kept == (2, 4, 7, 10, 11)
+
+    @pytest.mark.parametrize("preprocess", [True, False])
+    def test_item_outside_the_ground(self, preprocess):
+        items = [Item(1, 1, 2), Item(2, 1, 2), Item(9, 1, 2)]
+        for make in (
+            rank_sum((2, MatroidSpec.uniform([1, 2], 1))),
+            lambda: modular_oracle({1: 2, 2: 2}),
+        ):
+            error, text, calls = both_paths(items, make, preprocess)
+            assert error is UnknownItemId and "outside oracle ground" in text
+            assert calls == 3
+
+    def test_singleton_off_its_class_profit(self):
+        items = [Item(1, 1, 5), Item(2, 1, 3)]
+        error, text, calls = both_paths(items, rank_sum((5, MatroidSpec.uniform([1, 2], 2))))
+        assert (error, text, calls) == (
+            OracleViolation, "gamma({2}) = 5, expected 0 or p_2 = 3", 2
+        )
+
+    @pytest.mark.parametrize(
+        "make",
+        [rank_sum((3, MatroidSpec.graphic([(1, 0, 1)])), (5, MatroidSpec.uniform([2], 1))),
+         lambda: modular_oracle({1: 3, 2: 5})],
+        ids=["rank-sum", "modular"],
+    )
+    def test_gain_above_the_profit_without_preprocessing(self, make):
+        # One profit-3 run: item 1 joins B, then item 2 gains its class's 5.
+        items = [Item(1, 1, 3), Item(2, 2, 3)]
+        error, text, calls = both_paths(items, make, preprocess=False)
+        assert error is OracleViolation
+        assert text == (
+            "gamma(S) = 8 > p(S) = 6 for S=[1, 2]; oracle is outside the all-or-nothing class"
+        )
+        assert calls == 2
+
+    @pytest.mark.parametrize(
+        "make, kept",
+        [
+            # Item 3 sits above its class profit (gain 2 < 5), and the
+            # profit-5 run mixes both classes.
+            (rank_sum((2, MatroidSpec.uniform([1, 2, 3], 2)), (5, MatroidSpec.uniform([4, 5], 1))),
+             [[1, 2], [4]]),
+            # Item 3's table value 4 falls short of its profit 5.
+            (lambda: modular_oracle({1: 2, 2: 2, 3: 4, 4: 5, 5: 5}), [[1, 2], [4, 5]]),
+        ],
+        ids=["rank-sum", "modular"],
+    )
+    def test_runs_off_their_class_profit_keep_their_answers(self, make, kept):
+        items = [Item(1, 1, 2), Item(2, 2, 2), Item(3, 0, 5), Item(4, 1, 5), Item(5, 2, 5)]
+        dropped, bases, kept_ids, _, calls = both_paths(items, make, preprocess=False)
+        assert [sorted(b.members) for b in bases] == kept
+        assert kept_ids == tuple(sorted(sum(kept, []))) and dropped == () and calls == 5
+
+    def test_min_weight_basis_over_items_off_their_class_profit(self):
+        # One class at profit 2 with cap 2; item 2 carries 5, so its gain 2
+        # falls short of its profit and it stays out.
+        make = rank_sum((2, MatroidSpec.uniform([1, 2, 3], 2)))
+        items = [Item(1, 0, 2), Item(2, 1, 5), Item(3, 2, 2)]
+        outcomes = []
+        for oracle in (make(), EvaluateOnly(make())):
+            inst = Instance(items, 1, [9], [1], oracle)
+            outcomes.append((min_weight_basis(inst, [3, 2, 1]), oracle.call_count))
+        assert outcomes[0] == outcomes[1] == (ClassBasis(frozenset({1, 3}), 2), 3)
 
 
 class TestIncrementalScale:

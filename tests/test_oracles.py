@@ -29,6 +29,7 @@ from iknap.oracles import (
     GraphicMatroid,
     PartitionMatroid,
     UniformMatroid,
+    _matroid_from_obj,
 )
 from helpers import subsets, supermodular_oracle
 
@@ -422,27 +423,30 @@ class TestCallCounter:
         assert oracle.call_count == 1
         assert oracle.call_count == 1
         assert repr(oracle) == "AggregationOracle(kind='modular', calls=1)"
-        grower_for(oracle).gain(2)
+        grower_for(oracle).singletons([2])
         assert repr(oracle) == "AggregationOracle(kind='modular', calls=2)"
         assert oracle.call_count == 2
 
-    def test_concurrent_gains_evaluations_and_reads(self):
-        oracle = modular_oracle({i: 1 for i in range(1, 9)})
+    @pytest.mark.parametrize("name", ["modular", "mixed"])
+    def test_concurrent_bulk_ticks_evaluations_and_reads(self, name):
+        oracle, ground = GROWER_ORACLES[name]
+        ground = list(ground)
+        profit_of = class_profits(oracle, ground)
+        before = oracle.call_count
         seen = []
         done = threading.Event()
 
         def worker():
             grower = grower_for(oracle)
-            for k in range(500):
-                oracle.evaluate({1, 2, 3})
-                grower.gain(k % 8 + 1)
+            for k in range(200):
+                oracle.evaluate({ground[0]})
+                grower.singletons(ground)
+                run = [(i, 1, profit_of[i]) for i in ground[k % 3 :: 3]]
+                grower.greedy(run)
 
-        def reader():
-            while not done.is_set():
-                seen.append(oracle.call_count)
-
+        expected = 4 * sum(1 + len(ground) + len(ground[k % 3 :: 3]) for k in range(200))
         workers = [threading.Thread(target=worker) for _ in range(4)]
-        watcher = threading.Thread(target=reader)
+        watcher = threading.Thread(target=reader, args=(oracle, seen, done))
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)  # switch threads often, so a lost tick would show
         try:
@@ -450,68 +454,113 @@ class TestCallCounter:
             for th in workers:
                 th.start()
             for th in workers:
-                th.join(timeout=30)
+                th.join(timeout=60)
             done.set()
-            watcher.join(timeout=30)
+            watcher.join(timeout=60)
         finally:
             sys.setswitchinterval(interval)
         assert not any(th.is_alive() for th in workers + [watcher])
-        assert oracle.call_count == 4000
-        assert seen == sorted(seen) and all(0 <= c <= 4000 for c in seen)
+        assert oracle.call_count - before == expected
+        seen = [c - before for c in seen]
+        assert seen == sorted(seen) and all(0 <= c <= expected for c in seen)
+
+
+def reader(oracle, seen, done):
+    while not done.is_set():
+        seen.append(oracle.call_count)
+
+
+def class_profits(oracle, ground):
+    """Each item's all-or-nothing profit: its modular value, or its class profit."""
+    descriptor = oracle.descriptor
+    if descriptor["kind"] == "modular":
+        return {i: oracle.evaluate({i}) for i in ground}
+    return {
+        i: c["profit"]
+        for c in descriptor["classes"]
+        for i in _matroid_from_obj(c["matroid"]).ground
+    }
+
+
+def greedy_by_evaluate(oracle, run):
+    """The items of run kept by gamma(B + i) - gamma(B) = p_i, from direct evaluations."""
+    kept, basis = [], set()
+    for it in run:
+        i, _, p = it
+        if oracle.evaluate(basis | {i}) - oracle.evaluate(basis) == p:
+            kept.append(it)
+            basis.add(i)
+    return kept
 
 
 class TestGrower:
-    def walk(self, oracle, ground, rng):
-        """One random item order, with the greedy's accept/reject decisions."""
+    def runs(self, oracle, ground, rng):
+        """Random runs in random order: one per profit class, and one across classes."""
+        profit_of = class_profits(oracle, ground)
+        classes: dict[int, list[int]] = {}
+        for i in ground:
+            classes.setdefault(profit_of[i], []).append(i)
+        picks = [list(members) for members in classes.values()] + [list(ground)]
+        for ids in picks:
+            rng.shuffle(ids)
+            ids = ids[: rng.randint(0, len(ids))]
+            yield [(i, rng.randint(0, 5), profit_of[i]) for i in ids]
+
+    def check(self, oracle, ground, rng):
+        grower = grower_for(oracle)
         order = list(ground)
         rng.shuffle(order)
-        grower = grower_for(oracle)
-        basis: set[int] = set()
-        for i in order:
+        before = oracle.call_count
+        gains = grower.singletons(order)
+        assert oracle.call_count == before + len(order)
+        assert gains == [oracle.evaluate({i}) - oracle.evaluate(set()) for i in order]
+        for run in self.runs(oracle, ground, rng):
             before = oracle.call_count
-            gain = grower.gain(i)
-            assert oracle.call_count == before + 1
-            assert gain == oracle.evaluate(basis | {i}) - oracle.evaluate(basis), (basis, i)
-            if gain and rng.random() < 0.8:
-                grower.add(i)
-                basis.add(i)
+            kept = grower.greedy(run)
+            assert oracle.call_count == before + len(run)
+            assert kept == greedy_by_evaluate(oracle, run), run
 
     @pytest.mark.parametrize("name", sorted(GROWER_ORACLES))
-    def test_gains_match_evaluate_along_random_orders(self, name):
+    def test_answers_match_evaluate_along_random_orders(self, name):
         oracle, ground = GROWER_ORACLES[name]
         rng = random.Random(11)
         for _ in range(60):
-            self.walk(oracle, ground, rng)
+            self.check(oracle, ground, rng)
 
     @pytest.mark.parametrize(
         "family", ["modular", "uniform-classes", "partition-classes", "graphic-classes"]
     )
-    def test_gains_match_evaluate_on_generated_instances(self, family):
+    def test_answers_match_evaluate_on_generated_instances(self, family):
         rng = random.Random(12)
         for seed in range(10):
             inst = make_family_instance(family, 14, 2, random.Random(seed))
             for _ in range(5):
-                self.walk(inst.oracle, inst.item_ids, rng)
+                self.check(inst.oracle, inst.item_ids, rng)
 
     @pytest.mark.parametrize("name", sorted(GROWER_ORACLES))
     def test_unknown_item(self, name):
-        oracle, _ = GROWER_ORACLES[name]
-        with pytest.raises(UnknownItemId):
-            grower_for(oracle).gain(99)
+        oracle, ground = GROWER_ORACLES[name]
+        first = min(ground)
+        p = class_profits(oracle, [first])[first]
+        grower = grower_for(oracle)
+        for call, arg in [
+            (grower.singletons, [first, 99]),
+            (grower.greedy, [(first, 1, p), (99, 1, p)]),
+        ]:
+            before = oracle.call_count
+            with pytest.raises(UnknownItemId):
+                call(arg)
+            assert oracle.call_count == before + 2
 
     def test_evaluate_backed_grower_asks_the_grown_set(self):
         seen = []
         oracle = AggregationOracle(lambda s: seen.append(s) or min(len(s), 2), {"kind": "user"})
         grower = grower_for(oracle)
-        assert [grower.gain(1), grower.gain(2)] == [1, 1]
-        grower.add(2)
-        assert [grower.gain(3), grower.gain(1)] == [1, 1]
-        grower.add(1)
-        assert grower.gain(3) == 0
-        assert seen == [{1}, {2}, {2, 3}, {2, 1}, {1, 2, 3}]
+        assert grower.singletons([1, 2]) == [1, 1]
+        run = [(2, 0, 1), (1, 5, 1), (3, 1, 1)]
+        assert grower.greedy(run) == run[:2]
+        assert seen == [{1}, {2}, {2}, {2, 1}, {1, 2, 3}]
         assert oracle.call_count == 5
-        with pytest.raises(ValueError):
-            grower.add(4)
 
 
 class TestDescriptors:
