@@ -70,16 +70,16 @@ from .modularize import (
 )
 from .oracles import (
     AggregationOracle,
-    Grower,
     MatroidSpec,
     check_aon_property,
     check_submodularity,
     coverage_oracle,
-    grower_for,
+    greedy_kept,
     matroid_rank,
     matroid_rank_sum_oracle,
     modular_oracle,
     oracle_from_descriptor,
+    singleton_gains,
 )
 from .serialize import (
     chain_from_obj,

@@ -21,7 +21,7 @@ from .oracles import (
     _CHECKER_SEED,
     _EXCHANGE_SAMPLES,
     _mask_to_set,
-    grower_for,
+    greedy_kept,
 )
 
 
@@ -73,23 +73,23 @@ def min_weight_basis(inst: Instance, class_items: Iterable[int]) -> ClassBasis:
 
     The independent subsets of a single profit class form a matroid, so the
     greedy output is maximal and of minimum total weight.  Sorts the class
-    by id, then stably by weight, and makes the bulk call modularize makes.
+    by id, then stably by weight, and makes modularize's greedy_kept() call.
     """
     order = sorted(map(inst.item, class_items), key=itemgetter(0))
     order.sort(key=itemgetter(1))
-    return _greedy_basis(grower_for(inst.oracle).greedy, order)
+    return _greedy_basis(inst.oracle, order)
 
 
-def _greedy_basis(greedy, run: list[Item]) -> ClassBasis:
+def _greedy_basis(oracle, run: list[Item]) -> ClassBasis:
     """The greedy basis of items given in (weight, id) order, grown from empty.
 
-    greedy is a Grower's greedy call.  The basis B stays independent, so
-    gamma(B) = p(B) and B + i is independent exactly when the gain of i
-    over B is p_i; a larger gain means gamma(B + i) > p(B + i) and raises
-    OracleViolation.  Costs exactly one oracle query per item, all in one
-    bulk call: evaluate(B + i) per item for oracles without a bulk answer.
+    The basis B stays independent, so gamma(B) = p(B) and B + i is
+    independent exactly when the gain of i over B is p_i; a larger gain
+    means gamma(B + i) > p(B + i) and raises OracleViolation.  Costs exactly
+    one oracle query per item, all in one greedy_kept() call: evaluate(B + i)
+    per item for oracles without a bulk answer.
     """
-    kept = greedy(run)
+    kept = greedy_kept(oracle, run)
     return ClassBasis(frozenset(map(itemgetter(0), kept)), sum(map(itemgetter(1), kept)))
 
 

@@ -17,7 +17,7 @@ from operator import itemgetter
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import InvalidInstance, OracleViolation, UnknownItemId
-from .oracles import _is_int, grower_for
+from .oracles import _is_int, singleton_gains
 
 
 class Item(NamedTuple):
@@ -316,12 +316,12 @@ def preprocess_singletons(inst: Instance) -> tuple[Instance, tuple[int, ...]]:
     An item with gamma({i}) = 0 contributes nothing to any set (by
     submodularity), so removing it preserves the optimal value.  Any
     singleton value other than 0 or p_i breaks the all-or-nothing contract.
-    Makes one oracle query per item, all in one bulk call of the oracle's
-    grower (evaluate({i}) per item for oracles without a bulk answer), and
-    checks the answers after it.  Returns inst itself when nothing is
-    dropped, which one list compare decides.
+    Makes one oracle query per item, all through one singleton_gains() call
+    (evaluate({i}) per item for oracles without a bulk answer), and checks
+    the answers after it.  Returns inst itself when nothing is dropped,
+    which one list compare decides.
     """
-    gains = grower_for(inst.oracle).singletons(inst.item_ids)
+    gains = singleton_gains(inst.oracle, inst.item_ids)
     if gains == list(map(itemgetter(2), inst.items)):
         return inst, ()
     kept: list[Item] = []

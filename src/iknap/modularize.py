@@ -26,7 +26,7 @@ from .instances import (
     profit_phi,
     profit_phi_bar,
 )
-from .oracles import grower_for, modular_oracle
+from .oracles import modular_oracle
 from .solvers import (
     SolveLimits,
     SolveResult,
@@ -56,7 +56,7 @@ def modularize(inst: Instance) -> ModularizedInstance:
     Expects a validated, singleton-preprocessed instance.  Costs one sort
     by (profit, weight, id), in which each class is a run, grown from empty
     in increasing class profit, plus exactly one oracle query per item, one
-    bulk call per run on one grower: the built-in modular and
+    greedy_kept() call per run: the built-in modular and
     matroid-rank-sum oracles answer a run from the class's matroid (a
     slice, a counter per group, a union-find), so the whole reduction is
     linear in n up to the sort, and any other oracle is asked
@@ -65,8 +65,9 @@ def modularize(inst: Instance) -> ModularizedInstance:
     by_id = sorted(inst.items, key=itemgetter(0))
     order = sorted(by_id, key=itemgetter(1))
     order.sort(key=itemgetter(2))
-    greedy = grower_for(inst.oracle).greedy
-    bases = tuple(_greedy_basis(greedy, list(run)) for _, run in groupby(order, itemgetter(2)))
+    bases = tuple(
+        _greedy_basis(inst.oracle, list(run)) for _, run in groupby(order, itemgetter(2))
+    )
     kept = frozenset().union(*[basis.members for basis in bases])
     items = [it for it in by_id if it[0] in kept]
     oracle = modular_oracle({i: p for i, _, p in items})

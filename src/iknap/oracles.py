@@ -16,7 +16,7 @@ import random
 import threading
 from dataclasses import dataclass
 from operator import itemgetter
-from typing import Callable, ClassVar, Iterable, Mapping, NamedTuple, Sequence
+from typing import Callable, ClassVar, Iterable, Mapping, Sequence
 
 from .errors import OracleViolation, OverlappingClasses, UnknownItemId
 
@@ -63,22 +63,6 @@ class _ItemTable(dict):
         raise UnknownItemId(f"item id {item} outside oracle ground")
 
 
-class Grower(NamedTuple):
-    """Bulk answers over one oracle; each item answered counts as one call.
-
-    singletons(ids) returns gamma({i}) for each id, in order.  greedy(run)
-    takes (id, weight, profit) items with distinct ids, in the order to try
-    them, and grows a set B from empty: an item joins B when its gain
-    gamma(B + i) - gamma(B) is its profit, and a larger gain raises
-    OracleViolation.  It returns the items that joined, in run order.
-    Built by grower_for(); the two calls share no state, so one grower
-    serves any number of runs.
-    """
-
-    singletons: Callable[[Sequence[int]], list]
-    greedy: Callable[[Sequence[tuple]], list]
-
-
 class AggregationOracle:
     """Wraps a set function and counts evaluations.
 
@@ -86,43 +70,41 @@ class AggregationOracle:
     be stateless (all built-in families are) and each call ticks the call
     counter exactly once, by next() on an itertools.count.  That is one C
     call, atomic under the GIL, so no tick is lost between threads and no
-    lock is taken per call.  A bulk call of a grower ticks the counter n
-    times in one C loop (next() on an islice that skips to the n-th tick),
-    which holds the GIL until it ends, so it loses no tick either.  The
-    count relies on the GIL (CI runs CPython 3.10 to 3.13, all with it); a
-    free-threaded build would need a lock per tick again.  The contract
-    rests on this docstring: on a GIL build, TestCallCounter passes with an
-    unlocked `self._n += 1` counter too, so no test catches a lost tick.
+    lock is taken per call.  singleton_gains() and greedy_kept() answered
+    in bulk tick the counter n times in one C loop (next() on an islice
+    that skips to the n-th tick), which holds the GIL until it ends, so
+    they lose no tick either.  The count relies on the GIL (CI runs
+    CPython 3.10 to 3.13, all with it); a free-threaded build would need a
+    lock per tick again.  The contract rests on this docstring: on a GIL
+    build, TestCallCounter passes with an unlocked `self._n += 1` counter
+    too, so no test catches a lost tick.
     Reading call_count ticks the counter too, so the read takes a lock and
     subtracts the ticks of all reads so far.
 
     descriptor may be a zero-argument function instead of a dict; the
     first read of the descriptor attribute calls it, and a solve never does.
 
-    make_grower, if given, is a zero-argument factory that returns a
-    (singletons, greedy) pair with the calls of a Grower.  The calls keep
-    no state between them, so the oracle keeps none between grows (the
-    modular oracle returns one shared pair; the matroid-rank-sum one builds
-    a pair per grower).  They neither tick nor fall back: each returns None
-    for input it cannot answer, such as an id outside the ground or a run
-    whose items do not carry their class's profit.  grower_for() adds the
-    ticks and the evaluate() fallback.
+    bulk, if given, is a (singletons, greedy) pair that answers the calls
+    of singleton_gains() and greedy_kept() without evaluate().  Neither
+    keeps state between calls, ticks or falls back: each returns None for
+    input it cannot answer, such as an id outside the ground or a run whose
+    items do not carry their class's profit.
     """
 
-    __slots__ = ("_fn", "_descriptor", "_ticks", "_reads", "_lock", "_make_grower")
+    __slots__ = ("_fn", "_descriptor", "_ticks", "_reads", "_lock", "_bulk")
 
     def __init__(
         self,
         fn: Callable[[frozenset], int],
         descriptor: "dict | Callable[[], dict]",
-        make_grower: "Callable[[], tuple[Callable, Callable]] | None" = None,
+        bulk: "tuple[Callable, Callable] | None" = None,
     ):
         self._fn = fn
         self._descriptor = descriptor
         self._ticks = itertools.count()
         self._reads = 0
         self._lock = threading.Lock()
-        self._make_grower = make_grower
+        self._bulk = bulk
 
     @property
     def descriptor(self) -> dict:
@@ -148,70 +130,58 @@ class AggregationOracle:
         return f"AggregationOracle(kind={kind!r}, calls={self.call_count})"
 
 
-def grower_for(oracle) -> Grower:
-    """A Grower over the oracle; each item a call answers counts as one call.
+def singleton_gains(oracle, ids: Sequence[int]) -> list:
+    """gamma({i}) for each id, in order; each id counts as one oracle call.
 
-    An AggregationOracle with a make_grower factory answers each call in
-    bulk from the pair it returns and then ticks its call counter once per
-    item, with no lock.  Input the pair cannot answer, and any other object
-    with an evaluate() method (coverage and user-supplied oracles, or a
-    wrapper around an oracle), goes through evaluate(): {i} for each
-    singleton, and exactly B + i for each item of a greedy run, the value of
-    the empty set taken to be 0.  Both paths give the same answers, call
+    An AggregationOracle with a bulk pair answers every id in one call and
+    then ticks its call counter once per id, with no lock.  Ids the pair
+    cannot answer, and any other object with an evaluate() method (coverage
+    and user-supplied oracles, or a wrapper around an oracle), are asked
+    evaluate({i}) one by one.  Both paths give the same answers, call
     counts and errors.
     """
-    make = oracle._make_grower if isinstance(oracle, AggregationOracle) else None
-    if make is None:
-        return _evaluate_grower(oracle)
-    bulk_singletons, bulk_greedy = make()
-    ticks = oracle._ticks
+    bulk = oracle._bulk if isinstance(oracle, AggregationOracle) else None
+    gains = bulk[0](ids) if bulk else None
+    if gains is None:
+        return [oracle.evaluate({i}) for i in ids]
+    if gains:  # skip to the len(gains)-th tick, in C
+        next(itertools.islice(oracle._ticks, len(gains) - 1, None))
+    return gains
 
-    def singletons(ids: Sequence[int]) -> list:
-        gains = bulk_singletons(ids)
-        if gains is None:
-            return _evaluate_grower(oracle).singletons(ids)
-        if gains:  # skip to the len(gains)-th tick, in C
-            next(itertools.islice(ticks, len(gains) - 1, None))
-        return gains
 
-    def greedy(run: Sequence[tuple]) -> list:
-        kept = bulk_greedy(run)
-        if kept is None:
-            return _evaluate_grower(oracle).greedy(run)
+def greedy_kept(oracle, run: Sequence[tuple]) -> list:
+    """The items of run that join a set B grown from empty, in run order.
+
+    run holds (id, weight, profit) items with distinct ids, in the order to
+    try them.  An item joins B when its gain gamma(B + i) - gamma(B) is its
+    profit, and a larger gain raises OracleViolation.  Each item counts as
+    one oracle call: a bulk pair answers the run as singleton_gains() does,
+    and otherwise the oracle is asked exactly evaluate(B + i) per item, the
+    value of the empty set taken to be 0.
+    """
+    bulk = oracle._bulk if isinstance(oracle, AggregationOracle) else None
+    kept = bulk[1](run) if bulk else None
+    if kept is not None:
         if run:
-            next(itertools.islice(ticks, len(run) - 1, None))
+            next(itertools.islice(oracle._ticks, len(run) - 1, None))
         return kept
-
-    return Grower(singletons, greedy)
-
-
-def _evaluate_grower(oracle) -> Grower:
-    """The Grower that asks oracle.evaluate() once per item."""
-    evaluate = oracle.evaluate
-
-    def singletons(ids: Sequence[int]) -> list:
-        return [evaluate({i}) for i in ids]
-
-    def greedy(run: Sequence[tuple]) -> list:
-        # B stays independent, so gamma(B) = p(B) = value.
-        kept = []
-        members: set[int] = set()
-        value = 0
-        for it in run:
-            i, _, p = it
-            g = evaluate(members | {i}) - value
-            if g > p:
-                raise OracleViolation(
-                    f"gamma(S) = {value + g} > p(S) = {value + p} for S={sorted(members | {i})}; "
-                    "oracle is outside the all-or-nothing class"
-                )
-            if g == p:
-                kept.append(it)
-                members.add(i)
-                value += p
-        return kept
-
-    return Grower(singletons, greedy)
+    # B stays independent, so gamma(B) = p(B) = value.
+    kept = []
+    members: set[int] = set()
+    value = 0
+    for it in run:
+        i, _, p = it
+        g = oracle.evaluate(members | {i}) - value
+        if g > p:
+            raise OracleViolation(
+                f"gamma(S) = {value + g} > p(S) = {value + p} for S={sorted(members | {i})}; "
+                "oracle is outside the all-or-nothing class"
+            )
+        if g == p:
+            kept.append(it)
+            members.add(i)
+            value += p
+    return kept
 
 
 def _forest(edges: Iterable[tuple[int, int, int]]) -> list[int]:
@@ -417,8 +387,7 @@ def _modular(table: _ItemTable) -> AggregationOracle:
         return sum(map(table.__getitem__, s))
 
     # A gain does not depend on B: it is the table's value, and a run is all
-    # kept exactly when those values are the run's profits.  So every grower
-    # shares one stateless pair.
+    # kept exactly when those values are the run's profits.
     def singletons(ids):
         try:
             return list(map(table.__getitem__, ids))
@@ -434,8 +403,7 @@ def _modular(table: _ItemTable) -> AggregationOracle:
             return None
         return run
 
-    pair = (singletons, greedy)
-    return AggregationOracle(fn, {"kind": "modular"}, lambda: pair)
+    return AggregationOracle(fn, {"kind": "modular"}, (singletons, greedy))
 
 
 def _matroid_from_obj(obj: dict) -> MatroidSpec:
@@ -476,44 +444,43 @@ def matroid_rank_sum_oracle(
             raise UnknownItemId(f"items {sorted(unknown)} outside oracle ground")
         return sum(p * spec.rank(s & spec.ground) for p, spec in specs)
 
-    def make_grower():
-        spec_of = dict(specs)  # class profits are distinct
+    spec_of = dict(specs)  # class profits are distinct
 
-        def singletons(ids):
-            gain_of: dict[int, int] = {}
-            for p, spec in specs:
-                gain_of.update(dict.fromkeys(spec.ground, p))
-                gain_of.update(dict.fromkeys(spec.loops(), 0))
-            try:
-                return list(map(gain_of.__getitem__, ids))
-            except KeyError:
-                return None
+    def singletons(ids):
+        # Built per call, not kept: a per-item table held by every oracle
+        # raised peak RSS on large instances.
+        gain_of: dict[int, int] = {}
+        for p, spec in specs:
+            gain_of.update(dict.fromkeys(spec.ground, p))
+            gain_of.update(dict.fromkeys(spec.loops(), 0))
+        try:
+            return list(map(gain_of.__getitem__, ids))
+        except KeyError:
+            return None
 
-        def greedy(run):
-            # A run of one class, each item at its class profit, goes to the
-            # class's spec; anything else takes the evaluate() path.
-            ids = list(map(itemgetter(0), run))
-            p = run[0][2] if run else None
-            spec = spec_of.get(p)
-            if (
-                spec is None
-                or not spec.ground.issuperset(ids)
-                or list(map(itemgetter(2), run)).count(p) != len(run)
-            ):
-                return None
-            kept = spec.greedy(ids)
-            if len(kept) == len(ids):
-                return run
-            kept = set(kept)
-            return list(itertools.compress(run, map(kept.__contains__, ids)))
-
-        return singletons, greedy
+    def greedy(run):
+        # A run of one class, each item at its class profit, goes to the
+        # class's spec; anything else takes the evaluate() path.
+        ids = list(map(itemgetter(0), run))
+        p = run[0][2] if run else None
+        spec = spec_of.get(p)
+        if (
+            spec is None
+            or not spec.ground.issuperset(ids)
+            or list(map(itemgetter(2), run)).count(p) != len(run)
+        ):
+            return None
+        kept = spec.greedy(ids)
+        if len(kept) == len(ids):
+            return run
+        kept = set(kept)
+        return list(itertools.compress(run, map(kept.__contains__, ids)))
 
     def descriptor() -> dict:
         classes = [{"profit": p, "matroid": spec.to_obj()} for p, spec in specs]
         return {"kind": "matroid_rank_sum", "classes": classes}
 
-    return AggregationOracle(fn, descriptor, make_grower)
+    return AggregationOracle(fn, descriptor, (singletons, greedy))
 
 
 def coverage_oracle(

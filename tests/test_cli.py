@@ -610,6 +610,75 @@ class TestDamagedFiles:
         )
 
 
+#: Tokens int() rejects (no decimal digit, or a float), plus Unicode digits
+#: it accepts; every count they give is at most 12, so no header asks
+#: SubcubicGraph for a huge degree table.
+BAD_TOKENS = st.one_of(
+    st.text(
+        st.characters(blacklist_categories=("Nd", "Zs", "Zl", "Zp", "Cc", "Cs")),
+        min_size=1,
+        max_size=4,
+    ),
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.sampled_from(["1.5", "2e0", "0x3", "\u0663", "\uff11", "\u00b9", "1_2"]),
+)
+#: --k and -T values, mostly integers, so that most files get past argparse.
+VC_K = st.sampled_from([*range(1, 15), 0, -1, -2, "x", "1.5", "", "\u0663"])
+VC_HORIZON = st.sampled_from([*range(1, 13), 0, -1, -2, "x", "2.0"])
+VC_DAMAGES = (
+    "self_loop", "parallel", "degree_4", "negative_id", "out_of_range", "wrong_n",
+    "wrong_m", "negative_count", "truncate", "token", "bytes",
+)
+
+
+@st.composite
+def damaged_edge_lists(draw):
+    """An edge-list file for reduce-vc, and the damages drawn into it (none: valid)."""
+    n = draw(st.integers(0, 12))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    degree = [0] * n
+    edges = []
+    for u, v in draw(st.permutations(pairs))[: draw(st.integers(0, 12))]:
+        if degree[u] < 3 and degree[v] < 3:
+            edges.append([u, v])
+            degree[u] += 1
+            degree[v] += 1
+    header = [n, len(edges)]
+    damages = draw(st.lists(st.sampled_from(VC_DAMAGES), max_size=3))
+    for damage in damages:
+        if damage == "self_loop" and n:
+            v = draw(st.integers(0, n - 1))
+            edges.append([v, v])
+            header[1] += 1
+        elif damage == "parallel" and edges:
+            u, v = draw(st.sampled_from(edges))
+            edges.append([v, u])
+            header[1] += 1
+        elif damage == "degree_4" and n >= 5:
+            center = draw(st.integers(0, n - 1))
+            edges += [[center, v] for v in range(n) if v != center][:4]
+            header[1] += 4
+        elif damage in ("negative_id", "out_of_range") and edges:
+            edge = draw(st.sampled_from(edges))
+            low = -12 if damage == "negative_id" else n
+            edge[draw(st.integers(0, 1))] = draw(st.integers(low, low + 11))
+        elif damage in ("wrong_n", "wrong_m"):
+            header[damage == "wrong_m"] = draw(st.integers(0, 12))
+        elif damage == "negative_count":
+            header[draw(st.integers(0, 1))] = draw(st.integers(-12, -1))
+    tokens = [str(x) for x in header + [x for edge in edges for x in edge]]
+    if "truncate" in damages:
+        tokens = tokens[: draw(st.integers(0, len(tokens)))]
+    if "token" in damages and tokens:
+        tokens[draw(st.integers(0, len(tokens) - 1))] = draw(BAD_TOKENS)
+    data = draw(st.sampled_from([" ", "\n", "\t"])).join(tokens).encode("utf-8")
+    if "bytes" in damages:
+        at = draw(st.integers(0, len(data)))
+        undecodable = draw(st.sampled_from([b"\xff", b"\x80", b"\xc3(", b"\xed\xa0\x80"]))
+        data = data[:at] + undecodable + data[at:]
+    return data, damages
+
+
 class TestReduceVc:
     def test_writes_instance_and_summary(self, tmp_path, capsys):
         graph = tmp_path / "k3.txt"
@@ -651,6 +720,37 @@ class TestReduceVc:
         assert err.startswith("malformed input: ") and err.count("\n") == 1
         assert message in err
         assert not out.exists()
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(case=damaged_edge_lists(), k=VC_K, horizon=VC_HORIZON)
+    def test_damaged_graph_files_exit_0_2_or_4_without_a_traceback(self, case, k, horizon):
+        data, damages = case
+        with tempfile.TemporaryDirectory() as tmp:
+            graph, out = Path(tmp) / "g.txt", Path(tmp) / "vc.json"
+            graph.write_bytes(data)
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+                try:
+                    code = run("reduce-vc", "--graph", graph, "--k", k, "-T", horizon,
+                               "--out", out)
+                except SystemExit as exc:  # argparse rejects --k or -T
+                    code = exc.code
+            err = err.getvalue()
+            assert "Traceback" not in err
+            if code == 0:
+                assert err == ""
+                assert validate_instance(load_instance(out)) == []
+            else:
+                assert not out.exists()
+            if code == 2:
+                assert err.startswith("usage: iknap reduce-vc ")
+                assert err.splitlines()[-1].startswith("iknap reduce-vc: error: argument ")
+            elif code == 4:
+                assert err.startswith("malformed input: ") and err.count("\n") == 1
+            else:
+                assert code == 0, (data, k, horizon, err)
+        if not damages and k in range(1, int(data.split()[0]) + 1) and horizon in range(1, 13):
+            assert code == 0, (data, k, horizon, err)
 
 
 class TestBench:

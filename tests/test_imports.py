@@ -31,3 +31,10 @@ def test_import_iknap_loads_only_stdlib_modules():
         if name.partition(".")[0] not in sys.stdlib_module_names | {"iknap"}
     ]
     assert foreign == []
+
+
+def test_oracle_bulk_calls_are_plain_functions():
+    import iknap
+
+    assert not hasattr(iknap, "Grower") and not hasattr(iknap, "grower_for")
+    assert callable(iknap.singleton_gains) and callable(iknap.greedy_kept)

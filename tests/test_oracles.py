@@ -16,12 +16,13 @@ from iknap import (
     check_aon_property,
     check_submodularity,
     coverage_oracle,
-    grower_for,
+    greedy_kept,
     make_family_instance,
     matroid_rank,
     matroid_rank_sum_oracle,
     modular_oracle,
     oracle_from_descriptor,
+    singleton_gains,
     solve_ik_aon,
 )
 from iknap.oracles import (
@@ -48,7 +49,7 @@ def _independent(spec, items):
 #: Oracles with their grounds: modular, and rank-sum classes of every matroid
 #: kind, with a cap-0 uniform class, a cap-0 partition group, self-loops and
 #: parallel edges.
-GROWER_ORACLES = {
+BULK_ORACLES = {
     "modular": (modular_oracle({1: 4, 2: 7, 3: 1, 4: 4}), range(1, 5)),
     "uniform": (
         matroid_rank_sum_oracle(
@@ -423,13 +424,13 @@ class TestCallCounter:
         assert oracle.call_count == 1
         assert oracle.call_count == 1
         assert repr(oracle) == "AggregationOracle(kind='modular', calls=1)"
-        grower_for(oracle).singletons([2])
+        singleton_gains(oracle, [2])
         assert repr(oracle) == "AggregationOracle(kind='modular', calls=2)"
         assert oracle.call_count == 2
 
     @pytest.mark.parametrize("name", ["modular", "mixed"])
     def test_concurrent_bulk_ticks_evaluations_and_reads(self, name):
-        oracle, ground = GROWER_ORACLES[name]
+        oracle, ground = BULK_ORACLES[name]
         ground = list(ground)
         profit_of = class_profits(oracle, ground)
         before = oracle.call_count
@@ -437,12 +438,11 @@ class TestCallCounter:
         done = threading.Event()
 
         def worker():
-            grower = grower_for(oracle)
             for k in range(200):
                 oracle.evaluate({ground[0]})
-                grower.singletons(ground)
+                singleton_gains(oracle, ground)
                 run = [(i, 1, profit_of[i]) for i in ground[k % 3 :: 3]]
-                grower.greedy(run)
+                greedy_kept(oracle, run)
 
         expected = 4 * sum(1 + len(ground) + len(ground[k % 3 :: 3]) for k in range(200))
         workers = [threading.Thread(target=worker) for _ in range(4)]
@@ -493,7 +493,7 @@ def greedy_by_evaluate(oracle, run):
     return kept
 
 
-class TestGrower:
+class TestBulkCalls:
     def runs(self, oracle, ground, rng):
         """Random runs in random order: one per profit class, and one across classes."""
         profit_of = class_profits(oracle, ground)
@@ -507,22 +507,21 @@ class TestGrower:
             yield [(i, rng.randint(0, 5), profit_of[i]) for i in ids]
 
     def check(self, oracle, ground, rng):
-        grower = grower_for(oracle)
         order = list(ground)
         rng.shuffle(order)
         before = oracle.call_count
-        gains = grower.singletons(order)
+        gains = singleton_gains(oracle, order)
         assert oracle.call_count == before + len(order)
         assert gains == [oracle.evaluate({i}) - oracle.evaluate(set()) for i in order]
         for run in self.runs(oracle, ground, rng):
             before = oracle.call_count
-            kept = grower.greedy(run)
+            kept = greedy_kept(oracle, run)
             assert oracle.call_count == before + len(run)
             assert kept == greedy_by_evaluate(oracle, run), run
 
-    @pytest.mark.parametrize("name", sorted(GROWER_ORACLES))
+    @pytest.mark.parametrize("name", sorted(BULK_ORACLES))
     def test_answers_match_evaluate_along_random_orders(self, name):
-        oracle, ground = GROWER_ORACLES[name]
+        oracle, ground = BULK_ORACLES[name]
         rng = random.Random(11)
         for _ in range(60):
             self.check(oracle, ground, rng)
@@ -537,28 +536,26 @@ class TestGrower:
             for _ in range(5):
                 self.check(inst.oracle, inst.item_ids, rng)
 
-    @pytest.mark.parametrize("name", sorted(GROWER_ORACLES))
+    @pytest.mark.parametrize("name", sorted(BULK_ORACLES))
     def test_unknown_item(self, name):
-        oracle, ground = GROWER_ORACLES[name]
+        oracle, ground = BULK_ORACLES[name]
         first = min(ground)
         p = class_profits(oracle, [first])[first]
-        grower = grower_for(oracle)
         for call, arg in [
-            (grower.singletons, [first, 99]),
-            (grower.greedy, [(first, 1, p), (99, 1, p)]),
+            (singleton_gains, [first, 99]),
+            (greedy_kept, [(first, 1, p), (99, 1, p)]),
         ]:
             before = oracle.call_count
             with pytest.raises(UnknownItemId):
-                call(arg)
+                call(oracle, arg)
             assert oracle.call_count == before + 2
 
-    def test_evaluate_backed_grower_asks_the_grown_set(self):
+    def test_evaluate_backed_calls_ask_the_grown_set(self):
         seen = []
         oracle = AggregationOracle(lambda s: seen.append(s) or min(len(s), 2), {"kind": "user"})
-        grower = grower_for(oracle)
-        assert grower.singletons([1, 2]) == [1, 1]
+        assert singleton_gains(oracle, [1, 2]) == [1, 1]
         run = [(2, 0, 1), (1, 5, 1), (3, 1, 1)]
-        assert grower.greedy(run) == run[:2]
+        assert greedy_kept(oracle, run) == run[:2]
         assert seen == [{1}, {2}, {2}, {2, 1}, {1, 2, 3}]
         assert oracle.call_count == 5
 
