@@ -13,6 +13,7 @@ from iknap import (
     is_independent,
     iter_feasible_chains,
     make_partition_classes_instance,
+    min_weight_basis,
     modularize,
     preprocess_singletons,
     profit_partition,
@@ -32,12 +33,14 @@ partition = profit_partition(reduced)
 for p, members in partition:
     print(f"profit class p={p}: items {sorted(members)}")
 
-mod = modularize(reduced)
-for index, basis in enumerate(mod.bases, start=1):
+for index, (_, members) in enumerate(partition, start=1):
+    basis = min_weight_basis(reduced, members)  # the kept items, lightest first
     print(
-        f"class {index}: kept {sorted(basis.members)} "
-        f"(total weight {basis.weight})"
+        f"class {index}: kept {sorted(it.id for it in basis)} "
+        f"(total weight {sum(it.weight for it in basis)})"
     )
+
+mod = modularize(reduced)
 print("modular instance:", mod.ik)
 
 print("kept set independent:", is_independent(reduced, mod.kept_ids))

@@ -40,7 +40,6 @@ from .hardness import (
     write_edge_list,
 )
 from .independence import (
-    ClassBasis,
     check_matroid_exchange,
     find_cycle,
     greedy_matroid_chain,

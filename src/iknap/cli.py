@@ -19,8 +19,8 @@ non-integer or boolean item id, a report that is not an object or whose
 kept_items is not a list of integers, or a non-integer or boolean phi or
 phi_bar.  reduce-vc, the one command that builds the vertex-cover
 instance (-T sets its horizon, default 1), exits 4 on a graph file with a
-non-integer token, a negative n or m in its header or a vertex of degree
-above 3, or a --k outside 1..|V|.
+token that is not ASCII digits after an optional minus, a negative n or m
+in its header or a vertex of degree above 3, or a --k outside 1..|V|.
 Usage errors exit 2: generate rejects --n or -T below 1, reduce-vc a -T
 below 1, every command an option it does not take (such as --graph or
 --k for generate), and bench a --solvers list that is empty or

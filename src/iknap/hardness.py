@@ -17,7 +17,7 @@ from itertools import combinations
 
 from .errors import BadK, InfeasibleChain, NotSubcubic
 from .instances import Chain, Instance, Item, is_feasible
-from .oracles import coverage_oracle
+from .oracles import _parse_int, coverage_oracle
 
 MAX_DEGREE = 3
 
@@ -139,13 +139,11 @@ def read_edge_list(path) -> SubcubicGraph:
         tokens = fh.read().split()
     if len(tokens) < 2:
         raise ValueError(f"{path}: missing 'n m' header")
-    n, m = int(tokens[0]), int(tokens[1])
+    n, m = (_parse_int(token, f"{path}: token") for token in tokens[:2])
     if n < 0 or m < 0:
         raise ValueError(f"{path}: negative count in 'n m' header {n} {m}")
     flat = tokens[2:]
     if len(flat) != 2 * m:
         raise ValueError(f"{path}: expected {2 * m} endpoints, found {len(flat)}")
-    edges = tuple(
-        (int(flat[2 * j]), int(flat[2 * j + 1])) for j in range(m)
-    )
-    return SubcubicGraph(n, edges)
+    ends = [_parse_int(token, f"{path}: token") for token in flat]
+    return SubcubicGraph(n, tuple(zip(ends[::2], ends[1::2])))

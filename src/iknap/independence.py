@@ -10,7 +10,6 @@ independent subset of each class.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from operator import itemgetter
 from typing import Iterable
 
@@ -60,37 +59,17 @@ def find_cycle(inst: Instance, items: Iterable[int]) -> frozenset:
     return c
 
 
-@dataclass(frozen=True)
-class ClassBasis:
-    """A minimum-weight maximal independent subset of one profit class."""
-
-    members: frozenset
-    weight: int
-
-
-def min_weight_basis(inst: Instance, class_items: Iterable[int]) -> ClassBasis:
+def min_weight_basis(inst: Instance, class_items: Iterable[int]) -> tuple[Item, ...]:
     """Greedy basis of a profit class: weight-ascending, smallest id on ties.
 
     The independent subsets of a single profit class form a matroid, so the
     greedy output is maximal and of minimum total weight.  Sorts the class
-    by id, then stably by weight, and makes modularize's greedy_kept() call.
+    by id, then stably by weight, and makes modularize's greedy_kept() call:
+    one oracle query per item.  Returns the basis items in that greedy order.
     """
     order = sorted(map(inst.item, class_items), key=itemgetter(0))
     order.sort(key=itemgetter(1))
-    return _greedy_basis(inst.oracle, order)
-
-
-def _greedy_basis(oracle, run: list[Item]) -> ClassBasis:
-    """The greedy basis of items given in (weight, id) order, grown from empty.
-
-    The basis B stays independent, so gamma(B) = p(B) and B + i is
-    independent exactly when the gain of i over B is p_i; a larger gain
-    means gamma(B + i) > p(B + i) and raises OracleViolation.  Costs exactly
-    one oracle query per item, all in one greedy_kept() call: evaluate(B + i)
-    per item for oracles without a bulk answer.
-    """
-    kept = greedy_kept(oracle, run)
-    return ClassBasis(frozenset(map(itemgetter(0), kept)), sum(map(itemgetter(1), kept)))
+    return tuple(greedy_kept(inst.oracle, order))
 
 
 def check_matroid_exchange(inst: Instance, class_items: Iterable[int]):
@@ -154,12 +133,13 @@ def check_matroid_exchange(inst: Instance, class_items: Iterable[int]):
 def restrict_chain_to_basis(
     inst: Instance,
     class_items: Iterable[int],
-    basis: ClassBasis,
+    basis: tuple[Item, ...],
     chain: Chain,
 ) -> Chain:
     """Re-route an independent in-class chain through the class basis.
 
-    Each S_t is replaced by the |S_t| lightest basis items (smaller id on
+    basis is the class's min_weight_basis(), in its greedy order.  Each S_t
+    is replaced by the first |S_t| basis items, the lightest (smaller id on
     ties); the result has the same gamma value and no more weight at every
     period.
     """
@@ -170,7 +150,7 @@ def restrict_chain_to_basis(
         raise ChainNotIndependent(
             f"chain's final set {sorted(chain.final_set)} is dependent"
         )
-    order = sorted(basis.members, key=lambda i: (inst.weight_of(i), i))
+    order = list(map(itemgetter(0), basis))
     sets = []
     for s in chain.sets():
         if len(s) > len(order):

@@ -16,7 +16,6 @@ from operator import itemgetter
 from typing import Iterable, Sequence
 
 from .errors import InfeasibleInternal, LimitsExceeded, OracleViolation, SolverFailure
-from .independence import ClassBasis, _greedy_basis
 from .instances import (
     Chain,
     Instance,
@@ -26,7 +25,7 @@ from .instances import (
     profit_phi,
     profit_phi_bar,
 )
-from .oracles import modular_oracle
+from .oracles import greedy_kept, modular_oracle
 from .solvers import (
     SolveLimits,
     SolveResult,
@@ -38,16 +37,14 @@ from .solvers import (
 
 @dataclass(frozen=True)
 class ModularizedInstance:
-    """The kept items priced by their plain profit sum, and each class's basis.
+    """The kept items priced by their plain profit sum.
 
     Kept items keep their original ids, weights, and profits, so chains of
-    the modular instance are directly chains of the original one.  The
-    bases are in increasing class-profit order.
+    the modular instance are directly chains of the original one.
     """
 
     ik: Instance
     kept_ids: tuple[int, ...]
-    bases: tuple[ClassBasis, ...]
 
 
 def modularize(inst: Instance) -> ModularizedInstance:
@@ -60,19 +57,19 @@ def modularize(inst: Instance) -> ModularizedInstance:
     matroid-rank-sum oracles answer a run from the class's matroid (a
     slice, a counter per group, a union-find), so the whole reduction is
     linear in n up to the sort, and any other oracle is asked
-    evaluate(B + i).
+    evaluate(B + i).  The kept items are the runs' greedy_kept() answers,
+    put back in id order.
     """
-    by_id = sorted(inst.items, key=itemgetter(0))
-    order = sorted(by_id, key=itemgetter(1))
+    order = sorted(inst.items, key=itemgetter(0))
+    order.sort(key=itemgetter(1))
     order.sort(key=itemgetter(2))
-    bases = tuple(
-        _greedy_basis(inst.oracle, list(run)) for _, run in groupby(order, itemgetter(2))
-    )
-    kept = frozenset().union(*[basis.members for basis in bases])
-    items = [it for it in by_id if it[0] in kept]
+    items = []
+    for _, run in groupby(order, itemgetter(2)):
+        items += greedy_kept(inst.oracle, list(run))
+    items.sort(key=itemgetter(0))
     oracle = modular_oracle({i: p for i, _, p in items})
     ik = Instance(items, inst.horizon, inst.capacities, inst.deltas, oracle)
-    return ModularizedInstance(ik=ik, kept_ids=ik.item_ids, bases=bases)
+    return ModularizedInstance(ik=ik, kept_ids=ik.item_ids)
 
 
 @dataclass

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import re
 import threading
 from dataclasses import dataclass
 from operator import itemgetter
@@ -41,6 +42,20 @@ def _integer(value, name: str) -> int:
     if not _is_int(value):
         raise ValueError(f"{name} must be an integer, got {value!r}")
     return value
+
+
+_DECIMAL = re.compile("-?[0-9]+")
+
+
+def _parse_int(text: str, name: str) -> int:
+    """text as an int when it is ASCII digits after an optional minus.
+
+    int() alone would also take '+2', '1_2', surrounding spaces and
+    non-ASCII digits such as '\u0663'.
+    """
+    if _DECIMAL.fullmatch(text) is None:
+        raise ValueError(f"{name} must be an integer, got {text!r}")
+    return int(text)
 
 
 def _integers(values: Iterable, name: str) -> list:

@@ -21,7 +21,7 @@ from typing import Iterator, Mapping, Sequence
 
 from .errors import BudgetExceeded, LimitsExceeded
 from .instances import Chain, Instance, Item, suffix_coefficients
-from .oracles import _is_int
+from .oracles import _is_int, _parse_int
 
 
 def earliest_period(resid: Sequence[int], w: int) -> int | None:
@@ -88,8 +88,8 @@ class SolveLimits:
     The exact-solver limits bound the size, not the time: inside these
     defaults (m=18 kept items, T=6), 40 generated instances (four families,
     seeds 100-109) took a median of 0.6 ms and at worst 16 ms and 5,019
-    nodes (16,759 nodes in all) on a 2-core host.  Setting them from
-    measured worst cases is ROADMAP D11.
+    nodes (16,759 nodes in all) on a 2-core host.  Replacing both with one
+    max_nodes_exact set from measured worst cases is ROADMAP D14.
     """
 
     max_n_exact: int = 18
@@ -101,7 +101,9 @@ class SolveLimits:
     def from_mapping(pairs: dict) -> "SolveLimits":
         """Limits from key -> value pairs; a value is an int or a string of one.
 
-        Floats and booleans raise ValueError instead of being truncated.
+        A string must be ASCII digits after an optional minus, as in a graph
+        file.  Floats, booleans and other strings raise ValueError instead
+        of being truncated or read loosely.
         """
         limits = SolveLimits()
         known = set(limits.__dataclass_fields__)
@@ -109,7 +111,7 @@ class SolveLimits:
             if key not in known:
                 raise KeyError(f"unknown limits key {key!r}; known: {sorted(known)}")
             if isinstance(value, str):
-                value = int(value)
+                value = _parse_int(value, f"limits key {key!r}")
             elif not _is_int(value):
                 raise ValueError(f"limits key {key!r} must be an integer, got {value!r}")
             if value < 0:

@@ -180,8 +180,8 @@ def test_criterion_05_greedy_basis_weight_is_minimal():
         inst, members = random_class_instance(rng, rng.randint(1, 7))
         basis = min_weight_basis(inst, members)
         maximal = maximal_independent_subsets(inst, members)
-        assert basis.members in maximal, trial
-        assert basis.weight == min(inst.total_weight(s) for s in maximal), trial
+        assert frozenset(it.id for it in basis) in maximal, trial
+        assert sum(it.weight for it in basis) == min(inst.total_weight(s) for s in maximal), trial
     _report(5, True, "greedy == brute-force minimum on 200 random classes")
 
 

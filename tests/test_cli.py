@@ -18,6 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from iknap.cli import main
+from iknap.generators import FAMILIES
 from iknap.serialize import chain_from_obj, load_instance
 from iknap import Chain, is_feasible, profit_phi, profit_phi_bar, validate_instance
 from helpers import RECHECK_ONLY_VIOLATION
@@ -44,6 +45,25 @@ class TestGenerate:
         assert run("generate", "--family", "uniform-classes", "--n", 7, "-T", 2,
                    "--seed", 9, "--out", b, "--quiet") == 0
         assert a.read_bytes() == b.read_bytes()
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(
+        family=st.sampled_from(sorted(FAMILIES)),
+        n=st.integers(1, 12),
+        horizon=st.integers(1, 4),
+        seed=st.integers(-(2**64), 2**64),
+    )
+    def test_fuzzed_generate_repeats_byte_for_byte_then_solves_and_verifies(
+        self, family, n, horizon, seed
+    ):
+        with tempfile.TemporaryDirectory() as tmp:
+            a, b, report = (Path(tmp) / name for name in ("a.json", "b.json", "r.json"))
+            for out in (a, b):
+                assert run_captured("generate", "--family", family, "--n", n, "-T", horizon,
+                                    "--seed", seed, "--out", out) == (0, "")
+            assert a.read_bytes() == b.read_bytes()
+            assert run_captured("solve", "--instance", a, "--out", report) == (0, "")
+            assert run_captured("verify", "--instance", a, "--report", report) == (0, "")
 
     def test_every_family_validates(self, tmp_path, capsys):
         for fam in ["modular", "uniform-classes", "partition-classes", "graphic-classes"]:
@@ -303,6 +323,16 @@ class TestSolveAndVerify:
             run("solve", "--instance", toy_instance, "--limits", limits,
                 "--out", tmp_path / "r.json")
         assert "must be >= 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["1_8", "+2", "\u0663"])
+    def test_loose_integer_limit_is_a_usage_error(self, toy_instance, tmp_path, capsys, value):
+        with pytest.raises(SystemExit) as exc:
+            run("solve", "--instance", toy_instance, "--limits", f"max_n_exact={value}",
+                "--out", tmp_path / "r.json")
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.endswith(
+            f"limits key 'max_n_exact' must be an integer, got {value!r}\n"
+        )
 
 
 def fractional_horizon(instance):
@@ -702,15 +732,20 @@ class TestReduceVc:
     @pytest.mark.parametrize(
         "graph_text, k, message",
         [
-            ("3 3\n0 1\n1 x\n0 2\n", 1, "invalid literal for int()"),
+            ("3 3\n0 1\n1 x\n0 2\n", 1, "g.txt: token must be an integer, got 'x'"),
+            ("3 1\n0 1_2\n", 1, "g.txt: token must be an integer, got '1_2'"),
+            ("3 1\n0 +2\n", 1, "g.txt: token must be an integer, got '+2'"),
+            ("\u0663 1\n0 1\n", 1, "g.txt: token must be an integer, got '\u0663'"),
             ("5 4\n0 1\n0 2\n0 3\n0 4\n", 1, "have degree > 3"),
             (K3_EDGES, 4, "k=4 outside 1..3"),
             (K3_EDGES, 0, "k=0 outside 1..3"),
             ("-3 0\n", 1, "negative count in 'n m' header -3 0"),
             ("2 -1\n", 1, "negative count in 'n m' header 2 -1"),
         ],
-        ids=["reduce-vc-non_integer_token", "reduce-vc-degree_4", "reduce-vc-k_above_n",
-             "reduce-vc-k_zero", "reduce-vc-negative_n", "reduce-vc-negative_m"],
+        ids=["reduce-vc-non_integer_token", "reduce-vc-underscore_token",
+             "reduce-vc-plus_sign_token", "reduce-vc-non_ascii_digit_token",
+             "reduce-vc-degree_4", "reduce-vc-k_above_n", "reduce-vc-k_zero",
+             "reduce-vc-negative_n", "reduce-vc-negative_m"],
     )
     def test_bad_graph_or_k_exits_4(self, tmp_path, capsys, graph_text, k, message):
         graph, out = tmp_path / "g.txt", tmp_path / "vc.json"

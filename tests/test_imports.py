@@ -1,5 +1,6 @@
 """The core package imports nothing outside the standard library."""
 
+import ast
 import os
 import subprocess
 import sys
@@ -38,3 +39,15 @@ def test_oracle_bulk_calls_are_plain_functions():
 
     assert not hasattr(iknap, "Grower") and not hasattr(iknap, "grower_for")
     assert callable(iknap.singleton_gains) and callable(iknap.greedy_kept)
+
+
+def test_the_pipeline_does_not_import_the_basis_helpers():
+    # modularize keeps greedy_kept()'s runs itself; iknap.independence holds
+    # min_weight_basis and the other helpers that tests and demos call.
+    import iknap
+
+    for name in ("instances", "oracles", "modularize", "solvers"):
+        tree = ast.parse((SRC / "iknap" / f"{name}.py").read_text())
+        imported = {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
+        assert "independence" not in imported, name
+    assert not hasattr(iknap, "ClassBasis")

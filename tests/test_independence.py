@@ -8,6 +8,7 @@ from iknap import (
     AggregationOracle,
     Chain,
     ChainNotIndependent,
+    Item,
     MatroidSpec,
     NotDependent,
     OracleViolation,
@@ -190,18 +191,14 @@ class TestMonotonicityAndSlices:
 class TestMinWeightBasis:
     def test_cap_one_takes_lightest(self):
         inst = uniform_class(3, 1, weights=[2, 3, 4])
-        basis = min_weight_basis(inst, [1, 2, 3])
-        assert basis.members == frozenset({1})
-        assert basis.weight == 2
+        assert min_weight_basis(inst, [1, 2, 3]) == (Item(1, 2, 5),)
 
     def test_partition_example(self):
         oracle = matroid_rank_sum_oracle(
             [(5, MatroidSpec.partition([([1, 2], 1), ([3], 1)]))]
         )
         inst = single_class_instance(oracle, 3, profit=5, weights=[3, 1, 2])
-        basis = min_weight_basis(inst, [1, 2, 3])
-        assert basis.members == frozenset({2, 3})
-        assert basis.weight == 3
+        assert min_weight_basis(inst, [1, 2, 3]) == (Item(2, 1, 5), Item(3, 2, 5))
 
     def test_greedy_matches_brute_force(self):
         rng = random.Random(31)
@@ -211,8 +208,8 @@ class TestMinWeightBasis:
             basis = min_weight_basis(inst, members)
             maximal = maximal_independent_subsets(inst, members)
             best = min(inst.total_weight(s) for s in maximal)
-            assert basis.members in maximal
-            assert basis.weight == best
+            assert frozenset(it.id for it in basis) in maximal
+            assert sum(it.weight for it in basis) == best
 
     def test_one_oracle_call_per_class_item(self):
         rng = random.Random(37)
@@ -282,7 +279,7 @@ class TestRestrictChainToBasis:
     def test_reroutes_through_lightest_items(self):
         inst = uniform_class(3, 2, weights=[1, 2, 5])
         basis = min_weight_basis(inst, [1, 2, 3])
-        assert basis.members == frozenset({1, 2})
+        assert [it.id for it in basis] == [1, 2]
         chain = Chain.from_sets([{3}, {2, 3}])
         restricted = restrict_chain_to_basis(inst, [1, 2, 3], basis, chain)
         assert restricted.sets() == [frozenset({1}), frozenset({1, 2})]
@@ -304,7 +301,7 @@ class TestRestrictChainToBasis:
             for old, new in zip(chain.sets(), restricted.sets()):
                 assert inst.oracle.evaluate(new) == inst.oracle.evaluate(old)
                 assert inst.total_weight(new) <= inst.total_weight(old)
-            assert restricted.final_set <= basis.members
+            assert restricted.final_set <= {it.id for it in basis}
 
 
 class TestGreedyMatroidChain:

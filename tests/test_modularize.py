@@ -4,6 +4,8 @@ import dataclasses
 import hashlib
 import importlib
 import random
+from itertools import groupby
+from operator import itemgetter
 
 import pytest
 
@@ -40,7 +42,6 @@ from iknap import (
     verify_solution,
 )
 from iknap.errors import UnknownItemId
-from iknap.independence import ClassBasis
 from iknap.generators import (
     FAMILIES,
     make_family_instance,
@@ -81,14 +82,10 @@ class TestModularize:
             kept = frozenset(mod.kept_ids)
             profit_sum = sum(reduced.profit_of(i) for i in kept)
             assert reduced.oracle.evaluate(kept) == profit_sum
-            for basis in mod.bases:
-                klass = {
-                    i
-                    for i in reduced.item_ids
-                    if reduced.profit_of(i) == reduced.profit_of(next(iter(basis.members)))
-                } if basis.members else set()
-                for outside in klass - basis.members:
-                    assert not is_independent(reduced, basis.members | {outside})
+            for _, klass in profit_partition(reduced):
+                basis = klass & kept
+                for outside in klass - basis:
+                    assert not is_independent(reduced, basis | {outside})
 
     def test_oracle_budget_is_one_call_per_retained_item(self):
         rng = random.Random(5)
@@ -146,11 +143,12 @@ class TestEvaluateFallback:
             reduced, dropped = preprocess_singletons(with_oracle(inst, proxy))
             mod = modularize(reduced)
             expected = [frozenset((i,)) for i in inst.item_ids]
-            for (_, klass), basis in zip(profit_partition(reduced), mod.bases):
+            kept = set(mod.kept_ids)
+            for _, klass in profit_partition(reduced):
                 grown: set[int] = set()
                 for i in sorted(klass, key=lambda i: (reduced.weight_of(i), i)):
                     expected.append(frozenset(grown | {i}))
-                    if i in basis.members:
+                    if i in kept:
                         grown.add(i)
             assert proxy.asked[: len(expected)] == expected
             assert len(proxy.asked) == 2 * len(inst) - len(dropped)
@@ -194,11 +192,11 @@ class TestPerClassDefinition:
             before = ref.oracle.call_count
             bases = tuple(min_weight_basis(ref, ids) for _, ids in profit_partition(ref))
             ref_calls = ref.oracle.call_count - before
-            kept = tuple(sorted(i for basis in bases for i in basis.members))
+            kept = tuple(sorted(i for basis in bases for i, _, _ in basis))
             before = reduced.oracle.call_count
             mod = modularize(reduced)
             assert reduced.oracle.call_count - before == ref_calls == len(reduced)
-            assert mod.bases == bases
+            assert bases_of(mod.ik.items) == bases
             assert mod.kept_ids == kept
             assert mod.ik.items == tuple(reduced.item(i) for i in kept)
 
@@ -222,6 +220,17 @@ class TestPerClassDefinition:
             assert str(exc.value) == message
 
 
+def bases_of(items):
+    """Kept items regrouped into their classes' bases: by profit, each in greedy order.
+
+    Sorting by (profit, weight, id) puts each class's kept items in the
+    order min_weight_basis returns them, so classes with a kept item give
+    exactly their bases.
+    """
+    order = sorted(items, key=itemgetter(2, 1, 0))
+    return tuple(tuple(run) for _, run in groupby(order, itemgetter(2)))
+
+
 def reduction_outcome(inst, preprocess=True):
     """What the reduction gives, or the error it raises, with the calls it made."""
     try:
@@ -229,7 +238,7 @@ def reduction_outcome(inst, preprocess=True):
         mod = modularize(reduced)
     except (UnknownItemId, OracleViolation) as exc:
         return type(exc), str(exc), inst.oracle.call_count
-    return dropped, mod.bases, mod.kept_ids, mod.ik.items, inst.oracle.call_count
+    return dropped, bases_of(mod.ik.items), mod.kept_ids, mod.ik.items, inst.oracle.call_count
 
 
 def both_paths(items, make_oracle, preprocess=True):
@@ -313,7 +322,10 @@ class TestBulkAgainstEvaluate:
         for _ in range(10):
             dropped, bases, kept, _, calls = both_paths(items, make)
             assert calls == 2 * len(items) - len(dropped)
-            assert [b.members <= set(kept) for b in bases] == [True] * len(bases)
+            reduced = Instance([it for it in items if it.id not in dropped], 1, [100], [1], make())
+            assert bases == tuple(
+                min_weight_basis(reduced, ids) for _, ids in profit_partition(reduced)
+            )
             rng.shuffle(items)
 
     def test_hand_built_bases(self):
@@ -322,7 +334,7 @@ class TestBulkAgainstEvaluate:
         # Weights 3 1 4 1 5 | 9 2 6 5 3 3 for items 1-5 | 6-11; self-loops 3
         # and 9 are dropped, and parallel edges 1 and 6 close cycles.
         assert dropped == (3, 9)
-        assert [(sorted(b.members), b.weight) for b in bases] == [
+        assert [(sorted(map(itemgetter(0), b)), sum(map(itemgetter(1), b))) for b in bases] == [
             ([2, 4], 2), ([7, 10, 11], 8),
         ]
         assert kept == (2, 4, 7, 10, 11)
@@ -376,7 +388,7 @@ class TestBulkAgainstEvaluate:
     def test_runs_off_their_class_profit_keep_their_answers(self, make, kept):
         items = [Item(1, 1, 2), Item(2, 2, 2), Item(3, 0, 5), Item(4, 1, 5), Item(5, 2, 5)]
         dropped, bases, kept_ids, _, calls = both_paths(items, make, preprocess=False)
-        assert [sorted(b.members) for b in bases] == kept
+        assert [sorted(map(itemgetter(0), b)) for b in bases] == kept
         assert kept_ids == tuple(sorted(sum(kept, []))) and dropped == () and calls == 5
 
     def test_min_weight_basis_over_items_off_their_class_profit(self):
@@ -388,7 +400,7 @@ class TestBulkAgainstEvaluate:
         for oracle in (make(), EvaluateOnly(make())):
             inst = Instance(items, 1, [9], [1], oracle)
             outcomes.append((min_weight_basis(inst, [3, 2, 1]), oracle.call_count))
-        assert outcomes[0] == outcomes[1] == (ClassBasis(frozenset({1, 3}), 2), 3)
+        assert outcomes[0] == outcomes[1] == ((Item(1, 0, 2), Item(3, 2, 2)), 3)
 
 
 class TestIncrementalScale:

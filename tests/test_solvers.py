@@ -864,3 +864,9 @@ class TestSolveLimits:
     def test_floats_and_booleans_are_rejected(self, value):
         with pytest.raises(ValueError):
             SolveLimits.from_mapping({"max_n_exact": value})
+
+    @pytest.mark.parametrize("value", ["1_8", "+2", "\u0663", " 2", "2\n", ""], ids=repr)
+    def test_only_ascii_digits_after_an_optional_minus_are_read(self, value):
+        with pytest.raises(ValueError) as exc:
+            SolveLimits.from_mapping({"max_n_exact": value})
+        assert str(exc.value) == f"limits key 'max_n_exact' must be an integer, got {value!r}"
