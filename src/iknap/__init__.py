@@ -70,6 +70,7 @@ from .modularize import (
 from .oracles import (
     AggregationOracle,
     MatroidSpec,
+    chain_gammas,
     check_aon_property,
     check_submodularity,
     coverage_oracle,

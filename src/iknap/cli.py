@@ -20,9 +20,12 @@ kept_items is not a list of integers, or a non-integer or boolean phi or
 phi_bar.  reduce-vc, the one command that builds the vertex-cover
 instance (-T sets its horizon, default 1), exits 4 on a graph file with a
 token that is not ASCII digits after an optional minus, a negative n or m
-in its header or a vertex of degree above 3, or a --k outside 1..|V|.
+or an n above 1,000,000 in its header or a vertex of degree above 3, or a
+--k outside 1..|V|.
 Usage errors exit 2: generate rejects --n or -T below 1, reduce-vc a -T
-below 1, every command an option it does not take (such as --graph or
+below 1, every command an integer flag (--n, -T, --seed, --k) that is not
+ASCII digits after an optional minus (so 1_2, +2 and non-ASCII digits are
+refused), every command an option it does not take (such as --graph or
 --k for generate), and bench a --solvers list that is empty or
 names a solver outside auto, exact, heuristic and brute.  bench exits 1
 with an io error when --instances is not a directory; it records a
@@ -50,7 +53,7 @@ from .generators import FAMILIES, make_family_instance
 from .hardness import build_reduction, read_edge_list
 from .instances import ensure_valid, profit_partition
 from .modularize import SOLVERS, solve_ik_aon, verify_solution
-from .oracles import _integer
+from .oracles import _integer, _parse_int
 from .serialize import (
     chain_from_obj,
     dumps_canonical,
@@ -83,9 +86,17 @@ def _limits(text: str) -> SolveLimits:
         raise argparse.ArgumentTypeError(exc.args[0]) from None
 
 
+def _int(text: str) -> int:
+    """argparse type for --seed and --k: ASCII digits after an optional minus."""
+    try:
+        return _parse_int(text, "value")
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(exc.args[0]) from None
+
+
 def _positive(text: str) -> int:
     """argparse type for --n and -T: an integer of at least 1."""
-    value = int(text)
+    value = _int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
     return value
@@ -118,7 +129,7 @@ def build_parser() -> argparse.ArgumentParser:
                      help="number of items (default %(default)s)")
     gen.add_argument("-T", "--horizon", type=_positive, default=2,
                      help="periods (default %(default)s)")
-    gen.add_argument("--seed", type=int, default=DEFAULT_SEED,
+    gen.add_argument("--seed", type=_int, default=DEFAULT_SEED,
                      help="random seed (default %(default)s)")
     gen.add_argument("--out", type=Path, required=True)
     gen.add_argument("--quiet", action="store_true")
@@ -127,7 +138,7 @@ def build_parser() -> argparse.ArgumentParser:
     solve.set_defaults(run=cmd_solve)
     solve.add_argument("--instance", type=Path, required=True)
     solve.add_argument("--solver", default="auto", choices=SOLVERS)
-    solve.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    solve.add_argument("--seed", type=_int, default=DEFAULT_SEED)
     solve.add_argument("--limits", type=_limits, default="")
     solve.add_argument("--out", type=Path, help="report path (stdout if omitted)")
     solve.add_argument("--quiet", action="store_true")
@@ -141,7 +152,7 @@ def build_parser() -> argparse.ArgumentParser:
     reduce = sub.add_parser("reduce-vc", help="build an instance from a graph file")
     reduce.set_defaults(run=cmd_reduce)
     reduce.add_argument("--graph", type=Path, required=True)
-    reduce.add_argument("--k", type=int, required=True)
+    reduce.add_argument("--k", type=_int, required=True)
     reduce.add_argument("-T", "--horizon", type=_positive, default=1,
                         help="periods (default %(default)s)")
     reduce.add_argument("--out", type=Path, required=True)
@@ -151,7 +162,7 @@ def build_parser() -> argparse.ArgumentParser:
     bench.set_defaults(run=cmd_bench)
     bench.add_argument("--instances", type=Path, required=True)
     bench.add_argument("--solvers", type=_names, default="exact,heuristic")
-    bench.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    bench.add_argument("--seed", type=_int, default=DEFAULT_SEED)
     bench.add_argument("--limits", type=_limits, default="")
     bench.add_argument("--out", type=Path, required=True)
     bench.add_argument("--quiet", action="store_true")

@@ -20,6 +20,8 @@ from .instances import Chain, Instance, Item, is_feasible
 from .oracles import _parse_int, coverage_oracle
 
 MAX_DEGREE = 3
+#: read_edge_list refuses a header with more vertices, before a per-vertex list is built.
+MAX_VERTICES = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -142,6 +144,8 @@ def read_edge_list(path) -> SubcubicGraph:
     n, m = (_parse_int(token, f"{path}: token") for token in tokens[:2])
     if n < 0 or m < 0:
         raise ValueError(f"{path}: negative count in 'n m' header {n} {m}")
+    if n > MAX_VERTICES:
+        raise ValueError(f"{path}: vertex count {n} in 'n m' header above {MAX_VERTICES:,}")
     flat = tokens[2:]
     if len(flat) != 2 * m:
         raise ValueError(f"{path}: expected {2 * m} endpoints, found {len(flat)}")

@@ -17,7 +17,7 @@ from operator import itemgetter
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import InvalidInstance, OracleViolation, UnknownItemId
-from .oracles import _is_int, singleton_gains
+from .oracles import _is_int, chain_gammas, singleton_gains
 
 
 class Item(NamedTuple):
@@ -90,15 +90,19 @@ class Chain:
             raise ValueError(f"period {t} outside 1..{self.horizon}")
         return frozenset(i for i, ti in self._times.items() if ti <= t)
 
+    def layers(self) -> list[list[int]]:
+        """The ids first inserted at each period: S_1, S_2 - S_1, ..., S_T - S_{T-1}."""
+        layers: list[list[int]] = [[] for _ in range(self.horizon)]
+        for i, t in self._times.items():
+            layers[t - 1].append(i)
+        return layers
+
     def sets(self) -> list[frozenset]:
         """The set view S_1..S_T."""
-        by_time: list[list[int]] = [[] for _ in range(self.horizon)]
-        for i, t in self._times.items():
-            by_time[t - 1].append(i)
         out: list[frozenset] = []
         cur: set[int] = set()
-        for group in by_time:
-            cur.update(group)
+        for layer in self.layers():
+            cur.update(layer)
             out.append(frozenset(cur))
         return out
 
@@ -226,47 +230,60 @@ def ensure_valid(inst: Instance) -> None:
         raise InvalidInstance(problems)
 
 
-def _check_chain(inst: Instance, chain: Chain) -> None:
+_WEIGHT, _PROFIT = itemgetter(1), itemgetter(2)
+
+
+def _layers(inst: Instance, chain: Chain) -> list[list[int]]:
+    """chain.layers(), once the chain's horizon and ids are checked against inst."""
     if chain.horizon != inst.horizon:
         raise ValueError(
             f"chain horizon {chain.horizon} != instance horizon {inst.horizon}"
         )
-    unknown = chain._times.keys() - inst._by_id.keys()
-    if unknown:
+    if not inst._by_id.keys() >= chain._times.keys():
+        unknown = chain._times.keys() - inst._by_id.keys()
         raise UnknownItemId(f"chain references unknown item ids {sorted(unknown)}")
+    return chain.layers()
+
+
+def _fits(inst: Instance, layers: list[list[int]]) -> bool:
+    """True iff w(S_t) <= W_t for every period, S_t the union of layers[:t + 1]."""
+    item = inst._by_id.__getitem__
+    weight = 0
+    for t, layer in enumerate(layers):
+        weight += sum(map(_WEIGHT, map(item, layer)))
+        if weight > inst.capacities[t]:
+            return False
+    return True
+
+
+def _phi(inst: Instance, layers: list[list[int]]) -> int:
+    """sum_t delta_t * gamma(S_t), from one chain_gammas() call over the layers."""
+    deltas = inst.deltas
+    return sum([deltas[t] * g for t, g in enumerate(chain_gammas(inst.oracle, layers))])
+
+
+def _phi_bar(inst: Instance, layers: list[list[int]]) -> int:
+    """sum_t delta_t * p(S_t), with a running profit sum over the layers."""
+    item = inst._by_id.__getitem__
+    total = profit = 0
+    for t, layer in enumerate(layers):
+        profit += sum(map(_PROFIT, map(item, layer)))
+        total += inst.deltas[t] * profit
+    return total
 
 
 def is_feasible(inst: Instance, chain: Chain) -> bool:
     """True iff w(S_t) <= W_t for every period (nestedness is structural)."""
-    _check_chain(inst, chain)
-    by_id = inst._by_id
-    added = [0] * (inst.horizon + 1)
-    for i, t in chain._times.items():
-        added[t] += by_id[i].weight
-    running = 0
-    for t in range(1, inst.horizon + 1):
-        running += added[t]
-        if running > inst.capacities[t - 1]:
-            return False
-    return True
+    return _fits(inst, _layers(inst, chain))
 
 
 def profit_phi(inst: Instance, chain: Chain) -> int:
     """Chain profit under the aggregation oracle: sum_t delta_t * gamma(S_t).
 
-    Makes one oracle call per period, reusing the previous value whenever
-    S_t == S_{t-1}, so consecutive duplicates cost nothing extra.
+    One chain_gammas() call: it counts one oracle call for S_1 and one for
+    each later S_t != S_{t-1}, so consecutive duplicates cost nothing extra.
     """
-    _check_chain(inst, chain)
-    total = 0
-    prev: frozenset | None = None
-    value = 0
-    for t_index, s in enumerate(chain.sets()):
-        if prev is None or s != prev:
-            value = inst.oracle.evaluate(s)
-        total += inst.deltas[t_index] * value
-        prev = s
-    return total
+    return _phi(inst, _layers(inst, chain))
 
 
 def suffix_coefficients(deltas: Sequence[int]) -> tuple[int, ...]:

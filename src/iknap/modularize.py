@@ -19,11 +19,12 @@ from .errors import InfeasibleInternal, LimitsExceeded, OracleViolation, SolverF
 from .instances import (
     Chain,
     Instance,
+    _fits,
+    _layers,
+    _phi,
+    _phi_bar,
     ensure_valid,
-    is_feasible,
     preprocess_singletons,
-    profit_phi,
-    profit_phi_bar,
 )
 from .oracles import greedy_kept, modular_oracle
 from .solvers import (
@@ -160,21 +161,25 @@ def verify_solution(
     Accepts either a Chain or explicit sets S_1..S_T, so a tampered,
     non-nested set list is diagnosed (NotNested, and nothing else) rather
     than raised.  Otherwise the chain is checked against the capacities
-    (Infeasible), its oracle profit is recomputed from scratch (PhiMismatch)
-    and so is its plain profit sum (PhiBarMismatch), in that order.
+    (Infeasible), its oracle profit is recomputed (PhiMismatch) and so is
+    its plain profit sum (PhiBarMismatch), in that order.  All three are
+    read from one walk over the chain's layers, the ids first inserted at
+    each period; the oracle profit takes one chain_gammas() call, counted
+    as profit_phi counts it.
     """
     if not isinstance(chain, Chain):
         try:
             chain = Chain.from_sets(chain)
         except ValueError as exc:
             return [f"NotNested: {exc}"]
+    layers = _layers(inst, chain)
     mismatches = []
-    if not is_feasible(inst, chain):
+    if not _fits(inst, layers):
         mismatches.append("Infeasible: some period exceeds its capacity")
-    phi = profit_phi(inst, chain)
+    phi = _phi(inst, layers)
     if phi != claimed_phi:
         mismatches.append(f"PhiMismatch: recomputed {phi} != claimed {claimed_phi}")
-    phi_bar = profit_phi_bar(inst.profits_by_id, inst.deltas, chain)
+    phi_bar = _phi_bar(inst, layers)
     if phi_bar != claimed_phi_bar:
         mismatches.append(
             f"PhiBarMismatch: recomputed {phi_bar} != claimed {claimed_phi_bar}"

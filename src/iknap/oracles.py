@@ -85,25 +85,28 @@ class AggregationOracle:
     be stateless (all built-in families are) and each call ticks the call
     counter exactly once, by next() on an itertools.count.  That is one C
     call, atomic under the GIL, so no tick is lost between threads and no
-    lock is taken per call.  singleton_gains() and greedy_kept() answered
-    in bulk tick the counter n times in one C loop (next() on an islice
-    that skips to the n-th tick), which holds the GIL until it ends, so
-    they lose no tick either.  The count relies on the GIL (CI runs
-    CPython 3.10 to 3.13, all with it); a free-threaded build would need a
-    lock per tick again.  The contract rests on this docstring: on a GIL
-    build, TestCallCounter passes with an unlocked `self._n += 1` counter
-    too, so no test catches a lost tick.
+    lock is taken per call.  The three bulk calls, singleton_gains(),
+    greedy_kept() and chain_gammas(), answered in bulk tick the counter
+    as many times as their evaluate() fallback would call it, in one C
+    loop (next() on an islice that skips to the n-th tick), which holds
+    the GIL until it ends, so they lose no tick either.  The count relies
+    on the GIL (CI runs CPython 3.10 to 3.13, all with it); a
+    free-threaded build would need a lock per tick again.  The contract
+    rests on this docstring: on a GIL build, TestCallCounter passes with
+    an unlocked `self._n += 1` counter too, so no test catches a lost tick.
     Reading call_count ticks the counter too, so the read takes a lock and
     subtracts the ticks of all reads so far.
 
     descriptor may be a zero-argument function instead of a dict; the
     first read of the descriptor attribute calls it, and a solve never does.
 
-    bulk, if given, is a (singletons, greedy) pair that answers the calls
-    of singleton_gains() and greedy_kept() without evaluate().  Neither
-    keeps state between calls, ticks or falls back: each returns None for
-    input it cannot answer, such as an id outside the ground or a run whose
-    items do not carry their class's profit.
+    bulk, if given, is a (singletons, greedy, chain) triple that answers
+    singleton_gains(), greedy_kept() and chain_gammas() without
+    evaluate(), ticked once per id, once per run item, and once for S_1
+    plus once per later nonempty layer.  None of the three keeps state
+    between calls, ticks or falls back: each returns None for input it
+    cannot answer, such as an id outside the ground or a run whose items
+    do not carry their class's profit.
     """
 
     __slots__ = ("_fn", "_descriptor", "_ticks", "_reads", "_lock", "_bulk")
@@ -112,7 +115,7 @@ class AggregationOracle:
         self,
         fn: Callable[[frozenset], int],
         descriptor: "dict | Callable[[], dict]",
-        bulk: "tuple[Callable, Callable] | None" = None,
+        bulk: "tuple[Callable, Callable, Callable] | None" = None,
     ):
         self._fn = fn
         self._descriptor = descriptor
@@ -145,11 +148,17 @@ class AggregationOracle:
         return f"AggregationOracle(kind={kind!r}, calls={self.call_count})"
 
 
+def _tick(oracle: AggregationOracle, calls: int) -> None:
+    """Count calls oracle calls at once: skip to the calls-th tick, in C."""
+    if calls:
+        next(itertools.islice(oracle._ticks, calls - 1, None))
+
+
 def singleton_gains(oracle, ids: Sequence[int]) -> list:
     """gamma({i}) for each id, in order; each id counts as one oracle call.
 
-    An AggregationOracle with a bulk pair answers every id in one call and
-    then ticks its call counter once per id, with no lock.  Ids the pair
+    An AggregationOracle with a bulk triple answers every id in one call and
+    then ticks its call counter once per id, with no lock.  Ids the triple
     cannot answer, and any other object with an evaluate() method (coverage
     and user-supplied oracles, or a wrapper around an oracle), are asked
     evaluate({i}) one by one.  Both paths give the same answers, call
@@ -159,8 +168,7 @@ def singleton_gains(oracle, ids: Sequence[int]) -> list:
     gains = bulk[0](ids) if bulk else None
     if gains is None:
         return [oracle.evaluate({i}) for i in ids]
-    if gains:  # skip to the len(gains)-th tick, in C
-        next(itertools.islice(oracle._ticks, len(gains) - 1, None))
+    _tick(oracle, len(gains))
     return gains
 
 
@@ -170,15 +178,14 @@ def greedy_kept(oracle, run: Sequence[tuple]) -> list:
     run holds (id, weight, profit) items with distinct ids, in the order to
     try them.  An item joins B when its gain gamma(B + i) - gamma(B) is its
     profit, and a larger gain raises OracleViolation.  Each item counts as
-    one oracle call: a bulk pair answers the run as singleton_gains() does,
+    one oracle call: a bulk triple answers the run as singleton_gains() does,
     and otherwise the oracle is asked exactly evaluate(B + i) per item, the
     value of the empty set taken to be 0.
     """
     bulk = oracle._bulk if isinstance(oracle, AggregationOracle) else None
     kept = bulk[1](run) if bulk else None
     if kept is not None:
-        if run:
-            next(itertools.islice(oracle._ticks, len(run) - 1, None))
+        _tick(oracle, len(run))
         return kept
     # B stays independent, so gamma(B) = p(B) = value.
     kept = []
@@ -197,6 +204,31 @@ def greedy_kept(oracle, run: Sequence[tuple]) -> list:
             members.add(i)
             value += p
     return kept
+
+
+def chain_gammas(oracle, layers: Sequence[Sequence[int]]) -> list:
+    """gamma(S_1), ..., gamma(S_T) for the chain whose layers are S_t - S_{t-1}.
+
+    layers holds T lists of ids, no id twice.  gamma(S_1) and each gamma(S_t)
+    whose layer is not empty count as one oracle call; a period with an
+    empty layer repeats the value before it.  A bulk triple answers the
+    whole chain in one call and ticks that count; otherwise, or for ids it
+    cannot answer, the oracle is asked evaluate(S_t) for exactly those
+    periods, so both paths give the same values, call counts and errors.
+    """
+    bulk = oracle._bulk if isinstance(oracle, AggregationOracle) else None
+    gammas = bulk[2](layers) if bulk else None
+    if gammas is not None:
+        _tick(oracle, len(layers[:1]) + sum(map(bool, layers[1:])))
+        return gammas
+    gammas = []
+    members: set[int] = set()
+    for t, layer in enumerate(layers):
+        if layer or not t:
+            members.update(layer)
+            value = oracle.evaluate(frozenset(members))
+        gammas.append(value)
+    return gammas
 
 
 def _forest(edges: Iterable[tuple[int, int, int]]) -> list[int]:
@@ -418,7 +450,14 @@ def _modular(table: _ItemTable) -> AggregationOracle:
             return None
         return run
 
-    return AggregationOracle(fn, {"kind": "modular"}, (singletons, greedy))
+    def chain(layers):
+        try:
+            sums = [sum(map(table.__getitem__, layer)) for layer in layers]
+        except UnknownItemId:
+            return None
+        return list(itertools.accumulate(sums))
+
+    return AggregationOracle(fn, {"kind": "modular"}, (singletons, greedy, chain))
 
 
 def _matroid_from_obj(obj: dict) -> MatroidSpec:
@@ -491,11 +530,23 @@ def matroid_rank_sum_oracle(
         kept = set(kept)
         return list(itertools.compress(run, map(kept.__contains__, ids)))
 
+    def chain(layers):
+        # The greedy over a class's items in insertion order keeps a basis of
+        # every prefix, so rank(S_t & class) counts the kept items of time <= t.
+        time_of = {i: t for t, layer in enumerate(layers) for i in layer}
+        if not ground.issuperset(time_of):
+            return None
+        gains = [0] * len(layers)
+        for p, spec in specs:
+            for i in spec.greedy(list(filter(spec.ground.__contains__, time_of))):
+                gains[time_of[i]] += p
+        return list(itertools.accumulate(gains))
+
     def descriptor() -> dict:
         classes = [{"profit": p, "matroid": spec.to_obj()} for p, spec in specs]
         return {"kind": "matroid_rank_sum", "classes": classes}
 
-    return AggregationOracle(fn, descriptor, (singletons, greedy))
+    return AggregationOracle(fn, descriptor, (singletons, greedy, chain))
 
 
 def coverage_oracle(

@@ -756,6 +756,22 @@ class TestReduceVc:
         assert message in err
         assert not out.exists()
 
+    def test_vertex_count_above_the_cap_exits_4_before_any_allocation(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        def no_graph(*args):
+            raise AssertionError("SubcubicGraph was built")
+
+        monkeypatch.setattr(importlib.import_module("iknap.hardness"), "SubcubicGraph", no_graph)
+        graph, out = tmp_path / "g.txt", tmp_path / "vc.json"
+        graph.write_text("100000000000 0\n")
+        assert run("reduce-vc", "--graph", graph, "--k", 1, "--out", out, "--quiet") == 4
+        assert capsys.readouterr().err == (
+            f"malformed input: {graph}: vertex count 100000000000 in 'n m' header "
+            "above 1,000,000\n"
+        )
+        assert not out.exists()
+
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(case=damaged_edge_lists(), k=VC_K, horizon=VC_HORIZON)
     def test_damaged_graph_files_exit_0_2_or_4_without_a_traceback(self, case, k, horizon):
@@ -786,6 +802,42 @@ class TestReduceVc:
                 assert code == 0, (data, k, horizon, err)
         if not damages and k in range(1, int(data.split()[0]) + 1) and horizon in range(1, 13):
             assert code == 0, (data, k, horizon, err)
+
+
+class TestIntegerFlags:
+    """Integer flags are read as strictly as graph tokens and --limits values."""
+
+    @pytest.mark.parametrize(
+        "argv, flag, value, strict",
+        [
+            (["generate", "--family", "modular", "--n"], "--n", "1_2", "12"),
+            (["generate", "--family", "modular", "-T"], "-T/--horizon", "+2", "2"),
+            (["generate", "--family", "modular", "--seed"], "--seed", "\u0663", "3"),
+            (["reduce-vc", "--graph", "{graph}", "--k"], "--k", "+1", "1"),
+            (["reduce-vc", "--graph", "{graph}", "--k", "1", "-T"], "-T/--horizon", " 2", "2"),
+            (["solve", "--instance", "{instance}", "--seed"], "--seed", "1_0", "10"),
+            (["bench", "--instances", "{corpus}", "--seed"], "--seed", "+7", "7"),
+        ],
+        ids=["generate-n", "generate-T", "generate-seed", "reduce-vc-k", "reduce-vc-T",
+             "solve-seed", "bench-seed"],
+    )
+    def test_loose_integer_is_a_usage_error(self, tmp_path, capsys, argv, flag, value, strict):
+        (tmp_path / "k3.txt").write_text(K3_EDGES)
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        assert run("generate", "--family", "modular", "--n", 4, "-T", 2,
+                   "--out", corpus / "a.json", "--quiet") == 0
+        paths = {"graph": tmp_path / "k3.txt", "instance": corpus / "a.json", "corpus": corpus}
+        argv = [a.format(**paths) for a in argv]
+        out = ["--out", tmp_path / "out", "--quiet"]
+        with pytest.raises(SystemExit) as exc:
+            run(*argv, value, *out)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"usage: iknap {argv[0]} ")
+        assert err.endswith(f"argument {flag}: value must be an integer, got {value!r}\n")
+        assert not (tmp_path / "out").exists()
+        assert run(*argv, strict, *out) == 0
 
 
 class TestBench:

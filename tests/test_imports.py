@@ -39,6 +39,7 @@ def test_oracle_bulk_calls_are_plain_functions():
 
     assert not hasattr(iknap, "Grower") and not hasattr(iknap, "grower_for")
     assert callable(iknap.singleton_gains) and callable(iknap.greedy_kept)
+    assert callable(iknap.chain_gammas)
 
 
 def test_the_pipeline_does_not_import_the_basis_helpers():

@@ -23,10 +23,12 @@ from iknap import (
     SolveLimits,
     SolveResult,
     brute_force_chains,
+    chain_gammas,
     greedy_matroid_chain,
     is_feasible,
     is_independent,
     iter_feasible_chains,
+    matroid_rank,
     matroid_rank_sum_oracle,
     min_weight_basis,
     modular_oracle,
@@ -50,6 +52,7 @@ from iknap.generators import (
     make_uniform_classes_instance,
 )
 from iknap.modularize import SOLVERS
+from iknap.oracles import _matroid_from_obj
 from iknap.serialize import dumps_canonical, instance_from_obj, report_to_obj
 from helpers import RECHECK_ONLY_VIOLATION
 
@@ -401,6 +404,107 @@ class TestBulkAgainstEvaluate:
             inst = Instance(items, 1, [9], [1], oracle)
             outcomes.append((min_weight_basis(inst, [3, 2, 1]), oracle.call_count))
         assert outcomes[0] == outcomes[1] == ((Item(1, 0, 2), Item(3, 2, 2)), 3)
+
+
+def random_layers(ground, horizon, rng):
+    """Layers of a random chain over ground: spread out, all at t=1, none, or late."""
+    shape = rng.choice(["spread", "spread", "all-at-1", "nothing", "late"])
+    ids = rng.sample(sorted(ground), rng.randint(0, len(ground)))
+    if shape == "nothing":
+        ids = []
+    first = horizon if shape == "late" else 1
+    last = 1 if shape == "all-at-1" else horizon
+    layers = [[] for _ in range(horizon)]
+    for i in ids:
+        layers[rng.randint(first, last) - 1].append(i)
+    return layers
+
+
+def chain_outcome(oracle, layers):
+    """chain_gammas()'s values, or the error it raises, with the calls it made."""
+    before = oracle.call_count
+    try:
+        values = chain_gammas(oracle, layers)
+    except UnknownItemId as exc:
+        values = (UnknownItemId, str(exc))
+    return values, oracle.call_count - before
+
+
+def rank_sum_ground(descriptor):
+    return {i for c in descriptor["classes"] for i in ids_of(c["matroid"])}
+
+
+def rank_sums(descriptor, layers):
+    """sum of p * matroid_rank over the classes, for each S_t, from the descriptor."""
+    specs = [(c["profit"], _matroid_from_obj(c["matroid"])) for c in descriptor["classes"]]
+    members: set[int] = set()
+    out = []
+    for layer in layers:
+        members.update(layer)
+        out.append(sum(p * matroid_rank(spec, members & spec.ground) for p, spec in specs))
+    return out
+
+
+class TestChainGammas:
+    """chain_gammas() answered in bulk gives the evaluate() path's values, call
+    counts and errors, and the rank sums of the chain's sets."""
+
+    def check(self, make_oracle, ground, rng, horizons=(1, 2, 3, 5)):
+        descriptor = make_oracle().descriptor
+        for _ in range(12):
+            layers = random_layers(ground, rng.choice(horizons), rng)
+            bulk = chain_outcome(make_oracle(), layers)
+            proxy = EvaluateOnly(make_oracle())
+            assert bulk == chain_outcome(proxy, layers)
+            values, calls = bulk
+            assert calls == 1 + sum(map(bool, layers[1:])) == len(proxy.asked)
+            if descriptor["kind"] == "matroid_rank_sum":
+                assert values == rank_sums(descriptor, layers)
+            # An id outside the ground: the same error, after the same calls.
+            outside = max(ground, default=0) + 1000
+            rng.choice(layers).append(outside)
+            values, calls = chain_outcome(make_oracle(), layers)
+            assert values[0] is UnknownItemId and "outside oracle ground" in values[1]
+            assert (values, calls) == chain_outcome(EvaluateOnly(make_oracle()), layers)
+
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    def test_generated_families(self, family):
+        for seed in range(6):
+            rng = random.Random(seed)
+            inst = make_family_instance(family, (6, 40)[seed % 2], 2, rng)
+            descriptor, profits = inst.oracle.descriptor, inst.profits_by_id
+            ground = set(profits) if family == "modular" else rank_sum_ground(descriptor)
+            self.check(lambda: oracle_from_descriptor(descriptor, profits), ground, rng)
+
+    @pytest.mark.parametrize("name", sorted(HAND_BUILT))
+    def test_hand_built(self, name):
+        make = HAND_BUILT[name]
+        self.check(make, rank_sum_ground(make().descriptor), random.Random(5))
+
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    def test_profit_phi_and_recheck_with_zero_deltas(self, family):
+        rng = random.Random(11)
+        for _ in range(6):
+            horizon = rng.randint(1, 4)
+            inst = make_family_instance(family, 12, horizon, rng)
+            deltas = [rng.choice([0, 0, 1, 3]) for _ in range(horizon)]
+            inst = Instance(inst.items, horizon, [10**6] * horizon, deltas, inst.oracle)
+            layers = random_layers(inst.item_ids, horizon, rng)
+            chain = Chain(horizon, {i: t for t, layer in enumerate(layers, 1) for i in layer})
+            fresh = oracle_from_descriptor(inst.oracle.descriptor, inst.profits_by_id)
+            slow = with_oracle(inst, EvaluateOnly(fresh))
+            before = inst.oracle.call_count
+            phi = profit_phi(inst, chain)
+            assert phi == profit_phi(slow, chain) == sum(
+                d * inst.oracle.evaluate(s) for d, s in zip(deltas, chain.sets())
+            )
+            phi_bar = profit_phi_bar(inst.profits_by_id, deltas, chain)
+            assert verify_solution(inst, chain, phi, phi_bar) == verify_solution(
+                slow, chain, phi, phi_bar
+            ) == []
+            calls = 1 + sum(map(bool, layers[1:]))
+            assert fresh.call_count == len(slow.oracle.asked) == 2 * calls
+            assert inst.oracle.call_count - before == 2 * calls + horizon
 
 
 class TestIncrementalScale:

@@ -13,6 +13,7 @@ from iknap import (
     MatroidSpec,
     OverlappingClasses,
     UnknownItemId,
+    chain_gammas,
     check_aon_property,
     check_submodularity,
     coverage_oracle,
@@ -443,8 +444,15 @@ class TestCallCounter:
                 singleton_gains(oracle, ground)
                 run = [(i, 1, profit_of[i]) for i in ground[k % 3 :: 3]]
                 greedy_kept(oracle, run)
+                chain_gammas(oracle, layers(k))
 
-        expected = 4 * sum(1 + len(ground) + len(ground[k % 3 :: 3]) for k in range(200))
+        def layers(k):  # S_1, an empty layer, then the next third of the ground
+            return [ground[k % 3 :: 3], [], ground[(k + 1) % 3 :: 3]]
+
+        expected = 4 * sum(
+            1 + len(ground) + len(ground[k % 3 :: 3]) + 1 + bool(layers(k)[2])
+            for k in range(200)
+        )
         workers = [threading.Thread(target=worker) for _ in range(4)]
         watcher = threading.Thread(target=reader, args=(oracle, seen, done))
         interval = sys.getswitchinterval()
@@ -544,6 +552,7 @@ class TestBulkCalls:
         for call, arg in [
             (singleton_gains, [first, 99]),
             (greedy_kept, [(first, 1, p), (99, 1, p)]),
+            (chain_gammas, [[first], [], [99]]),
         ]:
             before = oracle.call_count
             with pytest.raises(UnknownItemId):
@@ -556,8 +565,9 @@ class TestBulkCalls:
         assert singleton_gains(oracle, [1, 2]) == [1, 1]
         run = [(2, 0, 1), (1, 5, 1), (3, 1, 1)]
         assert greedy_kept(oracle, run) == run[:2]
-        assert seen == [{1}, {2}, {2}, {2, 1}, {1, 2, 3}]
-        assert oracle.call_count == 5
+        assert chain_gammas(oracle, [[3], [], [1, 2], []]) == [1, 1, 2, 2]
+        assert seen == [{1}, {2}, {2}, {2, 1}, {1, 2, 3}, {3}, {1, 2, 3}]
+        assert oracle.call_count == 7
 
 
 class TestDescriptors:
