@@ -20,7 +20,10 @@ from .instances import Chain, Instance, Item, is_feasible
 from .oracles import _parse_int, coverage_oracle
 
 MAX_DEGREE = 3
-#: read_edge_list refuses a header with more vertices, before a per-vertex list is built.
+#: read_edge_list refuses a header with more vertices, before a per-vertex list
+#: is built.  reduce-vc holds about 1 KB per vertex (a 100,000-vertex path graph
+#: peaked at 108 MB RSS and wrote an 8.6 MB instance), so the cap keeps a run
+#: near 1 GB; a count read off a damaged header would otherwise end in MemoryError.
 MAX_VERTICES = 1_000_000
 
 

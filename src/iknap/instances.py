@@ -262,13 +262,12 @@ def _phi(inst: Instance, layers: list[list[int]]) -> int:
     return sum([deltas[t] * g for t, g in enumerate(chain_gammas(inst.oracle, layers))])
 
 
-def _phi_bar(inst: Instance, layers: list[list[int]]) -> int:
-    """sum_t delta_t * p(S_t), with a running profit sum over the layers."""
-    item = inst._by_id.__getitem__
+def _phi_bar(deltas: Sequence[int], layer_profits: Iterable[Iterable[int]]) -> int:
+    """sum_t delta_t * p(S_t), given the item profits of each layer S_t - S_{t-1}."""
     total = profit = 0
-    for t, layer in enumerate(layers):
-        profit += sum(map(_PROFIT, map(item, layer)))
-        total += inst.deltas[t] * profit
+    for delta, layer in zip(deltas, layer_profits):
+        profit += sum(layer)
+        total += delta * profit
     return total
 
 
@@ -302,21 +301,15 @@ def suffix_coefficients(deltas: Sequence[int]) -> tuple[int, ...]:
 def profit_phi_bar(
     profits: Mapping[int, int], deltas: Sequence[int], chain: Chain
 ) -> int:
-    """Modular chain profit: sum_t delta_t * p(S_t), no oracle involved.
-
-    Computed in the equivalent insertion-time form: an item inserted at
-    period t earns p_i * (delta_t + ... + delta_T).
-    """
+    """Modular chain profit: sum_t delta_t * p(S_t), no oracle involved."""
     horizon = len(deltas)
     if chain.horizon != horizon:
         raise ValueError(f"chain horizon {chain.horizon} != len(deltas)={horizon}")
-    suffix = suffix_coefficients(deltas)
-    total = 0
-    for i, t in chain.times.items():
-        if i not in profits:
-            raise UnknownItemId(f"chain references unknown item id {i}")
-        total += profits[i] * suffix[t - 1]
-    return total
+    profit = profits.__getitem__
+    try:
+        return _phi_bar(deltas, [map(profit, layer) for layer in chain.layers()])
+    except KeyError as exc:
+        raise UnknownItemId(f"chain references unknown item id {exc.args[0]}") from None
 
 
 def profit_partition(inst: Instance) -> tuple[tuple[int, frozenset], ...]:

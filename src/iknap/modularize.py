@@ -19,6 +19,7 @@ from .errors import InfeasibleInternal, LimitsExceeded, OracleViolation, SolverF
 from .instances import (
     Chain,
     Instance,
+    _PROFIT,
     _fits,
     _layers,
     _phi,
@@ -179,7 +180,8 @@ def verify_solution(
     phi = _phi(inst, layers)
     if phi != claimed_phi:
         mismatches.append(f"PhiMismatch: recomputed {phi} != claimed {claimed_phi}")
-    phi_bar = _phi_bar(inst, layers)
+    item = inst._by_id.__getitem__
+    phi_bar = _phi_bar(inst.deltas, [map(_PROFIT, map(item, layer)) for layer in layers])
     if phi_bar != claimed_phi_bar:
         mismatches.append(
             f"PhiBarMismatch: recomputed {phi_bar} != claimed {claimed_phi_bar}"

@@ -280,8 +280,9 @@ class TestProfits:
             assert first == naive
 
     def test_phi_bar_unknown_item(self):
-        with pytest.raises(UnknownItemId):
+        with pytest.raises(UnknownItemId) as exc:
             profit_phi_bar({1: 5}, [1], Chain(1, {2: 1}))
+        assert str(exc.value) == "chain references unknown item id 2"
 
     @pytest.mark.parametrize("horizon", [1, 3])
     def test_phi_bar_wrong_horizon_chain_raises(self, horizon):
