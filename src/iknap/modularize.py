@@ -60,18 +60,23 @@ def modularize(inst: Instance) -> ModularizedInstance:
     slice, a counter per group, a union-find), so the whole reduction is
     linear in n up to the sort, and any other oracle is asked
     evaluate(B + i).  The kept items are the runs' greedy_kept() answers,
-    put back in id order.
+    put back in id order; when every run is kept whole they are the
+    id-ordered items the sort started from.
     """
-    order = sorted(inst.items, key=itemgetter(0))
-    order.sort(key=itemgetter(1))
+    by_id = sorted(inst.items, key=itemgetter(0))
+    order = sorted(by_id, key=itemgetter(1))
     order.sort(key=itemgetter(2))
     items = []
     for _, run in groupby(order, itemgetter(2)):
         items += greedy_kept(inst.oracle, list(run))
-    items.sort(key=itemgetter(0))
-    oracle = modular_oracle({i: p for i, _, p in items})
+    if len(items) == len(by_id):
+        items = by_id
+    else:
+        items.sort(key=itemgetter(0))
+    ids = tuple(map(itemgetter(0), items))
+    oracle = modular_oracle(dict(zip(ids, map(_PROFIT, items))))
     ik = Instance(items, inst.horizon, inst.capacities, inst.deltas, oracle)
-    return ModularizedInstance(ik=ik, kept_ids=ik.item_ids)
+    return ModularizedInstance(ik=ik, kept_ids=ids)
 
 
 @dataclass
@@ -118,7 +123,8 @@ def solve_ik_aon(
     """Full pipeline: validate, preprocess, modularize, solve, recheck.
 
     "auto" runs the exact solver and, when the kept item count or horizon
-    exceeds its limits, the heuristic instead.  The returned chain is over
+    exceeds its limits or the recursion limit leaves its search too few
+    frames, the heuristic instead.  The returned chain is over
     original item ids, and verify_solution rechecks it against the original
     instance with the solver's value claimed as phi and phi_bar.  A
     PhiMismatch alone (the chain fits, its profit sum is right) means the

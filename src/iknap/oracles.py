@@ -319,17 +319,29 @@ class PartitionMatroid(MatroidSpec):
 
     @classmethod
     def of(cls, groups: Sequence[tuple[Iterable[int], int]]) -> "PartitionMatroid":
-        frozen = []
-        ground: set[int] = set()
+        lists, caps = [], []
         for members, cap in groups:
-            members = frozenset(_integers(members, "matroid item id"))
-            if _integer(cap, "partition matroid cap") < 0:
-                raise ValueError("partition matroid caps must be >= 0")
-            if members & ground:
-                raise ValueError("partition matroid groups must be disjoint")
-            ground |= members
-            frozen.append((members, cap))
-        return cls(frozenset(ground), tuple(frozen))
+            lists.append(list(members))
+            caps.append(cap)
+        chained = list(itertools.chain.from_iterable(lists))
+        ground = frozenset(chained)
+        # One pass each over all groups: types, caps, and disjointness by count.
+        if not (
+            {*map(type, chained), *map(type, caps)} <= {int}
+            and min(caps, default=0) >= 0
+            and len(ground) == len(chained)
+        ):
+            # Group by group, so the first bad value is the one named; a group
+            # may repeat its own ids.
+            seen: set[int] = set()
+            for members, cap in zip(lists, caps):
+                members = frozenset(_integers(members, "matroid item id"))
+                if _integer(cap, "partition matroid cap") < 0:
+                    raise ValueError("partition matroid caps must be >= 0")
+                if members & seen:
+                    raise ValueError("partition matroid groups must be disjoint")
+                seen |= members
+        return cls(ground, tuple(zip(map(frozenset, lists), caps)))
 
     def rank(self, s: frozenset) -> int:
         return sum(min(len(s & g), cap) for g, cap in self.groups)

@@ -13,11 +13,12 @@ independent of the branch-and-bound's bounding logic.
 from __future__ import annotations
 
 import random
+import sys
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from itertools import accumulate
 from operator import itemgetter
-from typing import Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import BudgetExceeded, LimitsExceeded
 from .instances import Chain, Instance, Item, suffix_coefficients
@@ -136,6 +137,23 @@ class SolveResult:
     solver: str
 
 
+# Frames a search of m items needs beyond its m + 1 nested dfs calls and
+# the caller's stack: the calls and comparisons made at the deepest one.
+# At least 2 is needed on CPython 3.10 and 1 on 3.11-3.13 (found by lowering
+# it until a search at the limit raised RecursionError).
+SEARCH_FRAMES_SPARE = 8
+
+
+def _frames_free() -> int:
+    """Frames left below the interpreter's recursion limit at the caller's depth."""
+    depth = 0
+    frame = sys._getframe(1)
+    while frame is not None:
+        depth += 1
+        frame = frame.f_back
+    return sys.getrecursionlimit() - depth
+
+
 def solve_exact(ik: Instance, limits: SolveLimits | None = None) -> SolveResult:
     """Optimal chain by branch-and-bound over per-item insertion times.
 
@@ -156,7 +174,11 @@ def solve_exact(ik: Instance, limits: SolveLimits | None = None) -> SolveResult:
     every item no earlier than its dominators, and j only tries times from
     the latest one already given to a dominator on ("never" last, so a
     dominator left out leaves j out).  Only pairs where i comes first count,
-    so equal items cannot form a cycle.  All arithmetic is integer.  Fully
+    so equal items cannot form a cycle.  The search nests one call per
+    item, so m kept items that would pass the interpreter's recursion limit
+    raise LimitsExceeded before it starts; m up to half the limit is not
+    checked, and fits unless the caller already holds the other half.  All
+    arithmetic is integer.  Fully
     deterministic; among equal-value optima the first found in that search
     order is returned.
     """
@@ -177,6 +199,14 @@ def solve_exact(ik: Instance, limits: SolveLimits | None = None) -> SolveResult:
         key=lambda it: (-it.profit * dsum[0], it.id),
     )
     m = len(order)
+    # Counting the caller's frames slowed exact-bb operations by 2-4%, so
+    # only a search that could need it counts them.
+    if 2 * m > sys.getrecursionlimit():
+        headroom = _frames_free() - SEARCH_FRAMES_SPARE
+        if m > headroom:
+            raise LimitsExceeded(
+                f"m={m} kept items exceed the {headroom} the recursion limit leaves the search"
+            )
     ws = [it.weight for it in order]
     ps = [it.profit for it in order]
     # With all deltas 0 the order is by id, so p_i >= p_j is checked, not implied.
@@ -234,20 +264,21 @@ def solve_exact(ik: Instance, limits: SolveLimits | None = None) -> SolveResult:
 
 
 def some_move_gains(
-    items: Mapping[int, Item],
-    time_of: Mapping[int, int],
-    outside: Sequence[int],
+    at: Sequence[Iterable[tuple[int, int]]],
+    outside: Iterable[tuple[int, int]],
     resid: Sequence[int],
     dsum: Sequence[int],
 ) -> bool:
     """Whether any shift, insert or swap move of solve_heuristic gains.
 
-    The state has items[i] inserted at 0-based period time_of[i], the ids
-    in outside not inserted, and residual capacities resid.  A shift moves
-    an inserted item a (at period g) to another period; an insert places an
-    outside item b at its earliest feasible period; a swap takes a out and
-    then inserts b.  Decided exactly in O(n*T log n), without trying the
-    moves one by one:
+    The state is given by (weight, profit) pairs: at[g] holds those of the
+    items inserted at 0-based period g, outside those of the items not
+    inserted, and resid holds the residual capacities.  Items with the same
+    weight and profit have the same moves, so each side is read as its
+    distinct pairs.  A shift moves an inserted item a (at period g) to
+    another period; an insert places an outside item b at its earliest
+    feasible period; a swap takes a out and then inserts b.  Decided
+    exactly in O(n*T log n), without trying the moves one by one:
 
     - Shifts.  dsum is non-increasing, so a shift gains only to an earlier
       t with dsum[t] > dsum[g]; the latest such t needs the least room,
@@ -259,16 +290,15 @@ def some_move_gains(
       loss 0 and room msuf[t], the least residual over t..T-1.  A swap has
       loss p_a*dsum[g] and room msuf[t] + w_a for t >= g, or
       min(msuf[g] + w_a, resid over t..g-1) for t < g.  The best profit of
-      an outside item that fits a room is one bisect into the outside items
+      an outside item that fits a room is one bisect into the outside pairs
       sorted by weight, with their running maximum profit.
     - An item at g no lighter and no more profitable than a has at least
-      a's room and at most its loss, so only the items at g that no other
-      item there dominates this way are tried as a.
+      a's room and at most its loss, so only the pairs at g that no other
+      pair there dominates this way are tried as a.
     """
     horizon = len(resid)
     msuf = list(accumulate(reversed(resid), min))[::-1]
-    # Each Item is unpacked once: a NamedTuple field read is slower on 3.11.
-    by_weight = sorted((w, p) for _, w, p in map(items.__getitem__, outside))
+    by_weight = sorted(set(outside))
     weights = [w for w, _ in by_weight]
     best = [0] + list(accumulate((p for _, p in by_weight), max))
 
@@ -277,14 +307,11 @@ def some_move_gains(
 
     if any(gains(msuf[t], t, 0) for t in range(horizon)):
         return True
-    at: list[list[tuple[int, int]]] = [[] for _ in range(horizon)]
-    for a, g in time_of.items():
-        _, w, p = items[a]
-        at[g].append((-w, p))
-    for g, pairs in enumerate(at):
+    for g, placed in enumerate(at):
+        # Heaviest first, then least profitable; pairs[-1] is the lightest.
+        pairs = sorted({(-w, p) for w, p in placed})
         if not pairs:
             continue
-        pairs.sort()  # heaviest first, then least profitable; pairs[-1] is lightest
         earlier = [t for t in range(g) if dsum[t] > dsum[g]]
         if earlier and min(resid[earlier[-1] : g]) >= -pairs[-1][0]:
             return True
@@ -302,6 +329,18 @@ def some_move_gains(
                 if gains(room, t, loss):
                     return True
     return False
+
+
+def _move_pairs(
+    items: Iterable[Item], time_of: Mapping[int, int], horizon: int
+) -> tuple[list[list[tuple[int, int]]], list[tuple[int, int]]]:
+    """The (weight, profit) pairs some_move_gains reads, per period and outside."""
+    at: list[list[tuple[int, int]]] = [[] for _ in range(horizon)]
+    outside = []
+    for i, w, p in items:
+        t = time_of.get(i)
+        (outside if t is None else at[t]).append((w, p))
+    return at, outside
 
 
 def solve_heuristic(
@@ -324,11 +363,14 @@ def solve_heuristic(
     Fisher-Yates).  A round ends at the first improving move; the search
     stops when a whole round finds none or local_search_budget moves have
     been tried.  Each round first proves in O(n*T log n) whether any of its
-    moves gains (some_move_gains); a round where none does would draw all
-    its moves, or the rest of the budget, in vain, so those are counted as
-    tried without being drawn.  A round thus costs O(n*T log n + moves
-    tried) time and O(n + moves tried) memory.  Deterministic per seed, and
-    never worse than the greedy value.
+    moves gains (some_move_gains, over the distinct (weight, profit) pairs
+    inserted at each period and left outside); a round where none does
+    would draw all its moves, or the rest of the budget, in vain, so those
+    are counted as tried without being drawn.  The first round reads the
+    pairs the greedy recorded as it placed each item; only a round that
+    draws moves lists the inserted and outside ids.  A round thus costs
+    O(n*T log n + moves tried) time and O(n + moves tried) memory.
+    Deterministic per seed, and never worse than the greedy value.
 
     Shifts and inserts are rare: the greedy leaves room for neither (each
     item went in at its earliest fitting period or fit nowhere, and the
@@ -340,11 +382,13 @@ def solve_heuristic(
     caps = list(ik.capacities)
     dsum = suffix_coefficients(ik.deltas)
     rng = random.Random(seed)
-    active = {it.id: it for it in ik.items if it.weight <= caps[-1]}
+    by_id = sorted([it for it in ik.items if it[1] <= caps[-1]], key=itemgetter(0))
 
     resid = caps[:]
     time_of: dict[int, int] = {}
+    value = 0
 
+    # Called only by a round that draws moves, once it has built active.
     def insert(i: int, t: int) -> None:
         _, w, _ = active[i]
         for s in range(t, horizon):
@@ -358,21 +402,27 @@ def solve_heuristic(
             resid[s] += w
         return t
 
-    by_id = sorted(active.values(), key=itemgetter(0))
     weighted = [it for it in by_id if it[1]]
     d1 = dsum[0]
     s = 2 * max([w for _, w, _ in weighted], default=0).bit_length()
     keys = [-(p * d1 << s) // w for _, w, p in weighted]
     order = [it for it in by_id if not it[1]]
     order += map(weighted.__getitem__, sorted(range(len(weighted)), key=keys.__getitem__))
-    for i, w, _ in order:  # earliest_period and insert, inlined
-        t = horizon
+    # The (weight, profit) pairs of the state, for the first round's proof.
+    at: list[list[tuple[int, int]]] | None = [[] for _ in range(horizon)]
+    out: list[tuple[int, int]] = []
+    for i, w, p in order:  # earliest_period and insert, inlined
+        if w > resid[-1]:
+            out.append((w, p))
+            continue
+        t = horizon - 1
         while t and resid[t - 1] >= w:
             t -= 1
-        if t < horizon:
-            for u in range(t, horizon):
-                resid[u] -= w
-            time_of[i] = t
+        for u in range(t, horizon):
+            resid[u] -= w
+        time_of[i] = t
+        at[t].append((w, p))
+        value += p * dsum[t]
 
     tried = 0
     budget = limits.local_search_budget
@@ -380,18 +430,22 @@ def solve_heuristic(
     improved = True
     while improved and tried < budget:
         improved = False
-        inserted = sorted(time_of)
-        outside = sorted(active.keys() - time_of.keys())
-        k = len(inserted)
+        if at is None:
+            at, out = _move_pairs(by_id, time_of, horizon)
+        k = len(time_of)
         # Move m < shifts moves inserted[m // per_item] to another period; the
         # rest come k + 1 per outside item: its insert, then a swap with each
         # inserted item.
         shifts = k * per_item
-        total = shifts + len(outside) * (k + 1)
-        if not some_move_gains(active, time_of, outside, resid, dsum):
+        total = shifts + len(out) * (k + 1)
+        if not some_move_gains(at, out, resid, dsum):
             # Drawing would try every move, or the rest of the budget, in vain.
             tried += min(total, budget - tried)
             break
+        at = None
+        active = dict(zip(map(itemgetter(0), by_id), by_id))
+        inserted = sorted(time_of)
+        outside = sorted(active.keys() - time_of.keys())
         displaced: dict[int, int] = {}  # sparse Fisher-Yates: slot r holds r unless listed
         for pos in range(min(total, budget - tried)):
             r = rng.randrange(pos, total)
@@ -406,9 +460,11 @@ def solve_heuristic(
                     t += 1
                 # Only an earlier period gains; it must fit up to the old one.
                 _, w, p = active[a]
-                if p * (dsum[t] - dsum[old]) > 0 and min(resid[t:old]) >= w:
+                gain = p * (dsum[t] - dsum[old])
+                if gain > 0 and min(resid[t:old]) >= w:
                     remove(a)
                     insert(a, t)
+                    value += gain
                     improved = True
                     break
                 continue
@@ -418,6 +474,7 @@ def solve_heuristic(
                 t = earliest_period(resid, wb)
                 if t is not None and pb * dsum[t] > 0:
                     insert(b, t)
+                    value += pb * dsum[t]
                     improved = True
                     break
                 continue
@@ -430,12 +487,12 @@ def solve_heuristic(
             t = earliest_period(resid, wb)
             if t is not None and pb * dsum[t] > loss:
                 insert(b, t)
+                value += pb * dsum[t] - loss
                 improved = True
                 break
             insert(a, old)
 
     chain = Chain(horizon, {i: t + 1 for i, t in time_of.items()})
-    value = sum([active[i].profit * dsum[t] for i, t in time_of.items()])
     return SolveResult(chain=chain, value=value, optimal=False, nodes=tried, solver="heuristic")
 
 

@@ -301,6 +301,22 @@ class TestSolveAndVerify:
         assert run("solve", "--instance", inst, "--solver", "exact",
                    "--out", tmp_path / "r.json", "--quiet") == 3
 
+    def test_exact_search_deeper_than_the_recursion_limit_exits_3(self, tmp_path):
+        # m > 1,000 kept items would nest one search frame per item past
+        # Python's default recursion limit: refused before searching, and
+        # auto takes the heuristic instead.
+        inst = tmp_path / "deep.json"
+        run("generate", "--family", "modular", "--n", 1200, "-T", 1,
+            "--seed", 3, "--out", inst, "--quiet")
+        code, err = run_captured("solve", "--instance", inst, "--solver", "exact",
+                                 "--limits", "max_n_exact=5000", "--out", tmp_path / "r.json")
+        assert code == 3
+        assert err.startswith("limits exceeded: m=") and err.count("\n") == 1
+        report_path = tmp_path / "auto.json"
+        assert run("solve", "--instance", inst, "--limits", "max_n_exact=5000",
+                   "--out", report_path, "--quiet") == 0
+        assert json.loads(report_path.read_text())["solver"] == "heuristic"
+
     def test_limits_flag_lowers_the_bar(self, toy_instance, tmp_path):
         assert run("solve", "--instance", toy_instance, "--solver", "exact",
                    "--limits", "max_n_exact=2", "--out", tmp_path / "r.json",

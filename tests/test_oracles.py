@@ -1,6 +1,7 @@
 """Oracle families, property checkers, call counting, descriptor codecs."""
 
 import random
+import re
 import sys
 import threading
 
@@ -130,6 +131,27 @@ class TestMatroidRank:
     def test_partition_per_group_caps(self):
         spec = MatroidSpec.partition([([1, 2], 1), ([3], 1)])
         assert matroid_rank(spec, {1, 2, 3}) == 2
+
+    @pytest.mark.parametrize(
+        "groups, message",
+        [
+            ([([1, 2], 1), ([3, 2], 1)], "partition matroid groups must be disjoint"),
+            ([([1, 2], 1), ([3], -1)], "partition matroid caps must be >= 0"),
+            # Group by group, the first bad value is the one named.
+            ([([1], 1), ([1], -1)], "partition matroid caps must be >= 0"),
+            ([([1], -1), ([2.5], 1)], "partition matroid caps must be >= 0"),
+            ([([1], 1), ([2.5], -1)], "matroid item id must be an integer, got 2.5"),
+            ([([1], 1), ([1], 1.5)], "partition matroid cap must be an integer, got 1.5"),
+        ],
+    )
+    def test_partition_rejects_bad_groups(self, groups, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            MatroidSpec.partition(groups)
+
+    def test_partition_group_may_repeat_its_own_ids(self):
+        spec = MatroidSpec.partition([(iter([1, 1, 2]), 1), ((i for i in [3]), 0)])
+        assert spec.ground == {1, 2, 3}
+        assert spec.groups == ((frozenset({1, 2}), 1), (frozenset({3}), 0))
 
     def test_graphic_triangle(self):
         # K3 as items 1..3; a spanning tree keeps 2 of the 3 edges

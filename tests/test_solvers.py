@@ -1,7 +1,9 @@
 """Modular-instance solvers: exact branch-and-bound, heuristic, brute force."""
 
 import hashlib
+import inspect
 import random
+import sys
 import tracemalloc
 from bisect import bisect_right
 from fractions import Fraction
@@ -143,6 +145,27 @@ class TestSolveExact:
         with pytest.raises(LimitsExceeded):
             solve_exact(ik([(1, 1)], [5] * 7, [1] * 7))
         assert solve_exact(ik(items, [5], [1]), SolveLimits(max_n_exact=19)).value == 5
+
+    def test_search_past_the_recursion_limit_is_refused_not_raised(self):
+        # Unit items that all fit: the first path inserts each, so the search
+        # nests one call per item.  Near the limit each m either runs or is
+        # refused up front; none may hit RecursionError.
+        unlimited = SolveLimits(max_n_exact=10**6)
+        depth = len(inspect.stack(0))
+        old = sys.getrecursionlimit()
+        sys.setrecursionlimit(depth + 150)
+        try:
+            outcomes = []
+            for m in range(100, 160):
+                try:
+                    outcomes.append(solve_exact(ik([(1, 1)] * m, [m], [1]), unlimited).value)
+                except LimitsExceeded:
+                    outcomes.append(None)
+        finally:
+            sys.setrecursionlimit(old)
+        ran = outcomes.index(None)
+        assert outcomes[:ran] == list(range(100, 100 + ran)) and ran > 0
+        assert outcomes[ran:] == [None] * (len(outcomes) - ran)
 
     def test_matches_brute_force_on_random_suite(self):
         rng = random.Random(97)
@@ -437,7 +460,7 @@ class TestSolveExactBeyondBruteForce:
 
 SEARCH_STATE_CASES = [
     "mixed", "weight_0_items", "all_zero_deltas", "one_period",
-    "nothing_inserted", "everything_inserted",
+    "nothing_inserted", "everything_inserted", "duplicate_pairs",
 ]
 
 
@@ -450,8 +473,9 @@ def random_search_state(rng, case):
     horizon = 1 if case == "one_period" else rng.randint(2, 4)
     n = rng.randint(1, 7)
     zero_share = 0.4 if case == "weight_0_items" else 0.0
+    top = 2 if case == "duplicate_pairs" else 6  # 1..2 repeats (weight, profit) pairs
     items = {
-        i: Item(i, 0 if rng.random() < zero_share else rng.randint(1, 6), rng.randint(1, 6))
+        i: Item(i, 0 if rng.random() < zero_share else rng.randint(1, top), rng.randint(1, top))
         for i in range(1, n + 1)
     }
     time_of = {}
@@ -539,6 +563,8 @@ PINNED_OUTPUTS = [
      ((7336, 0, "d9fcc4d07534"), (7336, 50, "d9fcc4d07534"), (7336, 2000, "d9fcc4d07534"))),
     ("modular", 400, 6,
      ((7961, 0, "17f8ad294373"), (7961, 50, "17f8ad294373"), (7961, 2000, "17f8ad294373"))),
+    ("modular", 800, 4,  # the heuristic-large benchmark's shape
+     ((12176, 0, "1f495016b8fa"), (12176, 50, "1f495016b8fa"), (12176, 2000, "1f495016b8fa"))),
     ("partition-classes", 7, 1,
      ((57, 0, "3d1db1dae960"), (57, 12, "3d1db1dae960"), (57, 12, "3d1db1dae960"))),
     ("partition-classes", 7, 3,
@@ -696,7 +722,11 @@ class TestSolveHeuristic:
                 cap - sum(items[i].weight for i, s in time_of.items() if s <= t)
                 for t, cap in enumerate(caps)
             ]
-            claimed = some_move_gains(items, time_of, outside, resid, suffix_coefficients(deltas))
+            at = [[] for _ in caps]
+            for i, t in time_of.items():
+                at[t].append(items[i][1:])
+            pairs_outside = [items[i][1:] for i in outside]
+            claimed = some_move_gains(at, pairs_outside, resid, suffix_coefficients(deltas))
             expected = brute_force_move_gains(items, time_of, outside, caps, deltas)
             assert claimed == expected, (items, time_of, caps, deltas)
             outcomes.add(expected)
