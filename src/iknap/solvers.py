@@ -199,8 +199,8 @@ def solve_exact(ik: Instance, limits: SolveLimits | None = None) -> SolveResult:
         key=lambda it: (-it.profit * dsum[0], it.id),
     )
     m = len(order)
-    # Counting the caller's frames slowed exact-bb operations by 2-4%, so
-    # only a search that could need it counts them.
+    # Counting the caller's frames costs about 1 us, which the many small
+    # searches would pay for nothing, so only one that could need it counts.
     if 2 * m > sys.getrecursionlimit():
         headroom = _frames_free() - SEARCH_FRAMES_SPARE
         if m > headroom:
