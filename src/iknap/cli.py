@@ -6,8 +6,7 @@ invocations produce identical files; elapsed_ms is the only
 nondeterministic report field.
 
 Exit codes for solve: 0 success, 2 oracle-contract violation, 3 size or
-budget limits exceeded (also an exact search that would nest deeper than
-the recursion limit allows), 5 internal solver failure (a solver whose answer
+budget limits exceeded, 5 internal solver failure (a solver whose answer
 fails its recheck, a bug signal, printed as one line).  verify exits 1 on
 any mismatch.  Both exit 4 on
 malformed input: an instance that fails validation, a file missing a key,

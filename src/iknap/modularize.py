@@ -123,8 +123,7 @@ def solve_ik_aon(
     """Full pipeline: validate, preprocess, modularize, solve, recheck.
 
     "auto" runs the exact solver and, when the kept item count or horizon
-    exceeds its limits or the recursion limit leaves its search too few
-    frames, the heuristic instead.  The returned chain is over
+    exceeds its limits, the heuristic instead.  The returned chain is over
     original item ids, and verify_solution rechecks it against the original
     instance with the solver's value claimed as phi and phi_bar.  A
     PhiMismatch alone (the chain fits, its profit sum is right) means the

@@ -13,7 +13,6 @@ independent of the branch-and-bound's bounding logic.
 from __future__ import annotations
 
 import random
-import sys
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from itertools import accumulate
@@ -137,23 +136,6 @@ class SolveResult:
     solver: str
 
 
-# Frames a search of m items needs beyond its m + 1 nested dfs calls and
-# the caller's stack: the calls and comparisons made at the deepest one.
-# At least 2 is needed on CPython 3.10 and 1 on 3.11-3.13 (found by lowering
-# it until a search at the limit raised RecursionError).
-SEARCH_FRAMES_SPARE = 8
-
-
-def _frames_free() -> int:
-    """Frames left below the interpreter's recursion limit at the caller's depth."""
-    depth = 0
-    frame = sys._getframe(1)
-    while frame is not None:
-        depth += 1
-        frame = frame.f_back
-    return sys.getrecursionlimit() - depth
-
-
 def solve_exact(ik: Instance, limits: SolveLimits | None = None) -> SolveResult:
     """Optimal chain by branch-and-bound over per-item insertion times.
 
@@ -174,11 +156,9 @@ def solve_exact(ik: Instance, limits: SolveLimits | None = None) -> SolveResult:
     every item no earlier than its dominators, and j only tries times from
     the latest one already given to a dominator on ("never" last, so a
     dominator left out leaves j out).  Only pairs where i comes first count,
-    so equal items cannot form a cycle.  The search nests one call per
-    item, so m kept items that would pass the interpreter's recursion limit
-    raise LimitsExceeded before it starts; m up to half the limit is not
-    checked, and fits unless the caller already holds the other half.  All
-    arithmetic is integer.  Fully
+    so equal items cannot form a cycle.  The search keeps one generator
+    per depth on an explicit stack, so its depth is not bounded by the
+    interpreter's recursion limit.  All arithmetic is integer.  Fully
     deterministic; among equal-value optima the first found in that search
     order is returned.
     """
@@ -199,14 +179,6 @@ def solve_exact(ik: Instance, limits: SolveLimits | None = None) -> SolveResult:
         key=lambda it: (-it.profit * dsum[0], it.id),
     )
     m = len(order)
-    # Counting the caller's frames costs about 1 us, which the many small
-    # searches would pay for nothing, so only one that could need it counts.
-    if 2 * m > sys.getrecursionlimit():
-        headroom = _frames_free() - SEARCH_FRAMES_SPARE
-        if m > headroom:
-            raise LimitsExceeded(
-                f"m={m} kept items exceed the {headroom} the recursion limit leaves the search"
-            )
     ws = [it.weight for it in order]
     ps = [it.profit for it in order]
     # With all deltas 0 the order is by id, so p_i >= p_j is checked, not implied.
@@ -223,7 +195,10 @@ def solve_exact(ik: Instance, limits: SolveLimits | None = None) -> SolveResult:
     nodes = 0
     big = max(caps, default=0) + 1
 
-    def dfs(idx: int, cur_val: int) -> None:
+    # visit(idx, v) searches the node at depth idx with value v, yielding
+    # the value of each child in search order; the driver below searches
+    # that child's whole subtree before resuming its parent.
+    def visit(idx: int, cur_val: int) -> Iterator[int]:
         nonlocal best_val, best_times, nodes
         nodes += 1
         if idx == m:
@@ -253,12 +228,18 @@ def solve_exact(ik: Instance, limits: SolveLimits | None = None) -> SolveResult:
                 resid[s] -= w
             for t in range(earliest, horizon):
                 times[idx] = t
-                dfs(idx + 1, cur_val + ps[idx] * dsum[t])
+                yield cur_val + ps[idx] * dsum[t]
                 resid[t] += w  # move the insertion one period later
             times[idx] = never
-        dfs(idx + 1, cur_val)
+        yield cur_val
 
-    dfs(0, 0)
+    stack = [visit(0, 0)]
+    while stack:
+        val = next(stack[-1], None)
+        if val is None:
+            stack.pop()
+        else:
+            stack.append(visit(len(stack), val))
     chain = _chain(horizon, [it.id for it in order], best_times)
     return SolveResult(chain=chain, value=best_val, optimal=True, nodes=nodes, solver="exact")
 

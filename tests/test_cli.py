@@ -301,21 +301,24 @@ class TestSolveAndVerify:
         assert run("solve", "--instance", inst, "--solver", "exact",
                    "--out", tmp_path / "r.json", "--quiet") == 3
 
-    def test_exact_search_deeper_than_the_recursion_limit_exits_3(self, tmp_path):
-        # m > 1,000 kept items would nest one search frame per item past
-        # Python's default recursion limit: refused before searching, and
-        # auto takes the heuristic instead.
+    def test_exact_solves_past_the_recursion_limit(self, tmp_path):
+        # 1,200 unit items that all fit: a search 1,200 deep, past Python's
+        # default recursion limit.  Written directly, since the search of a
+        # generated 1,200-item instance takes tens of seconds.
         inst = tmp_path / "deep.json"
-        run("generate", "--family", "modular", "--n", 1200, "-T", 1,
-            "--seed", 3, "--out", inst, "--quiet")
-        code, err = run_captured("solve", "--instance", inst, "--solver", "exact",
-                                 "--limits", "max_n_exact=5000", "--out", tmp_path / "r.json")
-        assert code == 3
-        assert err.startswith("limits exceeded: m=") and err.count("\n") == 1
-        report_path = tmp_path / "auto.json"
-        assert run("solve", "--instance", inst, "--limits", "max_n_exact=5000",
-                   "--out", report_path, "--quiet") == 0
-        assert json.loads(report_path.read_text())["solver"] == "heuristic"
+        n = 1200
+        inst.write_text(json.dumps({
+            "n": n, "T": 1, "weights": [1] * n, "profits": [1] * n,
+            "capacities": [n], "deltas": [1], "oracle": {"kind": "modular"},
+        }))
+        limits = ("--limits", "max_n_exact=5000")
+        for solver in ("exact", "auto"):
+            report_path = tmp_path / f"{solver}.json"
+            assert run("solve", "--instance", inst, "--solver", solver, *limits,
+                       "--out", report_path, "--quiet") == 0
+            report = json.loads(report_path.read_text())
+            assert report["solver"] == "exact" and report["phi"] == n
+        assert run("verify", "--instance", inst, "--report", tmp_path / "exact.json") == 0
 
     def test_limits_flag_lowers_the_bar(self, toy_instance, tmp_path):
         assert run("solve", "--instance", toy_instance, "--solver", "exact",

@@ -146,26 +146,22 @@ class TestSolveExact:
             solve_exact(ik([(1, 1)], [5] * 7, [1] * 7))
         assert solve_exact(ik(items, [5], [1]), SolveLimits(max_n_exact=19)).value == 5
 
-    def test_search_past_the_recursion_limit_is_refused_not_raised(self):
+    def test_search_depth_is_not_bounded_by_the_recursion_limit(self):
         # Unit items that all fit: the first path inserts each, so the search
-        # nests one call per item.  Near the limit each m either runs or is
-        # refused up front; none may hit RecursionError.
+        # is m deep, far past a recursion limit only 50 frames above the
+        # caller's.
         unlimited = SolveLimits(max_n_exact=10**6)
         depth = len(inspect.stack(0))
         old = sys.getrecursionlimit()
-        sys.setrecursionlimit(depth + 150)
+        sys.setrecursionlimit(depth + 50)
         try:
-            outcomes = []
-            for m in range(100, 160):
-                try:
-                    outcomes.append(solve_exact(ik([(1, 1)] * m, [m], [1]), unlimited).value)
-                except LimitsExceeded:
-                    outcomes.append(None)
+            values = [
+                solve_exact(ik([(1, 1)] * m, [m], [1]), unlimited).value
+                for m in range(100, 601, 100)
+            ]
         finally:
             sys.setrecursionlimit(old)
-        ran = outcomes.index(None)
-        assert outcomes[:ran] == list(range(100, 100 + ran)) and ran > 0
-        assert outcomes[ran:] == [None] * (len(outcomes) - ran)
+        assert values == list(range(100, 601, 100))
 
     def test_matches_brute_force_on_random_suite(self):
         rng = random.Random(97)
