@@ -16,11 +16,10 @@ import random
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from itertools import accumulate
-from operator import itemgetter
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import BudgetExceeded, LimitsExceeded
-from .instances import Chain, Instance, Item, suffix_coefficients
+from .instances import Chain, Instance, suffix_coefficients
 from .oracles import _is_int, _parse_int
 
 
@@ -34,7 +33,7 @@ def earliest_period(resid: Sequence[int], w: int) -> int | None:
 
 def _chain(horizon: int, ids: Sequence[int], times: Sequence[int]) -> Chain:
     """Chain from 0-based per-item periods, where period `horizon` means never."""
-    return Chain(horizon, {ids[k]: t + 1 for k, t in enumerate(times) if t < horizon})
+    return Chain(horizon, {i: t + 1 for i, t in zip(ids, times) if t < horizon})
 
 
 # Longest step list knapsack_steps keeps per suffix, so a build handles at
@@ -90,6 +89,10 @@ class SolveLimits:
     seeds 100-109) took a median of 0.6 ms and at worst 16 ms and 5,019
     nodes (16,759 nodes in all) on a 2-core host.  Replacing both with one
     max_nodes_exact set from measured worst cases is ROADMAP D14.
+    max_n_exact is the only bound on the kept item count m, and the exact
+    set-up's memory grows as m^2 (the dominator lists): on unit items that
+    all fit (T=1, Python 3.11), m=3,000 peaked at 227 MB RSS and m=5,000
+    at 571 MB.
     """
 
     max_n_exact: int = 18
@@ -312,18 +315,6 @@ def some_move_gains(
     return False
 
 
-def _move_pairs(
-    items: Iterable[Item], time_of: Mapping[int, int], horizon: int
-) -> tuple[list[list[tuple[int, int]]], list[tuple[int, int]]]:
-    """The (weight, profit) pairs some_move_gains reads, per period and outside."""
-    at: list[list[tuple[int, int]]] = [[] for _ in range(horizon)]
-    outside = []
-    for i, w, p in items:
-        t = time_of.get(i)
-        (outside if t is None else at[t]).append((w, p))
-    return at, outside
-
-
 def solve_heuristic(
     ik: Instance, seed: int = 0, limits: SolveLimits | None = None
 ) -> SolveResult:
@@ -347,11 +338,13 @@ def solve_heuristic(
     moves gains (some_move_gains, over the distinct (weight, profit) pairs
     inserted at each period and left outside); a round where none does
     would draw all its moves, or the rest of the budget, in vain, so those
-    are counted as tried without being drawn.  The first round reads the
-    pairs the greedy recorded as it placed each item; only a round that
-    draws moves lists the inserted and outside ids.  A round thus costs
-    O(n*T log n + moves tried) time and O(n + moves tried) memory.
-    Deterministic per seed, and never worse than the greedy value.
+    are counted as tried without being drawn.  The state is one 0-based
+    period per item that fits W_T, in id order, with T for "not inserted",
+    as in solve_exact; each round reads its pairs off it in one pass, and
+    only a round that draws moves lists the inserted and outside positions.
+    A round thus costs O(n*T log n + moves tried) time and O(n + moves
+    tried) memory.  Deterministic per seed, and never worse than the greedy
+    value.
 
     Shifts and inserts are rare: the greedy leaves room for neither (each
     item went in at its earliest fitting period or fit nowhere, and the
@@ -363,57 +356,58 @@ def solve_heuristic(
     caps = list(ik.capacities)
     dsum = suffix_coefficients(ik.deltas)
     rng = random.Random(seed)
-    by_id = sorted([it for it in ik.items if it[1] <= caps[-1]], key=itemgetter(0))
+    # Items are (id, weight, profit) tuples with unique ids: this sorts by id.
+    by_id = sorted(it for it in ik.items if it.weight <= caps[-1])
+    ids, ws, ps = zip(*by_id) if by_id else ((), (), ())
+    n = len(ws)
 
+    never = horizon
     resid = caps[:]
-    time_of: dict[int, int] = {}
+    when = [never] * n
     value = 0
 
-    # Called only by a round that draws moves, once it has built active.
-    def insert(i: int, t: int) -> None:
-        _, w, _ = active[i]
+    def insert(k: int, t: int) -> None:
         for s in range(t, horizon):
-            resid[s] -= w
-        time_of[i] = t
+            resid[s] -= ws[k]
+        when[k] = t
 
-    def remove(i: int) -> int:
-        t = time_of.pop(i)
-        _, w, _ = active[i]
+    def remove(k: int) -> int:
+        t, when[k] = when[k], never
         for s in range(t, horizon):
-            resid[s] += w
+            resid[s] += ws[k]
         return t
 
-    weighted = [it for it in by_id if it[1]]
+    weighted = [k for k, w in enumerate(ws) if w]
     d1 = dsum[0]
-    s = 2 * max([w for _, w, _ in weighted], default=0).bit_length()
-    keys = [-(p * d1 << s) // w for _, w, p in weighted]
-    order = [it for it in by_id if not it[1]]
-    order += map(weighted.__getitem__, sorted(range(len(weighted)), key=keys.__getitem__))
-    # The (weight, profit) pairs of the state, for the first round's proof.
-    at: list[list[tuple[int, int]]] | None = [[] for _ in range(horizon)]
-    out: list[tuple[int, int]] = []
-    for i, w, p in order:  # earliest_period and insert, inlined
+    s = 2 * max(ws, default=0).bit_length()
+    keys = [-(p * d1 << s) // w if w else 0 for w, p in zip(ws, ps)]
+    order = [k for k, w in enumerate(ws) if not w]
+    order += sorted(weighted, key=keys.__getitem__)
+    for k in order:  # earliest_period and insert, inlined
+        w = ws[k]
         if w > resid[-1]:
-            out.append((w, p))
             continue
         t = horizon - 1
         while t and resid[t - 1] >= w:
             t -= 1
         for u in range(t, horizon):
             resid[u] -= w
-        time_of[i] = t
-        at[t].append((w, p))
-        value += p * dsum[t]
+        when[k] = t
+        value += ps[k] * dsum[t]
 
+    pairs = list(zip(ws, ps))
     tried = 0
     budget = limits.local_search_budget
     per_item = horizon - 1  # shift targets of one inserted item
     improved = True
     while improved and tried < budget:
         improved = False
-        if at is None:
-            at, out = _move_pairs(by_id, time_of, horizon)
-        k = len(time_of)
+        # The (weight, profit) pairs at each period; bucket `never` is outside.
+        at: list[list[tuple[int, int]]] = [[] for _ in range(horizon + 1)]
+        for t, pair in zip(when, pairs):
+            at[t].append(pair)
+        out = at.pop()
+        k = n - len(out)
         # Move m < shifts moves inserted[m // per_item] to another period; the
         # rest come k + 1 per outside item: its insert, then a swap with each
         # inserted item.
@@ -423,10 +417,8 @@ def solve_heuristic(
             # Drawing would try every move, or the rest of the budget, in vain.
             tried += min(total, budget - tried)
             break
-        at = None
-        active = dict(zip(map(itemgetter(0), by_id), by_id))
-        inserted = sorted(time_of)
-        outside = sorted(active.keys() - time_of.keys())
+        inserted = [a for a, t in enumerate(when) if t < never]
+        outside = [b for b, t in enumerate(when) if t == never]
         displaced: dict[int, int] = {}  # sparse Fisher-Yates: slot r holds r unless listed
         for pos in range(min(total, budget - tried)):
             r = rng.randrange(pos, total)
@@ -435,14 +427,13 @@ def solve_heuristic(
             tried += 1
             if move < shifts:
                 a = inserted[move // per_item]
-                old = time_of[a]
+                old = when[a]
                 t = move % per_item
                 if t >= old:
                     t += 1
                 # Only an earlier period gains; it must fit up to the old one.
-                _, w, p = active[a]
-                gain = p * (dsum[t] - dsum[old])
-                if gain > 0 and min(resid[t:old]) >= w:
+                gain = ps[a] * (dsum[t] - dsum[old])
+                if gain > 0 and min(resid[t:old]) >= ws[a]:
                     remove(a)
                     insert(a, t)
                     value += gain
@@ -450,7 +441,8 @@ def solve_heuristic(
                     break
                 continue
             j, s = divmod(move - shifts, k + 1)
-            b, wb, pb = active[outside[j]]
+            b = outside[j]
+            wb, pb = ws[b], ps[b]
             if s == 0:
                 t = earliest_period(resid, wb)
                 if t is not None and pb * dsum[t] > 0:
@@ -460,8 +452,7 @@ def solve_heuristic(
                     break
                 continue
             a = inserted[s - 1]
-            _, _, pa = active[a]
-            loss = pa * dsum[time_of[a]]
+            loss = ps[a] * dsum[when[a]]
             if pb * dsum[0] <= loss:
                 continue  # even the earliest period cannot pay for the swap
             old = remove(a)
@@ -473,7 +464,7 @@ def solve_heuristic(
                 break
             insert(a, old)
 
-    chain = Chain(horizon, {i: t + 1 for i, t in time_of.items()})
+    chain = _chain(horizon, ids, when)
     return SolveResult(chain=chain, value=value, optimal=False, nodes=tried, solver="heuristic")
 
 

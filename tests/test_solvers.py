@@ -768,6 +768,29 @@ class TestSolveHeuristic:
         result = solve_heuristic(ik([(6, 2), (5, 2), (4, 2)], [4], [1]))
         assert (result.value, result.nodes, draws) == (11, 3, [])
 
+    @pytest.mark.parametrize("horizon", [1, 4])
+    def test_items_heavier_than_the_last_capacity_change_nothing(self, horizon):
+        # Heavy items fit no period, so they are not numbered among the
+        # outside items: with their ids between the others', the move count,
+        # the seeded draws and so the answer stay those of the instance
+        # without them.  T=1 has no shift moves.
+        rng = random.Random(f"heavier-than-W_T/{horizon}")
+        greedy_only = SolveLimits(local_search_budget=0)
+        improved = 0
+        for k in range(40):
+            n = rng.randint(5, 30)
+            items = [Item(2 * i, rng.randint(1, 9), rng.randint(1, 9)) for i in range(n)]
+            top = sum(it.weight for it in items) // 2
+            caps = sorted(rng.randint(0, top) for _ in range(horizon - 1)) + [top]
+            deltas = [rng.randint(1, 3) for _ in range(horizon)]
+            heavy = [Item(2 * i + 1, top + rng.randint(1, 9), rng.randint(1, 99)) for i in range(n)]
+            base = solve_heuristic(modular(items, horizon, caps, deltas), seed=k)
+            mixed = solve_heuristic(modular(items + heavy, horizon, caps, deltas), seed=k)
+            assert (mixed.chain, mixed.value, mixed.nodes) == (base.chain, base.value, base.nodes)
+            greedy = solve_heuristic(modular(items, horizon, caps, deltas), limits=greedy_only)
+            improved += base.value > greedy.value
+        assert improved  # some rounds drew moves and gained
+
 
 class TestItemOrder:
     @pytest.mark.parametrize("seed", range(12))
