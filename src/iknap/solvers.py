@@ -89,10 +89,11 @@ class SolveLimits:
     seeds 100-109) took a median of 0.6 ms and at worst 16 ms and 5,019
     nodes (16,759 nodes in all) on a 2-core host.  Replacing both with one
     max_nodes_exact set from measured worst cases is ROADMAP D14.
-    max_n_exact is the only bound on the kept item count m, and the exact
-    set-up's memory grows as m^2 (the dominator lists): on unit items that
-    all fit (T=1, Python 3.11), m=3,000 peaked at 227 MB RSS and m=5,000
-    at 571 MB.
+    max_n_exact is the only bound on the kept item count m.  What grows
+    with m is knapsack_steps, at most 2*STEPS ints per item: `iknap solve`
+    on unit items that all fit (T=1, Python 3.11, 2-core host) took 0.33 s
+    and 29 MB peak RSS at m=1,200, 0.94 s and 73 MB at m=3,000, and 1.7 s
+    and 122 MB at m=5,000.
     """
 
     max_n_exact: int = 18
@@ -158,12 +159,16 @@ def solve_exact(ik: Instance, limits: SolveLimits | None = None) -> SolveResult:
     profit by (p_i - p_j)(D_{t_j} - D_{t_i}) >= 0, so some optimum inserts
     every item no earlier than its dominators, and j only tries times from
     the latest one already given to a dominator on ("never" last, so a
-    dominator left out leaves j out).  Only pairs where i comes first count,
-    so equal items cannot form a cycle.  The search keeps one generator
-    per depth on an explicit stack, so its depth is not bounded by the
-    interpreter's recursion limit.  All arithmetic is integer.  Fully
-    deterministic; among equal-value optima the first found in that search
-    order is returned.
+    dominator left out leaves j out).  Only earlier items count, so equal
+    items cannot form a cycle.  D_1 > 0 orders by descending profit, so
+    that floor is the latest period on the path of an earlier item no
+    heavier than w_j; with D_1 = 0 the root's bound of 0 prunes it first.
+    The search is one loop over depth k: times[k] is the period item k is
+    tried at ("never" off the path), vals[k] the value of the items before
+    k.  On a leaf or a prune it moves the deepest item not yet at "never"
+    one period later, so its depth is not bounded by the interpreter's
+    recursion limit.  All arithmetic is integer.  Fully deterministic; among
+    equal-value optima the first found in that search order is returned.
     """
     limits = limits or SolveLimits()
     horizon = ik.horizon
@@ -184,65 +189,56 @@ def solve_exact(ik: Instance, limits: SolveLimits | None = None) -> SolveResult:
     m = len(order)
     ws = [it.weight for it in order]
     ps = [it.profit for it in order]
-    # With all deltas 0 the order is by id, so p_i >= p_j is checked, not implied.
-    dominators = [
-        [i for i in range(j) if ws[i] <= ws[j] and ps[i] >= ps[j]] for j in range(m)
-    ]
     steps = knapsack_steps(ws, ps, caps[-1])
 
     never = horizon
     resid = caps[:]
     times = [never] * m
+    vals = [0] * (m + 1)
     best_val = 0
     best_times = times[:]
     nodes = 0
-    big = max(caps, default=0) + 1
-
-    # visit(idx, v) searches the node at depth idx with value v, yielding
-    # the value of each child in search order; the driver below searches
-    # that child's whole subtree before resuming its parent.
-    def visit(idx: int, cur_val: int) -> Iterator[int]:
-        nonlocal best_val, best_times, nodes
+    k = 0
+    while True:
         nodes += 1
-        if idx == m:
-            if cur_val > best_val:
-                best_val = cur_val
+        if k == m:
+            if vals[m] > best_val:
+                best_val = vals[m]
                 best_times = times[:]
-            return
-        # msuf[t] = min residual capacity over periods t..T-1, non-decreasing.
-        # msuf[T] = big only seeds that recurrence; it exceeds every kept
-        # weight, so the bisect below returns at most T ("never").
-        msuf = [big] * (horizon + 1)
-        for t in range(horizon - 1, -1, -1):
-            msuf[t] = resid[t] if resid[t] < msuf[t + 1] else msuf[t + 1]
-        sw, sp = steps[idx]
-        bound = cur_val
-        for t, d in live:
-            bound += d * sp[bisect_right(sw, msuf[t]) - 1]
-        if bound <= best_val:
-            return
-        w = ws[idx]
-        earliest = bisect_left(msuf, w)
-        for i in dominators[idx]:
-            if times[i] > earliest:
-                earliest = times[i]
-        if earliest < horizon:
-            for s in range(earliest, horizon):
-                resid[s] -= w
-            for t in range(earliest, horizon):
-                times[idx] = t
-                yield cur_val + ps[idx] * dsum[t]
-                resid[t] += w  # move the insertion one period later
-            times[idx] = never
-        yield cur_val
-
-    stack = [visit(0, 0)]
-    while stack:
-        val = next(stack[-1], None)
-        if val is None:
-            stack.pop()
         else:
-            stack.append(visit(len(stack), val))
+            # msuf[t] = min residual capacity over periods t..T-1, non-decreasing.
+            msuf = resid[:]
+            for t in range(horizon - 2, -1, -1):
+                if msuf[t + 1] < msuf[t]:
+                    msuf[t] = msuf[t + 1]
+            sw, sp = steps[k]
+            bound = vals[k]
+            for t, d in live:
+                bound += d * sp[bisect_right(sw, msuf[t]) - 1]
+            if bound > best_val:
+                w = ws[k]
+                # The earliest period w fits from on (T: never), then the floor.
+                first = bisect_left(msuf, w)
+                for t, v in zip(times, ws[:k]):
+                    if t > first and v <= w:
+                        first = t
+                for t in range(first, horizon):
+                    resid[t] -= w
+                times[k] = first
+                vals[k + 1] = vals[k] + ps[k] * dsum[first]
+                k += 1
+                continue
+        # Leaf or prune: move the deepest item not yet at never one period later.
+        k -= 1
+        while k >= 0 and times[k] == never:
+            k -= 1
+        if k < 0:
+            break
+        t = times[k]
+        resid[t] += ws[k]
+        times[k] = t + 1
+        vals[k + 1] = vals[k] + ps[k] * dsum[t + 1]
+        k += 1
     chain = _chain(horizon, [it.id for it in order], best_times)
     return SolveResult(chain=chain, value=best_val, optimal=True, nodes=nodes, solver="exact")
 

@@ -1,5 +1,6 @@
 """Modular-instance solvers: exact branch-and-bound, heuristic, brute force."""
 
+import gc
 import hashlib
 import inspect
 import random
@@ -27,6 +28,7 @@ from iknap import (
     profit_phi_bar,
     solve_exact,
     solve_heuristic,
+    solve_ik_aon,
     suffix_coefficients,
 )
 from iknap import solvers
@@ -137,6 +139,12 @@ class TestSolveExact:
         result = solve_exact(ik([(5, 1)], [3], [0]))
         assert result.value == 0
         assert result.chain == Chain.empty(1)
+        # With all deltas 0 the order is by id, here by rising profit, so an
+        # earlier item of equal weight has less profit and dominates nothing.
+        # The root's bound is 0 and prunes it before dominance is read.
+        result = solve_exact(ik([(1, 2), (2, 2), (3, 2)], [2, 4], [0, 0]))
+        assert (result.value, result.nodes) == (0, 1)
+        assert result.chain == Chain.empty(2)
 
     def test_limits(self):
         items = [(1, 1)] * 19
@@ -162,6 +170,21 @@ class TestSolveExact:
         finally:
             sys.setrecursionlimit(old)
         assert values == list(range(100, 601, 100))
+
+    def test_deep_search_memory_stays_small(self):
+        # 1,200 unit items that all fit: a search 1,200 deep in which every
+        # earlier item is no heavier and no less profitable than the next.
+        # A table of each item's dominators held 719,400 indices here, 33.1
+        # MiB at its peak; most of what is left is knapsack_steps.
+        m = 1200
+        tracemalloc.start()
+        try:
+            result = solve_exact(ik([(1, 1)] * m, [m], [1]), SolveLimits(max_n_exact=m))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result.value == m
+        assert peak < 20 * 2**20, f"peak {peak / 2**20:.1f} MiB"
 
     def test_matches_brute_force_on_random_suite(self):
         rng = random.Random(97)
@@ -263,39 +286,39 @@ def pinned_exact_instance(family, n, horizon, edge):
 
 
 PINNED_EXACT = [
-    # family, n, T, edge, and (value, chain digest) from solve_exact
-    ("graphic-classes", 8, 2, False, (64, "c43ed5bbf987")),
-    ("graphic-classes", 8, 2, True, (90, "89333a049289")),
-    ("graphic-classes", 12, 4, False, (221, "2139a6c4e676")),
-    ("graphic-classes", 12, 4, True, (176, "015fa72108d9")),
-    ("graphic-classes", 15, 5, False, (312, "32212ea0d2af")),
-    ("graphic-classes", 15, 5, True, (128, "8170a788e5fa")),
-    ("graphic-classes", 18, 6, False, (390, "39d0f00ac615")),
-    ("graphic-classes", 18, 6, True, (438, "6f262bcd7b55")),
-    ("modular", 8, 2, False, (90, "25e164d78747")),
-    ("modular", 8, 2, True, (0, "f65e9c5d16ff")),
-    ("modular", 12, 4, False, (356, "64e027b4abc9")),
-    ("modular", 12, 4, True, (102, "a0c849d8405a")),
-    ("modular", 15, 5, False, (490, "71e21dd3740f")),
-    ("modular", 15, 5, True, (447, "6c38b6acc1b5")),
-    ("modular", 18, 6, False, (582, "5acf051545e7")),
-    ("modular", 18, 6, True, (434, "dd49b58a9187")),
-    ("partition-classes", 8, 2, False, (4, "72a166c8584a")),
-    ("partition-classes", 8, 2, True, (24, "12010c4e9933")),
-    ("partition-classes", 12, 4, False, (104, "4d41dbe0fd5c")),
-    ("partition-classes", 12, 4, True, (266, "40fe39427a0f")),
-    ("partition-classes", 15, 5, False, (156, "e2d247091184")),
-    ("partition-classes", 15, 5, True, (770, "f6838b07a547")),
-    ("partition-classes", 18, 6, False, (480, "44cc9d613350")),
-    ("partition-classes", 18, 6, True, (322, "e8adb046f26b")),
-    ("uniform-classes", 8, 2, False, (108, "a1ab7cc4f96a")),
-    ("uniform-classes", 8, 2, True, (9, "e08c610eeb5f")),
-    ("uniform-classes", 12, 4, False, (309, "b98750176b70")),
-    ("uniform-classes", 12, 4, True, (152, "c63626c4e167")),
-    ("uniform-classes", 15, 5, False, (7, "a2e9c2fd7372")),
-    ("uniform-classes", 15, 5, True, (498, "e69abd14b852")),
-    ("uniform-classes", 18, 6, False, (270, "2c9497b8353b")),
-    ("uniform-classes", 18, 6, True, (835, "8051968db8d8")),
+    # family, n, T, edge, and (value, nodes, chain digest) from solve_exact
+    ("graphic-classes", 8, 2, False, (64, 13, "c43ed5bbf987")),
+    ("graphic-classes", 8, 2, True, (90, 13, "89333a049289")),
+    ("graphic-classes", 12, 4, False, (221, 37, "2139a6c4e676")),
+    ("graphic-classes", 12, 4, True, (176, 24, "015fa72108d9")),
+    ("graphic-classes", 15, 5, False, (312, 44, "32212ea0d2af")),
+    ("graphic-classes", 15, 5, True, (128, 18, "8170a788e5fa")),
+    ("graphic-classes", 18, 6, False, (390, 38, "39d0f00ac615")),
+    ("graphic-classes", 18, 6, True, (438, 42, "6f262bcd7b55")),
+    ("modular", 8, 2, False, (90, 20, "25e164d78747")),
+    ("modular", 8, 2, True, (0, 1, "f65e9c5d16ff")),
+    ("modular", 12, 4, False, (356, 217, "64e027b4abc9")),
+    ("modular", 12, 4, True, (102, 70, "a0c849d8405a")),
+    ("modular", 15, 5, False, (490, 105, "71e21dd3740f")),
+    ("modular", 15, 5, True, (447, 57, "6c38b6acc1b5")),
+    ("modular", 18, 6, False, (582, 204, "5acf051545e7")),
+    ("modular", 18, 6, True, (434, 574, "dd49b58a9187")),
+    ("partition-classes", 8, 2, False, (4, 10, "72a166c8584a")),
+    ("partition-classes", 8, 2, True, (24, 13, "12010c4e9933")),
+    ("partition-classes", 12, 4, False, (104, 26, "4d41dbe0fd5c")),
+    ("partition-classes", 12, 4, True, (266, 38, "40fe39427a0f")),
+    ("partition-classes", 15, 5, False, (156, 162, "e2d247091184")),
+    ("partition-classes", 15, 5, True, (770, 89, "f6838b07a547")),
+    ("partition-classes", 18, 6, False, (480, 165, "44cc9d613350")),
+    ("partition-classes", 18, 6, True, (322, 80, "e8adb046f26b")),
+    ("uniform-classes", 8, 2, False, (108, 18, "a1ab7cc4f96a")),
+    ("uniform-classes", 8, 2, True, (9, 16, "e08c610eeb5f")),
+    ("uniform-classes", 12, 4, False, (309, 31, "b98750176b70")),
+    ("uniform-classes", 12, 4, True, (152, 29, "c63626c4e167")),
+    ("uniform-classes", 15, 5, False, (7, 6, "a2e9c2fd7372")),
+    ("uniform-classes", 15, 5, True, (498, 164, "e69abd14b852")),
+    ("uniform-classes", 18, 6, False, (270, 45, "2c9497b8353b")),
+    ("uniform-classes", 18, 6, True, (835, 83, "8051968db8d8")),
 ]
 
 
@@ -450,8 +473,9 @@ class TestSolveExactBeyondBruteForce:
     def test_output_is_pinned(self, family, n, horizon, edge, expected):
         # Recorded with a second, earliest-period bound in place; a valid
         # bound prunes no better leaf, so the first optimum found stays.
+        # The nodes pin the search order and its pruning, not only the answer.
         result = solve_exact(pinned_exact_instance(family, n, horizon, edge))
-        assert (result.value, chain_digest(result.chain)) == expected
+        assert (result.value, result.nodes, chain_digest(result.chain)) == expected
 
 
 SEARCH_STATE_CASES = [
@@ -790,6 +814,29 @@ class TestSolveHeuristic:
             greedy = solve_heuristic(modular(items, horizon, caps, deltas), limits=greedy_only)
             improved += base.value > greedy.value
         assert improved  # some rounds drew moves and gained
+
+
+def test_solves_leave_no_cyclic_garbage():
+    # A search whose frames or closures form reference cycles leaves them to
+    # the cycle collector, which then runs inside later, unrelated calls.
+    rng = random.Random(41)
+    instances = [
+        make_family_instance(family, n, 3, rng) for family in sorted(FAMILIES) for n in (6, 9)
+    ]
+    reduced = [modularize(preprocess_singletons(inst)[0]).ik for inst in instances]
+    enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        for inst, mod in zip(instances, reduced):
+            solve_exact(mod)
+            solve_heuristic(mod, seed=1)
+            solve_ik_aon(inst, solver="exact")
+        garbage = gc.collect()
+    finally:
+        if enabled:
+            gc.enable()
+    assert garbage == 0
 
 
 class TestItemOrder:
