@@ -63,13 +63,14 @@ def min_weight_basis(inst: Instance, class_items: Iterable[int]) -> tuple[Item, 
     """Greedy basis of a profit class: weight-ascending, smallest id on ties.
 
     The independent subsets of a single profit class form a matroid, so the
-    greedy output is maximal and of minimum total weight.  Sorts the class
-    by id, then stably by weight, and makes modularize's greedy_kept() call:
-    one oracle query per item.  Returns the basis items in that greedy order.
+    greedy output is maximal and of minimum total weight.  Makes
+    modularize's greedy_kept() call on the class, one oracle query per
+    item, whatever order class_items comes in.  Returns the basis items in
+    greedy (weight, id) order: greedy_kept()'s id order, stably by weight.
     """
-    order = sorted(map(inst.item, class_items), key=itemgetter(0))
-    order.sort(key=itemgetter(1))
-    return tuple(greedy_kept(inst.oracle, order))
+    basis = greedy_kept(inst.oracle, list(map(inst.item, class_items)))
+    basis.sort(key=itemgetter(1))
+    return tuple(basis)
 
 
 def check_matroid_exchange(inst: Instance, class_items: Iterable[int]):

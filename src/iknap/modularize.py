@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from itertools import groupby
 from operator import itemgetter
 from typing import Iterable, Sequence
 
@@ -52,27 +51,17 @@ class ModularizedInstance:
 def modularize(inst: Instance) -> ModularizedInstance:
     """Restrict to the union of per-class minimum-weight greedy bases.
 
-    Expects a validated, singleton-preprocessed instance.  Costs one sort
-    by (profit, weight, id), in which each class is a run, grown from empty
-    in increasing class profit, plus exactly one oracle query per item, one
-    greedy_kept() call per run: the built-in modular and
-    matroid-rank-sum oracles answer a run from the class's matroid (a
-    slice, a counter per group, a union-find), so the whole reduction is
-    linear in n up to the sort, and any other oracle is asked
-    evaluate(B + i).  The kept items are the runs' greedy_kept() answers,
-    put back in id order; when every run is kept whole they are the
-    id-ordered items the sort started from.
+    Expects a validated, singleton-preprocessed instance.  Makes one
+    greedy_kept() call over all the items, which grows each profit class
+    from empty in (weight, id) order at exactly one oracle query per item
+    and returns the kept items in id order.  The built-in oracles answer
+    that call in bulk: the modular oracle, with one compare of its table
+    against the profits and no sort but by id, and the matroid-rank-sum
+    oracle from each class's matroid (a slice, a counter per group, a
+    union-find) after one sort by (profit, weight, id).  Any other oracle,
+    or items the bulk answer cannot take, is asked evaluate(B + i).
     """
-    by_id = sorted(inst.items, key=itemgetter(0))
-    order = sorted(by_id, key=itemgetter(1))
-    order.sort(key=itemgetter(2))
-    items = []
-    for _, run in groupby(order, itemgetter(2)):
-        items += greedy_kept(inst.oracle, list(run))
-    if len(items) == len(by_id):
-        items = by_id
-    else:
-        items.sort(key=itemgetter(0))
+    items = greedy_kept(inst.oracle, inst.items)
     ids = tuple(map(itemgetter(0), items))
     oracle = modular_oracle(dict(zip(ids, map(_PROFIT, items))))
     ik = Instance(items, inst.horizon, inst.capacities, inst.deltas, oracle)

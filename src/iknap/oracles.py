@@ -102,11 +102,12 @@ class AggregationOracle:
 
     bulk, if given, is a (singletons, greedy, chain) triple that answers
     singleton_gains(), greedy_kept() and chain_gammas() without
-    evaluate(), ticked once per id, once per run item, and once for S_1
-    plus once per later nonempty layer.  None of the three keeps state
-    between calls, ticks or falls back: each returns None for input it
-    cannot answer, such as an id outside the ground or a run whose items
-    do not carry their class's profit.
+    evaluate(), ticked once per id, once per item, and once for S_1 plus
+    once per later nonempty layer.  greedy takes a whole greedy_kept()
+    call, the items of every profit class at once, and answers all of it
+    or none.  None of the three keeps state between calls, ticks or falls
+    back: each returns None for input it cannot answer, such as an id
+    outside the ground or an item that does not carry its class's profit.
     """
 
     __slots__ = ("_fn", "_descriptor", "_ticks", "_reads", "_lock", "_bulk")
@@ -172,27 +173,39 @@ def singleton_gains(oracle, ids: Sequence[int]) -> list:
     return gains
 
 
-def greedy_kept(oracle, run: Sequence[tuple]) -> list:
-    """The items of run that join a set B grown from empty, in run order.
+def _by_class(items: Sequence[tuple]) -> list:
+    """Items by (profit, weight, id): each profit class a run, in greedy order."""
+    order = sorted(items, key=itemgetter(0))
+    order.sort(key=itemgetter(1))
+    order.sort(key=itemgetter(2))
+    return order
 
-    run holds (id, weight, profit) items with distinct ids, in the order to
-    try them.  An item joins B when its gain gamma(B + i) - gamma(B) is its
-    profit, and a larger gain raises OracleViolation.  Each item counts as
-    one oracle call: a bulk triple answers the run as singleton_gains() does,
-    and otherwise the oracle is asked exactly evaluate(B + i) per item, the
-    value of the empty set taken to be 0.
+
+def greedy_kept(oracle, items: Sequence[tuple]) -> list:
+    """The items that join their profit class's greedy basis, in id order.
+
+    items holds (id, weight, profit) items with distinct ids, of any number
+    of profit classes (the items of one profit), in any order.  Each class
+    is grown from an empty set B in (weight, id) order, the classes in
+    increasing profit: an item joins B when its gain gamma(B + i) - gamma(B)
+    is its profit, and a larger gain raises OracleViolation.  Each item
+    counts as one oracle call: a bulk triple answers the whole call as
+    singleton_gains() does, and otherwise the oracle is asked exactly
+    evaluate(B + i) per item in that order, the value of the empty set
+    taken to be 0.
     """
     bulk = oracle._bulk if isinstance(oracle, AggregationOracle) else None
-    kept = bulk[1](run) if bulk else None
+    kept = bulk[1](items) if bulk else None
     if kept is not None:
-        _tick(oracle, len(run))
+        _tick(oracle, len(items))
         return kept
-    # B stays independent, so gamma(B) = p(B) = value.
+    # Each B stays independent, so gamma(B) = p(B) = value.
     kept = []
-    members: set[int] = set()
-    value = 0
-    for it in run:
+    profit = None
+    for it in _by_class(items):
         i, _, p = it
+        if p != profit:
+            profit, members, value = p, set(), 0
         g = oracle.evaluate(members | {i}) - value
         if g > p:
             raise OracleViolation(
@@ -203,6 +216,7 @@ def greedy_kept(oracle, run: Sequence[tuple]) -> list:
             kept.append(it)
             members.add(i)
             value += p
+    kept.sort(key=itemgetter(0))
     return kept
 
 
@@ -445,22 +459,18 @@ def _modular(table: _ItemTable) -> AggregationOracle:
     def fn(s: frozenset) -> int:
         return sum(map(table.__getitem__, s))
 
-    # A gain does not depend on B: it is the table's value, and a run is all
-    # kept exactly when those values are the run's profits.
+    # A gain does not depend on B: it is the table's value, so every item
+    # is kept exactly when the table's values are the items' profits.
     def singletons(ids):
         try:
             return list(map(table.__getitem__, ids))
         except UnknownItemId:
             return None
 
-    def greedy(run):
-        try:
-            for i, _, p in run:
-                if table[i] != p:
-                    return None
-        except UnknownItemId:
+    def greedy(items):
+        if singletons(list(map(itemgetter(0), items))) != list(map(itemgetter(2), items)):
             return None
-        return run
+        return sorted(items, key=itemgetter(0))
 
     def chain(layers):
         try:
@@ -524,23 +534,20 @@ def matroid_rank_sum_oracle(
         except KeyError:
             return None
 
-    def greedy(run):
-        # A run of one class, each item at its class profit, goes to the
-        # class's spec; anything else takes the evaluate() path.
-        ids = list(map(itemgetter(0), run))
-        p = run[0][2] if run else None
-        spec = spec_of.get(p)
-        if (
-            spec is None
-            or not spec.ground.issuperset(ids)
-            or list(map(itemgetter(2), run)).count(p) != len(run)
-        ):
-            return None
-        kept = spec.greedy(ids)
-        if len(kept) == len(ids):
-            return run
-        kept = set(kept)
-        return list(itertools.compress(run, map(kept.__contains__, ids)))
+    def greedy(items):
+        # Each profit's run goes to the spec of the class with that profit
+        # when the run lies in the class's ground; anything else takes the
+        # evaluate() path.
+        kept: set[int] = set()
+        for p, run in itertools.groupby(_by_class(items), itemgetter(2)):
+            ids = list(map(itemgetter(0), run))
+            spec = spec_of.get(p)
+            if spec is None or not spec.ground.issuperset(ids):
+                return None
+            kept.update(spec.greedy(ids))
+        by_id = sorted(items, key=itemgetter(0))
+        ids = map(itemgetter(0), by_id)
+        return list(itertools.compress(by_id, map(kept.__contains__, ids)))
 
     def chain(layers):
         # The greedy over a class's items in insertion order keeps a basis of

@@ -43,7 +43,7 @@ def test_oracle_bulk_calls_are_plain_functions():
 
 
 def test_the_pipeline_does_not_import_the_basis_helpers():
-    # modularize keeps greedy_kept()'s runs itself; iknap.independence holds
+    # modularize keeps greedy_kept()'s answer itself; iknap.independence holds
     # min_weight_basis and the other helpers that tests and demos call.
     import iknap
 

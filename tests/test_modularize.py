@@ -405,6 +405,21 @@ class TestBulkAgainstEvaluate:
             outcomes.append((min_weight_basis(inst, [3, 2, 1]), oracle.call_count))
         assert outcomes[0] == outcomes[1] == ((Item(1, 0, 2), Item(3, 2, 2)), 3)
 
+    def test_min_weight_basis_is_in_greedy_order_whatever_the_class_order(self):
+        # Cap 4 over five items: weights 0 1 1 3 3 for ids 4 2 3 1 5, so the
+        # tie at 3 keeps 1 and leaves 5 out, and the greedy order is not the
+        # id order.
+        make = rank_sum((2, MatroidSpec.uniform([1, 2, 3, 4, 5], 4)))
+        items = [Item(1, 3, 2), Item(2, 1, 2), Item(3, 1, 2), Item(4, 0, 2), Item(5, 3, 2)]
+        basis = (Item(4, 0, 2), Item(2, 1, 2), Item(3, 1, 2), Item(1, 3, 2))
+        rng = random.Random(5)
+        ids = [1, 2, 3, 4, 5]
+        for _ in range(10):
+            rng.shuffle(ids)
+            for oracle in (make(), EvaluateOnly(make())):
+                inst = Instance(items, 1, [9], [1], oracle)
+                assert (min_weight_basis(inst, ids), oracle.call_count) == (basis, 5)
+
 
 def random_layers(ground, horizon, rng):
     """Layers of a random chain over ground: spread out, all at t=1, none, or late."""

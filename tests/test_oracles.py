@@ -12,6 +12,7 @@ from iknap import (
     AggregationOracle,
     Instance,
     MatroidSpec,
+    OracleViolation,
     OverlappingClasses,
     UnknownItemId,
     chain_gammas,
@@ -464,15 +465,14 @@ class TestCallCounter:
             for k in range(200):
                 oracle.evaluate({ground[0]})
                 singleton_gains(oracle, ground)
-                run = [(i, 1, profit_of[i]) for i in ground[k % 3 :: 3]]
-                greedy_kept(oracle, run)
+                greedy_kept(oracle, [(i, k % 2, profit_of[i]) for i in ground])
                 chain_gammas(oracle, layers(k))
 
         def layers(k):  # S_1, an empty layer, then the next third of the ground
             return [ground[k % 3 :: 3], [], ground[(k + 1) % 3 :: 3]]
 
         expected = 4 * sum(
-            1 + len(ground) + len(ground[k % 3 :: 3]) + 1 + bool(layers(k)[2])
+            1 + 2 * len(ground) + 1 + bool(layers(k)[2])
             for k in range(200)
         )
         workers = [threading.Thread(target=worker) for _ in range(4)]
@@ -512,29 +512,53 @@ def class_profits(oracle, ground):
     }
 
 
-def greedy_by_evaluate(oracle, run):
-    """The items of run kept by gamma(B + i) - gamma(B) = p_i, from direct evaluations."""
-    kept, basis = [], set()
-    for it in run:
-        i, _, p = it
-        if oracle.evaluate(basis | {i}) - oracle.evaluate(basis) == p:
-            kept.append(it)
-            basis.add(i)
-    return kept
+def greedy_by_evaluate(oracle, items):
+    """The items kept by gamma(B + i) - gamma(B) = p_i, from direct evaluations.
+
+    The items are grouped by profit, each class grows its own B from empty
+    in (weight, id) order, and the kept items are returned in id order.
+    """
+    classes: dict[int, list] = {}
+    for it in items:
+        classes.setdefault(it[2], []).append(it)
+    kept = []
+    for p, members in classes.items():
+        basis: set[int] = set()
+        for it in sorted(members, key=lambda it: (it[1], it[0])):
+            if oracle.evaluate(basis | {it[0]}) - oracle.evaluate(basis) == p:
+                kept.append(it)
+                basis.add(it[0])
+    return sorted(kept)
+
+
+def kept_outcome(oracle, items):
+    """greedy_kept()'s answer, or the error it raises, with the calls made until then."""
+    before = oracle.call_count
+    try:
+        kept = greedy_kept(oracle, items)
+    except (UnknownItemId, OracleViolation) as exc:
+        kept = (type(exc), str(exc))
+    return kept, oracle.call_count - before
+
+
+def evaluate_only(oracle):
+    """An oracle with the same values and no bulk triple: greedy_kept's evaluate() path."""
+    return AggregationOracle(oracle.evaluate, {"kind": "evaluate-only"})
 
 
 class TestBulkCalls:
-    def runs(self, oracle, ground, rng):
-        """Random runs in random order: one per profit class, and one across classes."""
+    def item_lists(self, oracle, ground, rng):
+        """Random item lists in random order, with tied weights.
+
+        A subset of each class, a subset of the ground, then the whole ground.
+        """
         profit_of = class_profits(oracle, ground)
         classes: dict[int, list[int]] = {}
         for i in ground:
             classes.setdefault(profit_of[i], []).append(i)
-        picks = [list(members) for members in classes.values()] + [list(ground)]
-        for ids in picks:
-            rng.shuffle(ids)
-            ids = ids[: rng.randint(0, len(ids))]
-            yield [(i, rng.randint(0, 5), profit_of[i]) for i in ids]
+        picks = [(ids, rng.randint(0, len(ids))) for ids in [*classes.values(), list(ground)]]
+        for ids, size in picks + [(list(ground), len(ground))]:
+            yield [(i, rng.randint(0, 2), profit_of[i]) for i in rng.sample(ids, size)]
 
     def check(self, oracle, ground, rng):
         order = list(ground)
@@ -543,11 +567,12 @@ class TestBulkCalls:
         gains = singleton_gains(oracle, order)
         assert oracle.call_count == before + len(order)
         assert gains == [oracle.evaluate({i}) - oracle.evaluate(set()) for i in order]
-        for run in self.runs(oracle, ground, rng):
+        for items in self.item_lists(oracle, ground, rng):
             before = oracle.call_count
-            kept = greedy_kept(oracle, run)
-            assert oracle.call_count == before + len(run)
-            assert kept == greedy_by_evaluate(oracle, run), run
+            kept = greedy_kept(oracle, items)
+            assert oracle.call_count == before + len(items)
+            assert kept == greedy_by_evaluate(oracle, items), items
+            assert kept_outcome(evaluate_only(oracle), items) == (kept, len(items))
 
     @pytest.mark.parametrize("name", sorted(BULK_ORACLES))
     def test_answers_match_evaluate_along_random_orders(self, name):
@@ -567,13 +592,41 @@ class TestBulkCalls:
                 self.check(inst.oracle, inst.item_ids, rng)
 
     @pytest.mark.parametrize("name", sorted(BULK_ORACLES))
+    def test_one_class_off_the_bulk_answer_sends_the_whole_call_to_evaluate(self, name):
+        # One item is spoiled: its profit moves off its class's (below it, so
+        # a positive gain raises OracleViolation; above it, so it is left
+        # out; or onto another class's), or an id outside the ground joins a
+        # class.  Answers, the first error and the calls made until it are
+        # the evaluate() path's.
+        oracle, ground = BULK_ORACLES[name]
+        profit_of = class_profits(oracle, ground)
+        profits = sorted(set(profit_of.values()))
+        rng = random.Random(13)
+        outcomes = set()
+        for _ in range(200):
+            items = [(i, rng.randint(0, 2), profit_of[i]) for i in rng.sample(list(ground), 4)]
+            k = rng.randrange(len(items))
+            i, w, p = items[k]
+            spoiled = rng.choice([
+                (i, w, p - 1), (i, w, p + 1), (i, w, rng.choice(profits)), (99, w, p),
+            ])
+            items[k] = spoiled
+            rng.shuffle(items)
+            kept, calls = kept_outcome(oracle, items)
+            assert (kept, calls) == kept_outcome(evaluate_only(oracle), items), items
+            outcomes.add(kept[0] if type(kept) is tuple else list)
+            if type(kept) is list:
+                assert calls == len(items)
+        assert outcomes == {list, OracleViolation, UnknownItemId}
+
+    @pytest.mark.parametrize("name", sorted(BULK_ORACLES))
     def test_unknown_item(self, name):
         oracle, ground = BULK_ORACLES[name]
         first = min(ground)
         p = class_profits(oracle, [first])[first]
         for call, arg in [
             (singleton_gains, [first, 99]),
-            (greedy_kept, [(first, 1, p), (99, 1, p)]),
+            (greedy_kept, [(99, 1, p), (first, 1, p)]),
             (chain_gammas, [[first], [], [99]]),
         ]:
             before = oracle.call_count
@@ -582,14 +635,17 @@ class TestBulkCalls:
             assert oracle.call_count == before + 2
 
     def test_evaluate_backed_calls_ask_the_grown_set(self):
+        # Items 1-3 are one class of rank 2; item 4 is its own class at profit 3.
         seen = []
-        oracle = AggregationOracle(lambda s: seen.append(s) or min(len(s), 2), {"kind": "user"})
+        oracle = AggregationOracle(
+            lambda s: seen.append(s) or min(len(s - {4}), 2) + 3 * (4 in s), {"kind": "user"}
+        )
         assert singleton_gains(oracle, [1, 2]) == [1, 1]
-        run = [(2, 0, 1), (1, 5, 1), (3, 1, 1)]
-        assert greedy_kept(oracle, run) == run[:2]
+        items = [(4, 0, 3), (1, 5, 1), (3, 1, 1), (2, 0, 1)]
+        assert greedy_kept(oracle, items) == [(2, 0, 1), (3, 1, 1), (4, 0, 3)]
         assert chain_gammas(oracle, [[3], [], [1, 2], []]) == [1, 1, 2, 2]
-        assert seen == [{1}, {2}, {2}, {2, 1}, {1, 2, 3}, {3}, {1, 2, 3}]
-        assert oracle.call_count == 7
+        assert seen == [{1}, {2}, {2}, {2, 3}, {1, 2, 3}, {4}, {3}, {1, 2, 3}]
+        assert oracle.call_count == 8
 
 
 class TestDescriptors:
