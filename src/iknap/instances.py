@@ -123,10 +123,14 @@ class Instance:
     """An incremental knapsack instance with an aggregation oracle.
 
     Item ids need not be contiguous (preprocessing may drop items), but must
-    be unique.  Treat instances as immutable.
+    be unique.  Treat instances as immutable.  The id -> item map that
+    item() and the chain checks read is built on its first read, so an
+    instance that is never looked up by id never builds it.  Threads that
+    make the first read together may each build the map; the maps are
+    equal and one is kept, so instances stay safe to share across threads.
     """
 
-    __slots__ = ("items", "horizon", "capacities", "deltas", "oracle", "_by_id")
+    __slots__ = ("items", "horizon", "capacities", "deltas", "oracle", "_id_map")
 
     def __init__(self, items, horizon, capacities, deltas, oracle):
         self.items: tuple[Item, ...] = tuple(items)
@@ -134,7 +138,14 @@ class Instance:
         self.capacities: tuple[int, ...] = tuple(capacities)
         self.deltas: tuple[int, ...] = tuple(deltas)
         self.oracle = oracle
-        self._by_id = {it.id: it for it in self.items}
+        self._id_map = None
+
+    @property
+    def _by_id(self) -> dict[int, Item]:
+        by_id = self._id_map
+        if by_id is None:
+            by_id = self._id_map = {it.id: it for it in self.items}
+        return by_id
 
     def __len__(self) -> int:
         return len(self.items)

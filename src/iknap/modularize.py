@@ -26,7 +26,7 @@ from .instances import (
     ensure_valid,
     preprocess_singletons,
 )
-from .oracles import greedy_kept, modular_oracle
+from .oracles import _ItemTable, _ModularOracle, _modular, greedy_kept
 from .solvers import (
     SolveLimits,
     SolveResult,
@@ -60,10 +60,25 @@ def modularize(inst: Instance) -> ModularizedInstance:
     oracle from each class's matroid (a slice, a counter per group, a
     union-find) after one sort by (profit, weight, id).  Any other oracle,
     or items the bulk answer cannot take, is asked evaluate(B + i).
+
+    The kept items are priced by a new modular oracle with its own call
+    counter, so the downstream solver's evaluate() calls never count as
+    calls on inst.oracle.  When inst.oracle is a built-in modular oracle
+    (modular_oracle(), or a decoded "modular" descriptor), every item was
+    kept, and its table holds no other id, the new oracle sums over that
+    same table: it maps each kept id to its profit.  Otherwise the table is
+    built from the kept items, unchecked, as inst was validated.
     """
     items = greedy_kept(inst.oracle, inst.items)
     ids = tuple(map(itemgetter(0), items))
-    oracle = modular_oracle(dict(zip(ids, map(_PROFIT, items))))
+    source = inst.oracle
+    # A _modular table's kept ids map to their profits, as the gain of an
+    # item is its table value whatever B is.
+    if type(source) is _ModularOracle and len(inst.items) == len(items) == len(source._table):
+        table = source._table
+    else:
+        table = _ItemTable(zip(ids, map(_PROFIT, items)))
+    oracle = _modular(table)
     ik = Instance(items, inst.horizon, inst.capacities, inst.deltas, oracle)
     return ModularizedInstance(ik=ik, kept_ids=ids)
 

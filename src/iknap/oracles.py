@@ -444,8 +444,7 @@ def modular_oracle(profits: Mapping[int, int]) -> AggregationOracle:
     raises ValueError instead of being truncated or parsed.
     """
     table = _ItemTable(profits)
-    # One pass over the types keeps the all-int case cheap; modularize
-    # builds this oracle on every solve.
+    # One pass over the types keeps the all-int case cheap.
     if {*map(type, table), *map(type, table.values())} != {int}:
         for i, p in table.items():
             _integer(i, "item id")
@@ -453,8 +452,14 @@ def modular_oracle(profits: Mapping[int, int]) -> AggregationOracle:
     return _modular(table)
 
 
-def _modular(table: _ItemTable) -> AggregationOracle:
-    """The modular oracle over an id -> profit table, taken as it is."""
+class _ModularOracle(AggregationOracle):
+    """An oracle _modular built, which keeps the table it sums in _table."""
+
+    __slots__ = ("_table",)
+
+
+def _modular(table: _ItemTable) -> _ModularOracle:
+    """The modular oracle over an id -> profit table, taken as it is, not copied."""
 
     def fn(s: frozenset) -> int:
         return sum(map(table.__getitem__, s))
@@ -479,7 +484,9 @@ def _modular(table: _ItemTable) -> AggregationOracle:
             return None
         return list(itertools.accumulate(sums))
 
-    return AggregationOracle(fn, {"kind": "modular"}, (singletons, greedy, chain))
+    oracle = _ModularOracle(fn, {"kind": "modular"}, (singletons, greedy, chain))
+    oracle._table = table
+    return oracle
 
 
 def _matroid_from_obj(obj: dict) -> MatroidSpec:
@@ -613,7 +620,10 @@ def oracle_from_descriptor(
     """Rebuild an oracle from its serialized recipe.
 
     Modular oracles take their values from the instance profits, so the
-    item profits must be supplied alongside the descriptor.
+    item profits must be supplied alongside the descriptor.  A modular
+    oracle sums over profits_by_id itself when it is the id -> profit
+    table decoding builds (an _ItemTable, which no caller changes), and
+    over a copy of any other mapping.  Other kinds ignore profits_by_id.
     """
     if not isinstance(descriptor, dict):
         raise ValueError(f"oracle descriptor must be an object, got {descriptor!r}")
@@ -621,7 +631,9 @@ def oracle_from_descriptor(
     if kind == "modular":
         # Unchecked: decoding passes item fields through, and validate_instance
         # reports a non-integer profit by name.
-        return _modular(_ItemTable(profits_by_id))
+        if type(profits_by_id) is not _ItemTable:
+            profits_by_id = _ItemTable(profits_by_id)
+        return _modular(profits_by_id)
     if kind == "matroid_rank_sum":
         specs = [
             (c["profit"], _matroid_from_obj(c["matroid"])) for c in descriptor["classes"]

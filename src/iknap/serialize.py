@@ -18,7 +18,7 @@ from typing import Sequence
 
 from .instances import Chain, Instance, Item
 from .modularize import SolveReport
-from .oracles import _integer, _integers, oracle_from_descriptor
+from .oracles import _integer, _integers, _ItemTable, oracle_from_descriptor
 
 
 #: Types json's C encoder writes as the indent=2 encoder does.
@@ -109,7 +109,7 @@ def instance_from_obj(obj: dict) -> Instance:
         raise ValueError(f"weights/profits arrays must have length n={n}")
     # tuple.__new__ builds each Item in C, where Item() runs a Python __new__.
     items = list(map(tuple.__new__, repeat(Item), zip(range(1, n + 1), weights, profits)))
-    oracle = oracle_from_descriptor(obj["oracle"], dict(zip(range(1, n + 1), profits)))
+    oracle = oracle_from_descriptor(obj["oracle"], _ItemTable(zip(range(1, n + 1), profits)))
     horizon = _integer(obj["T"], "T")
     return Instance(items, horizon, obj["capacities"], obj["deltas"], oracle)
 

@@ -2,6 +2,8 @@
 
 import enum
 import random
+import sys
+import threading
 from itertools import product
 
 import pytest
@@ -23,6 +25,7 @@ from iknap import (
     profit_phi,
     profit_phi_bar,
     validate_instance,
+    verify_solution,
 )
 from iknap.generators import make_modular_instance
 
@@ -185,6 +188,59 @@ class TestFeasibility:
             inst.item(7)
         assert str(exc.value) == "item id 7 not in instance"
         assert inst.item(2) == Item(2, 3, 4)
+
+    @pytest.mark.parametrize(
+        "first_read, expected",
+        [
+            (lambda inst: inst.item(2), Item(2, 3, 4)),
+            (lambda inst: inst.weight_of(1), 2),
+            (lambda inst: verify_solution(inst, Chain(1, {2: 1}), 4, 4), []),
+            (lambda inst: verify_solution(inst, Chain(1, {1: 1, 2: 1}), 5, 5),
+             ["Infeasible: some period exceeds its capacity"]),
+        ],
+    )
+    def test_id_map_is_built_by_its_first_read(self, first_read, expected):
+        inst = modular_instance([2, 3], [1, 4], [4], [1])
+        assert first_read(inst) == expected
+        assert inst.item(1) == Item(1, 2, 1)
+
+    @pytest.mark.parametrize(
+        "first_read",
+        [lambda inst: inst.item(7), lambda inst: verify_solution(inst, Chain(1, {7: 1}), 0, 0)],
+    )
+    def test_unknown_id_on_the_first_read_raises(self, first_read):
+        inst = modular_instance([2, 3], [1, 4], [5], [1])
+        with pytest.raises(UnknownItemId):
+            first_read(inst)
+        assert inst.item(2) == Item(2, 3, 4)
+
+    def test_threads_making_the_first_read_together_agree(self):
+        items = [Item(i, i % 7, 1 + i % 5) for i in range(1, 2001)]
+        for _ in range(20):
+            inst = Instance(items, 1, (1,), (1,), modular_oracle({it.id: it.profit for it in items}))
+            start = threading.Barrier(4, timeout=60)
+            results, errors = [], []
+
+            def worker():
+                try:
+                    start.wait()
+                    results.append([inst.item(it.id) for it in reversed(items)])
+                except Exception as exc:  # reported below, not lost in the thread
+                    errors.append(exc)
+
+            workers = [threading.Thread(target=worker) for _ in range(4)]
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-6)  # switch threads often, so a race would show
+            try:
+                for th in workers:
+                    th.start()
+                for th in workers:
+                    th.join(timeout=60)
+            finally:
+                sys.setswitchinterval(interval)
+            assert not any(th.is_alive() for th in workers)
+            assert errors == []
+            assert results == [items[::-1]] * 4
 
     @pytest.mark.parametrize("check, right", [(is_feasible, True), (profit_phi, 2)])
     @pytest.mark.parametrize("horizon", [1, 3])

@@ -3,6 +3,7 @@
 import dataclasses
 import hashlib
 import importlib
+import json
 import random
 from itertools import groupby
 from operator import itemgetter
@@ -53,7 +54,7 @@ from iknap.generators import (
 )
 from iknap.modularize import SOLVERS
 from iknap.oracles import _matroid_from_obj
-from iknap.serialize import dumps_canonical, instance_from_obj, report_to_obj
+from iknap.serialize import dumps_canonical, instance_from_obj, instance_to_obj, report_to_obj
 from helpers import RECHECK_ONLY_VIOLATION
 
 # iknap.modularize, the module: the package attribute of that name is the function.
@@ -99,6 +100,63 @@ class TestModularize:
             before = reduced.oracle.call_count
             modularize(reduced)
             assert reduced.oracle.call_count - before == len(reduced)
+
+
+def decoded(inst):
+    return instance_from_obj(json.loads(dumps_canonical(instance_to_obj(inst))))
+
+
+class TestModularizedOracle:
+    """The kept items' oracle: its own counter always, the input's table only when exact."""
+
+    @pytest.mark.parametrize("build", [lambda inst: inst, decoded], ids=["built", "decoded"])
+    def test_a_modular_input_lends_its_table_but_not_its_counter(self, build):
+        inst = build(make_modular_instance(9, 3, random.Random(6)))
+        mod = modularize(inst)
+        oracle = mod.ik.oracle
+        assert mod.kept_ids == inst.item_ids
+        assert oracle is not inst.oracle
+        assert oracle._table is inst.oracle._table
+        assert oracle.call_count == 0
+        before = inst.oracle.call_count
+        assert [oracle.evaluate({i}) for i in mod.kept_ids] == [it.profit for it in inst.items]
+        assert oracle.evaluate(mod.kept_ids) == sum(it.profit for it in inst.items)
+        assert oracle.call_count == len(inst) + 1
+        assert inst.oracle.call_count == before
+
+    def test_a_table_entry_the_singletons_dropped_is_not_lent(self):
+        items = [Item(1, 2, 3), Item(2, 1, 4), Item(3, 2, 5)]
+        inst = Instance(items, 1, (4,), (1,), modular_oracle({1: 3, 2: 0, 3: 5}))
+        reduced, dropped = preprocess_singletons(inst)
+        assert dropped == (2,)
+        mod = modularize(reduced)
+        assert mod.kept_ids == (1, 3)
+        assert mod.ik.oracle.evaluate({1, 3}) == 8
+        with pytest.raises(UnknownItemId):
+            mod.ik.oracle.evaluate({2})
+
+    def test_a_user_oracle_described_as_modular_is_replaced_by_the_profit_sum(self):
+        # Profits as values of single items, anything else on larger sets:
+        # the greedy, one item per class, asks only single items.
+        def fn(s):
+            return {1: 2, 2: 3, 3: 5}[next(iter(s))] if len(s) == 1 else 7 * len(s)
+
+        user = AggregationOracle(fn, {"kind": "modular"})
+        items = [Item(1, 1, 2), Item(2, 1, 3), Item(3, 1, 5)]
+        mod = modularize(Instance(items, 1, (3,), (1,), user))
+        assert mod.kept_ids == (1, 2, 3)
+        assert mod.ik.oracle is not user
+        assert mod.ik.oracle.evaluate({1, 2, 3}) == 10
+        assert mod.ik.oracle.evaluate({2, 3}) == 8
+        assert user.evaluate({1, 2, 3}) == 21
+
+    @pytest.mark.parametrize("build", [lambda inst: inst, decoded], ids=["built", "decoded"])
+    def test_brute_force_evaluations_are_not_reported(self, build):
+        inst = build(make_modular_instance(7, 3, random.Random(8)))
+        report = solve_ik_aon(inst, solver="brute")
+        layers = report.chain.layers()
+        recheck = 1 + sum(map(bool, layers[1:]))
+        assert report.oracle_calls == 2 * len(inst) + recheck <= 2 * len(inst) + inst.horizon
 
 
 class EvaluateOnly:
