@@ -53,15 +53,8 @@ from .generators import FAMILIES, make_family_instance
 from .hardness import build_reduction, read_edge_list
 from .instances import ensure_valid, profit_partition
 from .modularize import SOLVERS, solve_ik_aon, verify_solution
-from .oracles import _integer, _parse_int
-from .serialize import (
-    chain_from_obj,
-    dumps_canonical,
-    load_instance,
-    load_report,
-    report_to_obj,
-    save_instance,
-)
+from .oracles import _parse_int
+from .serialize import dumps_canonical, load_instance, load_report, report_to_obj, save_instance
 from .solvers import SolveLimits, brute_force_chains
 
 DEFAULT_SEED = 2024
@@ -227,21 +220,18 @@ def cmd_verify(args: argparse.Namespace) -> int:
     try:
         inst = load_instance(args.instance)
         ensure_valid(inst)
-        report = load_report(args.report)
-        chain = chain_from_obj(report["chain"], inst.item_ids, inst.horizon)
-        claimed_phi = _integer(report["phi"], "phi")
-        claimed_phi_bar = _integer(report["phi_bar"], "phi_bar")
+        chain, phi, phi_bar = load_report(args.report, inst.item_ids, inst.horizon)
     except MALFORMED as exc:
         return _malformed(exc)
     try:
-        mismatches = verify_solution(inst, chain, claimed_phi, claimed_phi_bar)
+        mismatches = verify_solution(inst, chain, phi, phi_bar)
     except UnknownItemId as exc:  # the oracle's ground misses a chain item
         return _malformed(exc)
     if mismatches:
         for line in mismatches:
             print(line, file=sys.stderr)
         return 1
-    _say(args, f"report verified: phi={claimed_phi}, chain feasible")
+    _say(args, f"report verified: phi={phi}, chain feasible")
     return 0
 
 

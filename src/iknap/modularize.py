@@ -26,7 +26,7 @@ from .instances import (
     ensure_valid,
     preprocess_singletons,
 )
-from .oracles import _ItemTable, _ModularOracle, _modular, greedy_kept
+from .oracles import _modular_over, greedy_kept
 from .solvers import (
     SolveLimits,
     SolveResult,
@@ -63,24 +63,13 @@ def modularize(inst: Instance) -> ModularizedInstance:
 
     The kept items are priced by a new modular oracle with its own call
     counter, so the downstream solver's evaluate() calls never count as
-    calls on inst.oracle.  When inst.oracle is a built-in modular oracle
-    (modular_oracle(), or a decoded "modular" descriptor), every item was
-    kept, and its table holds no other id, the new oracle sums over that
-    same table: it maps each kept id to its profit.  Otherwise the table is
-    built from the kept items, unchecked, as inst was validated.
+    calls on inst.oracle; the oracles module decides when that oracle may
+    share the input oracle's id -> profit table.
     """
     items = greedy_kept(inst.oracle, inst.items)
-    ids = tuple(map(itemgetter(0), items))
-    source = inst.oracle
-    # A _modular table's kept ids map to their profits, as the gain of an
-    # item is its table value whatever B is.
-    if type(source) is _ModularOracle and len(inst.items) == len(items) == len(source._table):
-        table = source._table
-    else:
-        table = _ItemTable(zip(ids, map(_PROFIT, items)))
-    oracle = _modular(table)
+    oracle = _modular_over(inst.oracle, items)
     ik = Instance(items, inst.horizon, inst.capacities, inst.deltas, oracle)
-    return ModularizedInstance(ik=ik, kept_ids=ids)
+    return ModularizedInstance(ik=ik, kept_ids=tuple(map(itemgetter(0), items)))
 
 
 @dataclass

@@ -459,7 +459,7 @@ class _ModularOracle(AggregationOracle):
 
 
 def _modular(table: _ItemTable) -> _ModularOracle:
-    """The modular oracle over an id -> profit table, taken as it is, not copied."""
+    """The modular oracle over an id -> profit table this module built, shared, not copied."""
 
     def fn(s: frozenset) -> int:
         return sum(map(table.__getitem__, s))
@@ -487,6 +487,19 @@ def _modular(table: _ItemTable) -> _ModularOracle:
     oracle = _ModularOracle(fn, {"kind": "modular"}, (singletons, greedy, chain))
     oracle._table = table
     return oracle
+
+
+def _modular_over(source: AggregationOracle, kept: Sequence[tuple]) -> _ModularOracle:
+    """A new modular oracle, with its own call counter, over the kept items' profits.
+
+    kept holds the (id, weight, profit) items greedy_kept(source, ...) kept.
+    A _modular source's table maps each of them to its profit, as a gain is
+    the table value whatever B is; so a table as long as kept holds no other
+    id, and the new oracle sums over it.  Otherwise over kept's own table.
+    """
+    if type(source) is _ModularOracle and len(kept) == len(source._table):
+        return _modular(source._table)
+    return _modular(_ItemTable(map(itemgetter(0, 2), kept)))
 
 
 def _matroid_from_obj(obj: dict) -> MatroidSpec:
@@ -615,15 +628,15 @@ def coverage_oracle(
 
 
 def oracle_from_descriptor(
-    descriptor: dict, profits_by_id: Mapping[int, int]
+    descriptor: dict, profits_by_id: Mapping[int, int] | Iterable[tuple[int, int]]
 ) -> AggregationOracle:
     """Rebuild an oracle from its serialized recipe.
 
     Modular oracles take their values from the instance profits, so the
-    item profits must be supplied alongside the descriptor.  A modular
-    oracle sums over profits_by_id itself when it is the id -> profit
-    table decoding builds (an _ItemTable, which no caller changes), and
-    over a copy of any other mapping.  Other kinds ignore profits_by_id.
+    item profits must be supplied alongside the descriptor, as a mapping or
+    as (id, profit) pairs; a modular oracle sums over one id -> profit
+    table built from them.  Other kinds never read profits_by_id, so
+    pairs given lazily are never built.
     """
     if not isinstance(descriptor, dict):
         raise ValueError(f"oracle descriptor must be an object, got {descriptor!r}")
@@ -631,9 +644,7 @@ def oracle_from_descriptor(
     if kind == "modular":
         # Unchecked: decoding passes item fields through, and validate_instance
         # reports a non-integer profit by name.
-        if type(profits_by_id) is not _ItemTable:
-            profits_by_id = _ItemTable(profits_by_id)
-        return _modular(profits_by_id)
+        return _modular(_ItemTable(profits_by_id))
     if kind == "matroid_rank_sum":
         specs = [
             (c["profit"], _matroid_from_obj(c["matroid"])) for c in descriptor["classes"]

@@ -18,7 +18,7 @@ from typing import Sequence
 
 from .instances import Chain, Instance, Item
 from .modularize import SolveReport
-from .oracles import _integer, _integers, _ItemTable, oracle_from_descriptor
+from .oracles import _integer, _integers, oracle_from_descriptor
 
 
 #: Types json's C encoder writes as the indent=2 encoder does.
@@ -101,7 +101,10 @@ def instance_to_obj(inst: Instance) -> dict:
 
 
 def instance_from_obj(obj: dict) -> Instance:
-    """Decode an instance; item fields pass through uncoerced for validation."""
+    """Decode an instance; item fields pass through uncoerced for validation.
+
+    Only a modular oracle reads the lazy (id, profit) pairs it is handed.
+    """
     n = _integer(obj["n"], "n")
     weights = obj["weights"]
     profits = obj["profits"]
@@ -109,7 +112,7 @@ def instance_from_obj(obj: dict) -> Instance:
         raise ValueError(f"weights/profits arrays must have length n={n}")
     # tuple.__new__ builds each Item in C, where Item() runs a Python __new__.
     items = list(map(tuple.__new__, repeat(Item), zip(range(1, n + 1), weights, profits)))
-    oracle = oracle_from_descriptor(obj["oracle"], _ItemTable(zip(range(1, n + 1), profits)))
+    oracle = oracle_from_descriptor(obj["oracle"], zip(range(1, n + 1), profits))
     horizon = _integer(obj["T"], "T")
     return Instance(items, horizon, obj["capacities"], obj["deltas"], oracle)
 
@@ -165,11 +168,12 @@ def report_to_obj(report: SolveReport, item_ids: Sequence[int]) -> dict:
     }
 
 
-def load_report(path) -> dict:
-    """A report file's object, with kept_items, if there, a list of integers.
+def load_report(path, item_ids: Sequence[int], horizon: int) -> tuple[Chain, int, int]:
+    """The (chain, phi, phi_bar) a report file claims, each checked.
 
-    verify reads phi, phi_bar and chain, and checks each where it reads
-    it; other keys may be missing or extra.
+    Raises on the first of: no object, a kept_items (which may be missing)
+    that is not a list of integers, then a missing or malformed chain (as
+    chain_from_obj parses it), phi and phi_bar.  Other keys are not read.
     """
     with open(path, encoding="utf-8") as fh:
         obj = json.load(fh)
@@ -179,4 +183,5 @@ def load_report(path) -> dict:
     if not isinstance(kept, list):
         raise ValueError(f"kept_items must be a list, got {type(kept).__name__}")
     _integers(kept, "kept item id")
-    return obj
+    chain = chain_from_obj(obj["chain"], item_ids, horizon)
+    return chain, _integer(obj["phi"], "phi"), _integer(obj["phi_bar"], "phi_bar")

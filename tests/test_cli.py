@@ -465,6 +465,15 @@ def fractional_phi_bar(report):
     report["phi_bar"] = float(report["phi_bar"])
 
 
+def chain_and_phi_missing(report):
+    del report["chain"], report["phi"]
+
+
+def chain_and_phi_malformed(report):
+    insertion_times_wrong_length(report)
+    fractional_phi(report)
+
+
 def boolean_phi(report):
     report["phi"] = True
 
@@ -533,6 +542,22 @@ class TestMalformedInputExits4:
         edit_json(report_path, edit)
         self.assert_exit_4(capsys, "verify", "--instance", toy_instance,
                            "--report", report_path)
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (chain_and_phi_missing, "missing key 'chain'"),
+            (chain_and_phi_malformed, "insertion_times has 8 entries for 7 items"),
+        ],
+        ids=["chain_and_phi_missing", "chain_and_phi_malformed"],
+    )
+    def test_report_is_read_chain_first_then_phi(
+        self, toy_instance, report_path, capsys, edit, message
+    ):
+        edit_json(report_path, edit)
+        err = self.assert_exit_4(capsys, "verify", "--instance", toy_instance,
+                                 "--report", report_path)
+        assert err == f"malformed input: {message}\n"
 
 
 @pytest.fixture(scope="module")

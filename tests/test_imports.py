@@ -52,3 +52,23 @@ def test_the_pipeline_does_not_import_the_basis_helpers():
         imported = {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
         assert "independence" not in imported, name
     assert not hasattr(iknap, "ClassBasis")
+
+
+def test_only_the_oracles_module_names_the_modular_table():
+    # serialize hands oracle_from_descriptor (id, profit) pairs and modularize
+    # calls _modular_over: neither builds, reads nor lends an id -> profit table.
+    private = {"_ItemTable", "_ModularOracle", "_modular", "_table"}
+    paths = sorted((SRC / "iknap").glob("*.py"))
+    assert "modularize.py" in {path.name for path in paths}
+    for path in paths:
+        if path.name == "oracles.py":
+            continue
+        named = set()
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom):
+                named.update(alias.name for alias in node.names)
+            elif isinstance(node, ast.Name):
+                named.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                named.add(node.attr)
+        assert named.isdisjoint(private), (path.name, sorted(named & private))

@@ -1,4 +1,7 @@
-"""solve_exact against a MILP optimum at 20-40 kept items, past the subset DP's reach."""
+"""solve_exact and the whole pipeline against MILP optima at 20-40 kept items.
+
+Past the reach of the subset DP and of brute force on the original instance.
+"""
 
 import random
 
@@ -6,9 +9,20 @@ import pytest
 
 pytest.importorskip("scipy")
 
-from iknap import Item, SolveLimits, modularize, preprocess_singletons, profit_phi_bar, solve_exact
+from iknap import (
+    Item,
+    LimitsExceeded,
+    SolveLimits,
+    is_feasible,
+    modularize,
+    preprocess_singletons,
+    profit_phi,
+    profit_phi_bar,
+    solve_exact,
+    solve_ik_aon,
+)
 from iknap.generators import FAMILIES
-from milp_reference import milp_optimum
+from milp_reference import aon_milp_optimum, milp_optimum
 from test_solvers import is_feasible_ik, modular, random_ik, subset_dp_optimum
 
 
@@ -48,4 +62,30 @@ def test_solve_exact_matches_the_milp_at_20_to_40_kept_items(family, capfd):
         assert is_feasible_ik(inst, result.chain)
         assert profit_phi_bar(inst.profits_by_id, deltas, result.chain) == result.value
     assert min(seen.values()) >= 2, seen
+    assert capfd.readouterr().out == ""
+
+
+@pytest.mark.parametrize("family", ["uniform-classes", "partition-classes"])
+def test_the_pipeline_matches_the_milp_on_the_original_instance(family, capfd):
+    # The MILP prices each S_t by an independent set of each class inside it,
+    # so the reduction is checked too.  Graphic classes need cycle cuts.
+    rng = random.Random(f"aon-milp/{family}")
+    limits = SolveLimits(max_n_exact=40, max_t_exact=5)
+    capped = 0
+    for k in range(8):
+        while True:
+            inst = FAMILIES[family](rng.randint(20, 60), 3 + k % 3, rng)
+            try:
+                report = solve_ik_aon(inst, solver="exact", limits=limits)
+            except LimitsExceeded:  # more than 40 kept items
+                continue
+            if len(report.kept_items) >= 20:
+                break
+        value, chain = aon_milp_optimum(inst)
+        assert report.phi == value
+        assert is_feasible(inst, chain)
+        assert profit_phi(inst, chain) == value
+        plain = modular(inst.items, inst.horizon, inst.capacities, inst.deltas)
+        capped += milp_optimum(plain)[0] > value
+    assert capped >= 4  # the class caps bind: the plain profit sum is worth more
     assert capfd.readouterr().out == ""

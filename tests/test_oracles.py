@@ -673,6 +673,38 @@ class TestDescriptors:
         oracle = coverage_oracle([(0, 1), (1, 2)], {1: 0, 2: 1, 3: 2})
         self.round_trip(oracle, {}, [1, 2, 3])
 
+    def test_modular_profits_as_a_mapping_or_as_pairs_give_one_oracle(self):
+        rng = random.Random(4)
+        profits = {i: rng.randint(1, 9) for i in range(1, 13)}
+        items = [(i, rng.randint(0, 3), p) for i, p in profits.items()]
+        items[3] = (4, 1, profits[4] + 1)  # off its table value: not kept
+        layers = [[5, 1], [], [9, 12, 2], [7]]
+        oracles = [
+            oracle_from_descriptor({"kind": "modular"}, profits),
+            oracle_from_descriptor({"kind": "modular"}, iter(list(profits.items()))),
+        ]
+        answers = [
+            (
+                [oracle.evaluate(s) for s in ({3}, {1, 2, 12}, set())],
+                singleton_gains(oracle, list(profits)),
+                greedy_kept(oracle, items),
+                chain_gammas(oracle, layers),
+                oracle.call_count,
+            )
+            for oracle in oracles
+        ]
+        assert answers[0] == answers[1]
+        assert answers[0][2] == [it for it in items if it[0] != 4]
+        for oracle in oracles:
+            for ask in (
+                lambda: oracle.evaluate({1, 13}),
+                lambda: singleton_gains(oracle, [13]),
+                lambda: greedy_kept(oracle, [(13, 1, 1)]),
+                lambda: chain_gammas(oracle, [[13]]),
+            ):
+                with pytest.raises(UnknownItemId, match="item id 13 outside oracle ground"):
+                    ask()
+
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
             oracle_from_descriptor({"kind": "mystery"}, {})

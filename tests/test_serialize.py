@@ -32,6 +32,7 @@ from iknap import (
     solve_ik_aon,
     validate_instance,
 )
+from iknap import serialize
 from iknap.cli import main
 from iknap.generators import FAMILIES
 from iknap.serialize import dumps_canonical
@@ -182,6 +183,25 @@ class TestInstanceCodec:
         # Pins the file format: a decoded oracle re-encodes to the very same descriptor.
         obj = three_item_instance(oracle)
         assert instance_from_obj(obj).oracle.descriptor == obj["oracle"]
+
+    @pytest.mark.parametrize(
+        "oracle",
+        [UNIFORM, PARTITION, GRAPHIC, COVERAGE, MODULAR],
+        ids=["uniform", "partition", "graphic", "coverage", "modular"],
+    )
+    def test_only_a_modular_descriptor_reads_the_profits(self, oracle, monkeypatch):
+        # Decoding hands the oracle lazy (id, profit) pairs, not a table it built.
+        read = []
+        rebuild = serialize.oracle_from_descriptor
+
+        def spy(descriptor, profits):
+            assert not isinstance(profits, dict)
+            return rebuild(descriptor, map(lambda pair: read.append(pair) or pair, profits))
+
+        monkeypatch.setattr(serialize, "oracle_from_descriptor", spy)
+        inst = instance_from_obj(three_item_instance(oracle))
+        assert read == ([(1, 2), (2, 2), (3, 2)] if oracle is MODULAR else [])
+        assert inst.oracle.descriptor == oracle
 
     def test_non_contiguous_ids_rejected(self):
         inst = Instance([Item(3, 1, 1)], 1, (2,), (1,), modular_oracle({3: 1}))
