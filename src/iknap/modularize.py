@@ -63,11 +63,11 @@ def modularize(inst: Instance) -> ModularizedInstance:
 
     The kept items are priced by a new modular oracle with its own call
     counter, so the downstream solver's evaluate() calls never count as
-    calls on inst.oracle; the oracles module decides when that oracle may
-    share the input oracle's id -> profit table.
+    calls on inst.oracle.  That oracle builds its id -> profit table from
+    the kept items on its first evaluate(), which only brute force makes.
     """
     items = greedy_kept(inst.oracle, inst.items)
-    oracle = _modular_over(inst.oracle, items)
+    oracle = _modular_over(items)
     ik = Instance(items, inst.horizon, inst.capacities, inst.deltas, oracle)
     return ModularizedInstance(ik=ik, kept_ids=tuple(map(itemgetter(0), items)))
 

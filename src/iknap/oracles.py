@@ -82,20 +82,11 @@ class AggregationOracle:
     """Wraps a set function and counts evaluations.
 
     evaluate() may be called from multiple threads: the wrapped function must
-    be stateless (all built-in families are) and each call ticks the call
-    counter exactly once, by next() on an itertools.count.  That is one C
-    call, atomic under the GIL, so no tick is lost between threads and no
-    lock is taken per call.  The three bulk calls, singleton_gains(),
-    greedy_kept() and chain_gammas(), answered in bulk tick the counter
-    as many times as their evaluate() fallback would call it, in one C
-    loop (next() on an islice that skips to the n-th tick), which holds
-    the GIL until it ends, so they lose no tick either.  The count relies
-    on the GIL (CI runs CPython 3.10 to 3.13, all with it); a
-    free-threaded build would need a lock per tick again.  The contract
-    rests on this docstring: on a GIL build, TestCallCounter passes with
-    an unlocked `self._n += 1` counter too, so no test catches a lost tick.
-    Reading call_count ticks the counter too, so the read takes a lock and
-    subtracts the ticks of all reads so far.
+    be stateless (all built-in families are).  The call counter is one int,
+    _calls: each evaluate() adds one to it, and each bulk answer of
+    singleton_gains(), greedy_kept() and chain_gammas() adds as many as its
+    evaluate() fallback would call, both under _lock, so no call is lost
+    between threads.  Reading call_count only reads it.
 
     descriptor may be a zero-argument function instead of a dict; the
     first read of the descriptor attribute calls it, and a solve never does.
@@ -110,7 +101,7 @@ class AggregationOracle:
     outside the ground or an item that does not carry its class's profit.
     """
 
-    __slots__ = ("_fn", "_descriptor", "_ticks", "_reads", "_lock", "_bulk")
+    __slots__ = ("_fn", "_descriptor", "_calls", "_lock", "_bulk")
 
     def __init__(
         self,
@@ -120,8 +111,7 @@ class AggregationOracle:
     ):
         self._fn = fn
         self._descriptor = descriptor
-        self._ticks = itertools.count()
-        self._reads = 0
+        self._calls = 0
         self._lock = threading.Lock()
         self._bulk = bulk
 
@@ -134,15 +124,13 @@ class AggregationOracle:
 
     def evaluate(self, items: Iterable[int]) -> int:
         s = frozenset(items)
-        next(self._ticks)
+        with self._lock:
+            self._calls += 1
         return self._fn(s)
 
     @property
     def call_count(self) -> int:
-        with self._lock:
-            calls = next(self._ticks) - self._reads
-            self._reads += 1
-            return calls
+        return self._calls
 
     def __repr__(self) -> str:
         kind = self.descriptor.get("kind", "?")
@@ -150,16 +138,16 @@ class AggregationOracle:
 
 
 def _tick(oracle: AggregationOracle, calls: int) -> None:
-    """Count calls oracle calls at once: skip to the calls-th tick, in C."""
-    if calls:
-        next(itertools.islice(oracle._ticks, calls - 1, None))
+    """Count calls oracle calls at once."""
+    with oracle._lock:
+        oracle._calls += calls
 
 
 def singleton_gains(oracle, ids: Sequence[int]) -> list:
     """gamma({i}) for each id, in order; each id counts as one oracle call.
 
     An AggregationOracle with a bulk triple answers every id in one call and
-    then ticks its call counter once per id, with no lock.  Ids the triple
+    then adds one call per id to its call counter.  Ids the triple
     cannot answer, and any other object with an evaluate() method (coverage
     and user-supplied oracles, or a wrapper around an oracle), are asked
     evaluate({i}) one by one.  Both paths give the same answers, call
@@ -286,12 +274,12 @@ class MatroidSpec:
 
     Build one with MatroidSpec.uniform, .partition or .graphic: each is the
     validating of() constructor of its kind's subclass.  Each kind also owns
-    its closed-form rank(s) for a set s inside ground, its to_obj()
-    descriptor, loops(): the ids of rank 0, and greedy(ids): the ids that
-    raise the rank of the set grown from empty in the given order, for a
-    list of distinct ids of ground.  greedy builds what it needs on each
-    call (a counter per group, a union-find), so a spec holds only its
-    definition.
+    its to_obj() descriptor, loops(): the ids of rank 0, and greedy(ids):
+    the ids that raise the rank of the set grown from empty in the given
+    order, for a list of distinct ids of ground.  greedy defines the rank:
+    the rank of a set is the length of greedy over its ids in any order.
+    greedy builds what it needs on each call (a counter per group, a
+    union-find), so a spec holds only its definition.
     """
 
     ground: frozenset
@@ -310,9 +298,6 @@ class UniformMatroid(MatroidSpec):
         if _integer(cap, "uniform matroid cap") < 0:
             raise ValueError("uniform matroid cap must be >= 0")
         return cls(frozenset(_integers(ground, "matroid item id")), cap)
-
-    def rank(self, s: frozenset) -> int:
-        return min(len(s), self.rank_cap)
 
     def loops(self) -> frozenset:
         return self.ground if self.rank_cap == 0 else frozenset()
@@ -356,9 +341,6 @@ class PartitionMatroid(MatroidSpec):
                     raise ValueError("partition matroid groups must be disjoint")
                 seen |= members
         return cls(ground, tuple(zip(map(frozenset, lists), caps)))
-
-    def rank(self, s: frozenset) -> int:
-        return sum(min(len(s & g), cap) for g, cap in self.groups)
 
     def loops(self) -> frozenset:
         return frozenset().union(*[g for g, cap in self.groups if cap == 0])
@@ -406,9 +388,6 @@ class GraphicMatroid(MatroidSpec):
             raise ValueError("graphic matroid items must biject to edges")
         return cls(frozenset(items), edges)
 
-    def rank(self, s: frozenset) -> int:
-        return len(_forest([e for e in self.edges if e[0] in s]))
-
     def loops(self) -> frozenset:
         return frozenset([i for i, u, v in self.edges if u == v])
 
@@ -434,7 +413,7 @@ def matroid_rank(spec: MatroidSpec, items: Iterable[int]) -> int:
     unknown = s - spec.ground
     if unknown:
         raise UnknownItemId(f"items {sorted(unknown)} outside matroid ground")
-    return spec.rank(s)
+    return len(spec.greedy(list(s)))
 
 
 def modular_oracle(profits: Mapping[int, int]) -> AggregationOracle:
@@ -452,14 +431,8 @@ def modular_oracle(profits: Mapping[int, int]) -> AggregationOracle:
     return _modular(table)
 
 
-class _ModularOracle(AggregationOracle):
-    """An oracle _modular built, which keeps the table it sums in _table."""
-
-    __slots__ = ("_table",)
-
-
-def _modular(table: _ItemTable) -> _ModularOracle:
-    """The modular oracle over an id -> profit table this module built, shared, not copied."""
+def _modular(table: _ItemTable) -> AggregationOracle:
+    """The modular oracle, with a bulk triple, summing an id -> profit table this module built."""
 
     def fn(s: frozenset) -> int:
         return sum(map(table.__getitem__, s))
@@ -484,22 +457,27 @@ def _modular(table: _ItemTable) -> _ModularOracle:
             return None
         return list(itertools.accumulate(sums))
 
-    oracle = _ModularOracle(fn, {"kind": "modular"}, (singletons, greedy, chain))
-    oracle._table = table
-    return oracle
+    return AggregationOracle(fn, {"kind": "modular"}, (singletons, greedy, chain))
 
 
-def _modular_over(source: AggregationOracle, kept: Sequence[tuple]) -> _ModularOracle:
+def _modular_over(kept: Sequence[tuple]) -> AggregationOracle:
     """A new modular oracle, with its own call counter, over the kept items' profits.
 
-    kept holds the (id, weight, profit) items greedy_kept(source, ...) kept.
-    A _modular source's table maps each of them to its profit, as a gain is
-    the table value whatever B is; so a table as long as kept holds no other
-    id, and the new oracle sums over it.  Otherwise over kept's own table.
+    kept holds (id, weight, profit) items.  The id -> profit table is built
+    from kept on the first evaluate(), which exact and heuristic solves never
+    make.  There is no bulk triple: a bulk call takes the evaluate() path.
+    Threads making the first evaluate() together may each build a table, all
+    equal.
     """
-    if type(source) is _ModularOracle and len(kept) == len(source._table):
-        return _modular(source._table)
-    return _modular(_ItemTable(map(itemgetter(0, 2), kept)))
+    table = None
+
+    def fn(s: frozenset) -> int:
+        nonlocal table
+        if table is None:
+            table = _ItemTable(map(itemgetter(0, 2), kept))
+        return sum(map(table.__getitem__, s))
+
+    return AggregationOracle(fn, {"kind": "modular"})
 
 
 def _matroid_from_obj(obj: dict) -> MatroidSpec:
@@ -535,10 +513,10 @@ def matroid_rank_sum_oracle(
         ground |= spec.ground
 
     def fn(s: frozenset) -> int:
-        unknown = s - ground if not s <= ground else None
+        unknown = s - ground
         if unknown:
             raise UnknownItemId(f"items {sorted(unknown)} outside oracle ground")
-        return sum(p * spec.rank(s & spec.ground) for p, spec in specs)
+        return sum(p * len(spec.greedy(list(s & spec.ground))) for p, spec in specs)
 
     spec_of = dict(specs)  # class profits are distinct
 

@@ -56,7 +56,7 @@ def test_the_pipeline_does_not_import_the_basis_helpers():
 
 def test_only_the_oracles_module_names_the_modular_table():
     # serialize hands oracle_from_descriptor (id, profit) pairs and modularize
-    # calls _modular_over: neither builds, reads nor lends an id -> profit table.
+    # calls _modular_over: neither builds nor reads an id -> profit table.
     private = {"_ItemTable", "_ModularOracle", "_modular", "_table"}
     paths = sorted((SRC / "iknap").glob("*.py"))
     assert "modularize.py" in {path.name for path in paths}

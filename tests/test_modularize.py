@@ -5,6 +5,8 @@ import hashlib
 import importlib
 import json
 import random
+import sys
+import threading
 from itertools import groupby
 from operator import itemgetter
 
@@ -107,16 +109,15 @@ def decoded(inst):
 
 
 class TestModularizedOracle:
-    """The kept items' oracle: its own counter always, the input's table only when exact."""
+    """The kept items' oracle: a new one with its own counter, summing the kept items' profits."""
 
     @pytest.mark.parametrize("build", [lambda inst: inst, decoded], ids=["built", "decoded"])
-    def test_a_modular_input_lends_its_table_but_not_its_counter(self, build):
+    def test_a_modular_input_gets_a_new_oracle_and_counter(self, build):
         inst = build(make_modular_instance(9, 3, random.Random(6)))
         mod = modularize(inst)
         oracle = mod.ik.oracle
         assert mod.kept_ids == inst.item_ids
         assert oracle is not inst.oracle
-        assert oracle._table is inst.oracle._table
         assert oracle.call_count == 0
         before = inst.oracle.call_count
         assert [oracle.evaluate({i}) for i in mod.kept_ids] == [it.profit for it in inst.items]
@@ -134,6 +135,62 @@ class TestModularizedOracle:
         assert mod.ik.oracle.evaluate({1, 3}) == 8
         with pytest.raises(UnknownItemId):
             mod.ik.oracle.evaluate({2})
+
+    def test_threads_making_the_first_evaluate_together_agree(self):
+        items = [Item(i, 1 + i % 7, 1 + i % 5) for i in range(1, 2001)]
+        total = sum(it.profit for it in items)
+        inst = Instance(items, 1, (1,), (1,), modular_oracle({it.id: it.profit for it in items}))
+        for _ in range(20):
+            oracle = modularize(inst).ik.oracle
+            start = threading.Barrier(4, timeout=60)
+            sums, errors = [], []
+
+            def worker():
+                try:
+                    start.wait()
+                    sums.append(oracle.evaluate(range(2000, 0, -1)))
+                except Exception as exc:  # reported below, not lost in the thread
+                    errors.append(exc)
+
+            workers = [threading.Thread(target=worker) for _ in range(4)]
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-6)  # switch threads often, so a race would show
+            try:
+                for th in workers:
+                    th.start()
+                for th in workers:
+                    th.join(timeout=60)
+            finally:
+                sys.setswitchinterval(interval)
+            assert not any(th.is_alive() for th in workers)
+            assert errors == []
+            assert sums == [total] * 4
+            assert oracle.call_count == 4
+
+    @pytest.mark.parametrize("solver", ["exact", "heuristic"])
+    @pytest.mark.parametrize("family", ["modular", "graphic-classes"])
+    def test_exact_and_heuristic_solves_evaluate_no_oracle(self, family, solver, monkeypatch):
+        # The pipeline's oracle traffic is bulk calls on the input oracle only.
+        kept_oracles, evaluated = [], []
+        modular_over = pipeline._modular_over
+
+        def recording_modular_over(kept):
+            kept_oracles.append(modular_over(kept))
+            return kept_oracles[-1]
+
+        def evaluate(oracle, items):
+            evaluated.append(oracle)
+            raise AssertionError("evaluate() called")
+
+        monkeypatch.setattr(pipeline, "_modular_over", recording_modular_over)
+        monkeypatch.setattr(AggregationOracle, "evaluate", evaluate)
+        for seed in range(5):
+            inst = make_family_instance(family, 10, 3, random.Random(seed))
+            report = solve_ik_aon(inst, solver=solver, seed=seed)
+            assert report.oracle_calls > 0
+        assert evaluated == []
+        assert len(kept_oracles) == 5
+        assert [oracle.call_count for oracle in kept_oracles] == [0] * 5
 
     def test_a_user_oracle_described_as_modular_is_replaced_by_the_profit_sum(self):
         # Profits as values of single items, anything else on larger sets:

@@ -494,6 +494,46 @@ class TestCallCounter:
         seen = [c - before for c in seen]
         assert seen == sorted(seen) and all(0 <= c <= expected for c in seen)
 
+    @pytest.mark.parametrize("name", ["modular", "mixed"])
+    def test_evaluate_and_each_bulk_call_count_under_the_lock(self, name):
+        # A switch interval cannot make CPython lose an unlocked tick between
+        # threads, so the lock is checked by taking it, not by a race.
+        bulk, ground = BULK_ORACLES[name]
+        ground = list(ground)
+        profit_of = class_profits(bulk, ground)
+        calls = [
+            (lambda o: o.evaluate({ground[0]}), 1),
+            (lambda o: singleton_gains(o, ground), len(ground)),
+            (lambda o: greedy_kept(o, [(i, 0, profit_of[i]) for i in ground]), len(ground)),
+            (lambda o: chain_gammas(o, [ground[::2], [], ground[1::2]]), 2),
+        ]
+        for oracle in (bulk, evaluate_only(bulk)):
+            plain_lock = oracle._lock
+            for call, counted in calls:
+                before = oracle.call_count
+                lock = oracle._lock = RecordingLock()
+                try:
+                    call(oracle)
+                finally:
+                    oracle._lock = plain_lock
+                assert oracle.call_count - before == counted
+                assert lock.taken == (1 if oracle is bulk else counted)
+
+
+class RecordingLock:
+    """A lock that counts how often it is taken."""
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self.taken = 0
+
+    def __enter__(self):
+        self._lock.acquire()
+        self.taken += 1
+
+    def __exit__(self, *exc):
+        self._lock.release()
+
 
 def reader(oracle, seen, done):
     while not done.is_set():
