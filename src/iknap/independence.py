@@ -74,46 +74,28 @@ def min_weight_basis(inst: Instance, class_items: Iterable[int]) -> tuple[Item, 
 
 
 def check_matroid_exchange(inst: Instance, class_items: Iterable[int]):
-    """Probe the exchange property inside one profit class.
+    """Probe the exchange axiom inside one profit class.
 
-    For A within the class and independent S, S' within A with |S| < |S'|,
-    some j in S' - S must keep S + j independent.  Exhaustive over all
-    (A, S, S') for classes of size <= 8, seeded sampling otherwise; a
-    sampled set is asked again each time it is drawn.  Returns None or a
-    counterexample (S, S', A).
+    For independent S, S' within the class with |S| < |S'|, some j in
+    S' - S must keep S + j independent.  Classes of size <= 8 are checked
+    exhaustively: one independence test per subset, 2^n oracle calls, then
+    every pair of independent sets.  Larger classes draw S and S' inside a
+    common seeded random subset, asking a set again each time it is drawn.
+    Returns None or a counterexample (S, S', S | S') in both modes.
     """
     items = sorted(class_items)
     n = len(items)
     if n <= EXCHANGE_EXHAUSTIVE_LIMIT:
         ind = [is_independent(inst, _mask_to_set(m, items)) for m in range(1 << n)]
-        for a_mask in range(1 << n):
-            subs = []
-            m = a_mask
-            while True:  # enumerate submasks of a_mask
-                if ind[m]:
-                    subs.append(m)
-                if m == 0:
-                    break
-                m = (m - 1) & a_mask
-            by_size: dict[int, list[int]] = {}
-            for m in subs:
-                by_size.setdefault(bin(m).count("1"), []).append(m)
-            for s_mask in subs:
-                size = bin(s_mask).count("1")
-                for bigger in range(size + 1, n + 1):
-                    for s2_mask in by_size.get(bigger, ()):
-                        diff = s2_mask & ~s_mask
-                        ok = False
-                        b = diff
-                        while b:
-                            low = b & -b
-                            if ind[s_mask | low]:
-                                ok = True
-                                break
-                            b ^= low
-                        if not ok:
-                            masks = (s_mask, s2_mask, a_mask)
-                            return tuple(_mask_to_set(m, items) for m in masks)
+        masks = [(m, bin(m).count("1")) for m in range(1 << n) if ind[m]]
+        for s_mask, size in masks:
+            for s2_mask, size2 in masks:
+                diff = s2_mask & ~s_mask
+                if size < size2 and not any(
+                    ind[s_mask | 1 << b] for b in range(n) if diff >> b & 1
+                ):
+                    s, s2 = _mask_to_set(s_mask, items), _mask_to_set(s2_mask, items)
+                    return s, s2, s | s2
         return None
 
     rng = random.Random(_CHECKER_SEED)
@@ -127,7 +109,7 @@ def check_matroid_exchange(inst: Instance, class_items: Iterable[int]):
         if not (is_independent(inst, s) and is_independent(inst, s2)):
             continue
         if not any(is_independent(inst, s | {j}) for j in s2 - s):
-            return s, s2, _mask_to_set(a_mask, items)
+            return s, s2, s | s2
     return None
 
 

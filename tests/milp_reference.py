@@ -7,8 +7,10 @@ x[i, t] <= x[i, t + 1] keeps the sets nested and sum_i w_i * x[i, t] <= W_t is
 period t's capacity.  milp_optimum prices a modular instance with the
 objective sum_t delta_t * sum_i p_i * x[i, t].  aon_milp_optimum prices the
 original all-or-nothing instance: a binary y[i, t] <= x[i, t] picks an
-independent set of each class's matroid inside S_t, and the objective is
-sum_t delta_t * sum_i p_i * y[i, t], whose best y is gamma(S_t).
+independent set of each class's matroid inside S_t (cap rows for uniform
+and partition classes, forest cuts added round by round for graphic ones),
+and the objective is sum_t delta_t * sum_i p_i * y[i, t], whose best y is
+gamma(S_t).
 scipy.optimize.milp (HiGHS) solves each with mip_rel_gap=0, and only status
 0, a proven optimum, is accepted.  Shares nothing with iknap's solvers, or
 its reduction, but the instance; needs scipy and numpy.
@@ -19,6 +21,7 @@ from __future__ import annotations
 import contextlib
 import os
 import sys
+from collections import Counter
 
 import numpy as np
 from scipy.optimize import Bounds, LinearConstraint, milp
@@ -104,16 +107,18 @@ def milp_optimum(inst: Instance) -> tuple[int, Chain]:
     return value, chain
 
 
-def _independence_caps(inst: Instance) -> list[tuple[list[int], int]]:
-    """(member ids, cap) pairs whose joint caps make a set independent in its class.
+def _independence_rows(inst: Instance) -> tuple[list[tuple[list[int], int]], list[list]]:
+    """(member ids, cap) pairs, and the (item, u, v) edges of each graphic class.
 
     Read from the matroid-rank-sum descriptor: the ground and rank of each
-    uniform class, and each group and cap of each partition class.  A
-    graphic class needs cycle cuts, which this model does not write.
+    uniform class, and each group and cap of each partition class, cap the
+    members a set may hold.  A graphic class's set is independent when its
+    edges hold no cycle, which aon_milp_optimum enforces by cuts; its row
+    here caps its members at their count, which never binds.
     """
     descriptor = inst.oracle.descriptor
     assert descriptor["kind"] == "matroid_rank_sum", descriptor["kind"]
-    caps, covered = [], set()
+    caps, graphs, covered = [], [], set()
     for c in descriptor["classes"]:
         matroid = c["matroid"]
         if matroid["kind"] == "uniform":
@@ -121,23 +126,59 @@ def _independence_caps(inst: Instance) -> list[tuple[list[int], int]]:
         elif matroid["kind"] == "partition":
             rows = [(g["members"], g["cap"]) for g in matroid["groups"]]
         else:
-            raise ValueError(f"a {matroid['kind']} class needs cycle cuts")
+            assert matroid["kind"] == "graphic", matroid["kind"]
+            graphs.append([(e["item"], e["u"], e["v"]) for e in matroid["edges"]])
+            rows = [([i for i, _, _ in graphs[-1]], len(graphs[-1]))]
         for members, _ in rows:
             covered.update(members)
             assert {inst.item(i).profit for i in members} <= {c["profit"]}, c["profit"]
         caps += rows
     assert covered >= set(inst.item_ids), "an item outside every class"
-    return caps
+    return caps, graphs
+
+
+def _cyclic_components(edges: list, chosen: set) -> set[frozenset]:
+    """The vertex sets of the components of the chosen edges that hold a cycle.
+
+    A union-find over the chosen edges' ends; a component holds a cycle
+    when it has as many edges as vertices, so a vertex with a self-loop is one.
+    """
+    root = {}
+
+    def find(v):
+        while root.setdefault(v, v) != v:
+            v = root[v]
+        return v
+
+    ends = [(u, v) for i, u, v in edges if i in chosen]
+    for u, v in ends:
+        root[find(u)] = find(v)
+    vertices = {}
+    for v in root:
+        vertices.setdefault(find(v), set()).add(v)
+    count = Counter(find(u) for u, _ in ends)
+    return {frozenset(vs) for r, vs in vertices.items() if count[r] >= len(vs)}
+
+
+#: Rounds of cuts aon_milp_optimum makes before it fails.
+CUT_ROUNDS = 50
 
 
 def aon_milp_optimum(inst: Instance) -> tuple[int, Chain]:
-    """The optimal all-or-nothing chain value of a uniform- or partition-classes instance.
+    """The optimal all-or-nothing chain value of a rank-sum instance, and a chain.
 
     Never reduces inst: y[i, t], variable n * T + i * T + t, prices period
-    t, and each uniform class or partition group caps its y in each period.
-    The value is recomputed in integers from the rounded y, whose link to x
-    and whose caps are rechecked exactly, and a chain that reaches it is
-    returned.
+    t.  Each uniform class or partition group caps its y in each period.  A
+    graphic class is priced by cuts: after each solve, every component of
+    its chosen y edges that holds a cycle in some period (a self-loop is a
+    cycle of one edge) adds, for its vertex set V, sum y[i, t] <= |V| - 1
+    over the class's edges i inside V, in every period at once.  A forest
+    has at most |V| - 1 edges inside V, so no independent set is cut off.
+    The model is solved again until no cycle is left, failing past
+    CUT_ROUNDS rounds; a cut over a cycle's own edges alone, sum_{i in C}
+    y[i, t] <= |C| - 1, is weaker and needs far more rounds.  The value is
+    recomputed in integers from the rounded y, whose link to x and whose
+    caps are rechecked exactly, and a chain that reaches it is returned.
     """
     items, horizon = inst.items, inst.horizon
     n = len(items)
@@ -148,19 +189,40 @@ def aon_milp_optimum(inst: Instance) -> tuple[int, Chain]:
     cost = np.concatenate([np.zeros(size), priced])
     link = np.hstack([-np.eye(size), np.eye(size)])
     position = {it.id: k for k, it in enumerate(items)}
-    caps = _independence_caps(inst)
-    independent = np.zeros((len(caps) * horizon, 2 * size))
-    for r, (members, _) in enumerate(caps):
-        for t in range(horizon):
-            for i in members:
-                independent[r * horizon + t, size + position[i] * horizon + t] = 1
+    caps, graphs = _independence_rows(inst)
+
+    def per_period(sets) -> np.ndarray:
+        """One row per set and period: the sum of the set's y at that period."""
+        out = np.zeros((len(sets) * horizon, 2 * size))
+        for r, members in enumerate(sets):
+            for t in range(horizon):
+                for i in members:
+                    out[r * horizon + t, size + position[i] * horizon + t] = 1
+        return out
+
+    independent = per_period([members for members, _ in caps])
     bounds = np.repeat([cap for _, cap in caps], horizon)
     constraints = _chain_rows(inst, 2 * size) + [
         LinearConstraint(link, -np.inf, 0),
         LinearConstraint(independent, -np.inf, bounds),
     ]
-    solution, fun = _solve(cost, constraints)
-    x, y = solution[:size], solution[size:]
+    for _ in range(CUT_ROUNDS):
+        solution, fun = _solve(cost, constraints)
+        x, y = solution[:size], solution[size:]
+        forests = {}  # the class's edges inside V -> |V|
+        for t in range(horizon):
+            chosen = {it.id for k, it in enumerate(items) if y[k * horizon + t]}
+            for edges in graphs:
+                for vs in _cyclic_components(edges, chosen):
+                    inside = frozenset(i for i, u, v in edges if u in vs and v in vs)
+                    forests[inside] = len(vs)
+        if not forests:
+            break
+        cut = sorted(forests, key=sorted)
+        bound = np.repeat([forests[s] - 1 for s in cut], horizon)
+        constraints.append(LinearConstraint(per_period(cut), -np.inf, bound))
+    else:
+        raise AssertionError(f"cycles left after {CUT_ROUNDS} rounds of cuts")
     chain = _chain_of(inst, x)
     assert all(b <= a for a, b in zip(x, y)), "y outside the knapsack"
     assert (independent[:, size:] @ y <= bounds).all(), "y not independent"

@@ -7,6 +7,7 @@ black box over files.
 import contextlib
 import csv
 import dataclasses
+import hashlib
 import importlib
 import io
 import json
@@ -64,6 +65,29 @@ class TestGenerate:
             assert a.read_bytes() == b.read_bytes()
             assert run_captured("solve", "--instance", a, "--out", report) == (0, "")
             assert run_captured("verify", "--instance", a, "--report", report) == (0, "")
+
+    # sha256 over the files of seeds 0-19, in seed order.  Existing families
+    # keep writing the same bytes for a seed, whatever else changes.
+    PINNED_FILES = [
+        ("graphic-classes", 8, 3, "a075cc88b737"),
+        ("graphic-classes", 40, 4, "edee8b17140d"),
+        ("modular", 8, 3, "9485997812f8"),
+        ("modular", 40, 4, "2fc9272f4634"),
+        ("partition-classes", 8, 3, "4403e40f3549"),
+        ("partition-classes", 40, 4, "f756983e299d"),
+        ("uniform-classes", 8, 3, "7608f4ced390"),
+        ("uniform-classes", 40, 4, "5a4ad889ff28"),
+    ]
+
+    @pytest.mark.parametrize("family, n, horizon, expected", PINNED_FILES)
+    def test_generated_files_are_pinned(self, tmp_path, family, n, horizon, expected):
+        digest = hashlib.sha256()
+        for seed in range(20):
+            out = tmp_path / f"{seed}.json"
+            assert run("generate", "--family", family, "--n", n, "-T", horizon,
+                       "--seed", seed, "--out", out, "--quiet") == 0
+            digest.update(out.read_bytes())
+        assert digest.hexdigest()[:12] == expected
 
     def test_every_family_validates(self, tmp_path, capsys):
         for fam in ["modular", "uniform-classes", "partition-classes", "graphic-classes"]:

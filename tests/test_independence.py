@@ -244,9 +244,43 @@ class TestMatroidExchange:
         witness = check_matroid_exchange(inst, [1, 2, 3])
         assert witness is not None
         s, s2, a = witness
-        assert len(s) < len(s2) and s <= a and s2 <= a
+        assert len(s) < len(s2) and a == s | s2
         assert not any(is_independent(inst, s | {j}) for j in s2 - s)
 
+    def test_exhaustive_verdict_is_the_matroid_definition(self):
+        # A downward-closed family over unit-profit items, priced by the
+        # largest member inside S: S is independent exactly when it is in
+        # the family, which is a matroid exactly when every A's maximal
+        # independent subsets have one size.
+        rng = random.Random(59)
+        verdicts = {True: 0, False: 0}
+        for _ in range(400):
+            n = rng.randint(1, 6)
+            ground = range(1, n + 1)
+            tops = [
+                frozenset(i for i in ground if rng.random() < 0.6)
+                for _ in range(rng.randint(1, 4))
+            ]
+            oracle = AggregationOracle(
+                lambda s, tops=tops: max(len(s & top) for top in tops),
+                {"kind": "downward-closed"},
+            )
+            inst = single_class_instance(oracle, n, profit=1)
+            before = oracle.call_count
+            witness = check_matroid_exchange(inst, ground)
+            assert oracle.call_count - before == 1 << n
+            one_size = all(
+                len({len(s) for s in maximal_independent_subsets(inst, a)}) == 1
+                for a in subsets(ground)
+            )
+            assert (witness is None) == one_size, tops
+            verdicts[one_size] += 1
+            if witness is not None:
+                s, s2, a = witness
+                assert len(s) < len(s2) and a == s | s2
+                assert is_independent(inst, s) and is_independent(inst, s2)
+                assert not any(is_independent(inst, s | {j}) for j in s2 - s)
+        assert min(verdicts.values()) >= 60, verdicts
 
     def test_sampled_matroid_class_passes(self):
         inst = uniform_class(10, 4)
@@ -264,7 +298,7 @@ class TestMatroidExchange:
         witness = check_matroid_exchange(inst, range(1, 11))
         assert witness is not None
         s, s2, a = witness
-        assert len(s) < len(s2) and s <= a and s2 <= a
+        assert len(s) < len(s2) and a == s | s2
         assert is_independent(inst, s) and is_independent(inst, s2)
         assert not any(is_independent(inst, s | {j}) for j in s2 - s)
 

@@ -65,10 +65,10 @@ def test_solve_exact_matches_the_milp_at_20_to_40_kept_items(family, capfd):
     assert capfd.readouterr().out == ""
 
 
-@pytest.mark.parametrize("family", ["uniform-classes", "partition-classes"])
+@pytest.mark.parametrize("family", ["uniform-classes", "partition-classes", "graphic-classes"])
 def test_the_pipeline_matches_the_milp_on_the_original_instance(family, capfd):
     # The MILP prices each S_t by an independent set of each class inside it,
-    # so the reduction is checked too.  Graphic classes need cycle cuts.
+    # so the reduction is checked too.
     rng = random.Random(f"aon-milp/{family}")
     limits = SolveLimits(max_n_exact=40, max_t_exact=5)
     capped = 0
