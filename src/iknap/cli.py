@@ -5,11 +5,13 @@ flows from one seed (fixed default, never time-based), so identical
 invocations produce identical files; elapsed_ms is the only
 nondeterministic report field.
 
-Exit codes for solve: 0 success, 2 oracle-contract violation, 3 size or
-budget limits exceeded, 5 internal solver failure (a solver whose answer
-fails its recheck, a bug signal, printed as one line).  verify exits 1 on
-any mismatch.  Both exit 4 on
-malformed input: an instance that fails validation, a file missing a key,
+Exit codes are decided in one place, the _EXITS table that main applies;
+an exception it does not list keeps its traceback.  For solve: 0 success,
+2 oracle-contract violation, 3 size or budget limits exceeded, 5 internal
+solver failure (a solver whose answer fails its recheck, a bug signal,
+printed as one line).  verify exits 1 on any mismatch.  Both exit 4 on
+malformed input: a JSON file nested past the interpreter's recursion
+limit, an instance that fails validation, a file missing a key,
 a non-integer n or T, an oracle that is not a JSON object, whose ground
 misses an instance item or that holds a non-integer or boolean profit,
 cap, item id or vertex, a coverage oracle with a repeated item id or
@@ -59,8 +61,23 @@ from .solvers import SolveLimits, brute_force_chains
 
 DEFAULT_SEED = 2024
 
-# What decoding a malformed instance or report file raises.
+# What decoding a malformed instance, report or graph file raises.
 MALFORMED = (KeyError, TypeError, ValueError)
+
+
+class _Malformed(Exception):
+    """A file or argument that _read could not load."""
+
+
+# main prints the prefix of the first row whose types match a command's
+# exception, then the message, and exits with its code.
+_EXITS = (
+    ((_Malformed, InvalidInstance, UnknownItemId), 4, "malformed input"),
+    ((OracleViolation,), 2, "oracle-contract violation"),
+    ((LimitsExceeded, BudgetExceeded), 3, "limits exceeded"),
+    ((SolverFailure,), 5, "internal solver failure"),
+    ((OSError,), 1, "io error"),
+)
 
 
 def _limits(text: str) -> SolveLimits:
@@ -167,10 +184,12 @@ def _say(args: argparse.Namespace, message: str) -> None:
         print(message)
 
 
-def _malformed(exc: Exception) -> int:
-    detail = f"missing key {exc}" if isinstance(exc, KeyError) else exc
-    print(f"malformed input: {detail}", file=sys.stderr)
-    return 4
+def _read(load, *args):
+    """load(*args), with what MALFORMED names raised as _Malformed."""
+    try:
+        return load(*args)
+    except MALFORMED as exc:
+        raise _Malformed(f"missing key {exc}" if isinstance(exc, KeyError) else exc) from exc
 
 
 def cmd_generate(args: argparse.Namespace) -> int:
@@ -186,23 +205,8 @@ def cmd_generate(args: argparse.Namespace) -> int:
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
-    try:
-        inst = load_instance(args.instance)
-    except MALFORMED as exc:
-        return _malformed(exc)
-    try:
-        report = solve_ik_aon(inst, solver=args.solver, limits=args.limits, seed=args.seed)
-    except (InvalidInstance, UnknownItemId) as exc:  # or an item outside the oracle ground
-        return _malformed(exc)
-    except OracleViolation as exc:
-        print(f"oracle-contract violation: {exc}", file=sys.stderr)
-        return 2
-    except (LimitsExceeded, BudgetExceeded) as exc:
-        print(f"limits exceeded: {exc}", file=sys.stderr)
-        return 3
-    except SolverFailure as exc:
-        print(f"internal solver failure: {exc}", file=sys.stderr)
-        return 5
+    inst = _read(load_instance, args.instance)
+    report = solve_ik_aon(inst, solver=args.solver, limits=args.limits, seed=args.seed)
     payload = dumps_canonical(report_to_obj(report, inst.item_ids))
     if args.out is None:
         sys.stdout.write(payload)
@@ -217,16 +221,10 @@ def cmd_solve(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    try:
-        inst = load_instance(args.instance)
-        ensure_valid(inst)
-        chain, phi, phi_bar = load_report(args.report, inst.item_ids, inst.horizon)
-    except MALFORMED as exc:
-        return _malformed(exc)
-    try:
-        mismatches = verify_solution(inst, chain, phi, phi_bar)
-    except UnknownItemId as exc:  # the oracle's ground misses a chain item
-        return _malformed(exc)
+    inst = _read(load_instance, args.instance)
+    ensure_valid(inst)
+    chain, phi, phi_bar = _read(load_report, args.report, inst.item_ids, inst.horizon)
+    mismatches = verify_solution(inst, chain, phi, phi_bar)
     if mismatches:
         for line in mismatches:
             print(line, file=sys.stderr)
@@ -236,11 +234,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_reduce(args: argparse.Namespace) -> int:
-    try:
-        graph = read_edge_list(args.graph)
-        inst = build_reduction(graph, args.k, args.horizon)
-    except ValueError as exc:  # a bad graph file or k
-        return _malformed(exc)
+    graph = _read(read_edge_list, args.graph)
+    inst = _read(build_reduction, graph, args.k, args.horizon)
     save_instance(inst, args.out)
     _say(
         args,
@@ -306,9 +301,12 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.run(args)
-    except OSError as exc:
-        print(f"io error: {exc}", file=sys.stderr)
-        return 1
+    except Exception as exc:
+        for types, code, prefix in _EXITS:
+            if isinstance(exc, types):
+                print(f"{prefix}: {exc}", file=sys.stderr)
+                return code
+        raise
 
 
 if __name__ == "__main__":

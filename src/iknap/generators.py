@@ -86,7 +86,7 @@ def _graphic_spec(rng: random.Random, members: list[int]) -> MatroidSpec:
             v = rng.randrange(n_vertices)
             edges.append((i, v, v))
         else:
-            u, v = rng.sample(range(n_vertices), 2) if n_vertices >= 2 else (0, 0)
+            u, v = rng.sample(range(n_vertices), 2)
             edges.append((i, u, v))
     return MatroidSpec.graphic(edges)
 

@@ -122,9 +122,17 @@ def save_instance(inst: Instance, path) -> None:
         fh.write(dumps_canonical(instance_to_obj(inst)))
 
 
-def load_instance(path) -> Instance:
+def _load_json(path):
+    """The JSON value in the file at path; nesting too deep to decode is a ValueError."""
     with open(path, encoding="utf-8") as fh:
-        return instance_from_obj(json.load(fh))
+        try:
+            return json.load(fh)
+        except RecursionError:
+            raise ValueError(f"{path}: JSON nested too deeply to decode") from None
+
+
+def load_instance(path) -> Instance:
+    return instance_from_obj(_load_json(path))
 
 
 def chain_to_obj(chain: Chain, item_ids: Sequence[int]) -> dict:
@@ -175,8 +183,7 @@ def load_report(path, item_ids: Sequence[int], horizon: int) -> tuple[Chain, int
     that is not a list of integers, then a missing or malformed chain (as
     chain_from_obj parses it), phi and phi_bar.  Other keys are not read.
     """
-    with open(path, encoding="utf-8") as fh:
-        obj = json.load(fh)
+    obj = _load_json(path)
     if not isinstance(obj, dict):
         raise ValueError(f"report must be an object, got {type(obj).__name__}")
     kept = obj.get("kept_items", [])

@@ -20,7 +20,7 @@ from typing import Iterable, Iterator, Sequence
 
 from .errors import BudgetExceeded, LimitsExceeded
 from .instances import Chain, Instance, suffix_coefficients
-from .oracles import _is_int, _parse_int
+from .oracles import _is_int, _mask_to_set, _parse_int
 
 
 def earliest_period(resid: Sequence[int], w: int) -> int | None:
@@ -464,13 +464,6 @@ def solve_heuristic(
     return SolveResult(chain=chain, value=value, optimal=False, nodes=tried, solver="heuristic")
 
 
-def _bits(mask: int) -> Iterator[int]:
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
-
-
 def _feasible_vectors(
     inst: Instance, max_states: int | None
 ) -> tuple[list[int], Iterator[tuple[list[int], list[int]]]]:
@@ -540,7 +533,7 @@ def brute_force_chains(
             if d:
                 v = memo.get(mask)
                 if v is None:
-                    v = oracle.evaluate(frozenset(ids[b] for b in _bits(mask)))
+                    v = oracle.evaluate(_mask_to_set(mask, ids))
                     memo[mask] = v
                 total += d * v
         if total > best_val:

@@ -36,6 +36,8 @@ def edit_json(path, edit):
 
 
 K3_EDGES = "3 3\n0 1\n1 2\n0 2\n"
+#: A JSON array nested deeper than json can decode within the recursion limit.
+DEEP_JSON = "[" * 100_000 + "]" * 100_000
 
 
 class TestGenerate:
@@ -318,6 +320,16 @@ class TestSolveAndVerify:
         assert err.count("\n") == 1 and "PhiBarMismatch" in err
         assert not report_path.exists()
 
+    def test_an_unlisted_error_in_a_solve_keeps_its_traceback(
+        self, toy_instance, tmp_path, monkeypatch
+    ):
+        def buggy(*args, **kwargs):
+            raise ValueError("a bug inside the solve")
+
+        monkeypatch.setattr(importlib.import_module("iknap.cli"), "solve_ik_aon", buggy)
+        with pytest.raises(ValueError, match="a bug inside the solve"):
+            run("solve", "--instance", toy_instance, "--out", tmp_path / "r.json")
+
     def test_oversized_exact_exits_3(self, tmp_path):
         inst = tmp_path / "big.json"
         run("generate", "--family", "modular", "--n", 25, "-T", 2,
@@ -567,6 +579,18 @@ class TestMalformedInputExits4:
         self.assert_exit_4(capsys, "verify", "--instance", toy_instance,
                            "--report", report_path)
 
+    @pytest.mark.parametrize("case", ["solve-instance", "verify-instance", "verify-report"])
+    def test_deeply_nested_file(self, toy_instance, report_path, tmp_path, capsys, case):
+        deep = tmp_path / "deep.json"
+        deep.write_text(DEEP_JSON)
+        argv = {
+            "solve-instance": ["solve", "--instance", deep],
+            "verify-instance": ["verify", "--instance", deep, "--report", report_path],
+            "verify-report": ["verify", "--instance", toy_instance, "--report", deep],
+        }[case]
+        err = self.assert_exit_4(capsys, *argv)
+        assert err == f"malformed input: {deep}: JSON nested too deeply to decode\n"
+
     @pytest.mark.parametrize(
         "edit, message",
         [
@@ -809,11 +833,12 @@ class TestReduceVc:
             (K3_EDGES, 0, "k=0 outside 1..3"),
             ("-3 0\n", 1, "negative count in 'n m' header -3 0"),
             ("2 -1\n", 1, "negative count in 'n m' header 2 -1"),
+            ("3\n", 1, "g.txt: missing 'n m' header"),
         ],
         ids=["reduce-vc-non_integer_token", "reduce-vc-underscore_token",
              "reduce-vc-plus_sign_token", "reduce-vc-non_ascii_digit_token",
              "reduce-vc-degree_4", "reduce-vc-k_above_n", "reduce-vc-k_zero",
-             "reduce-vc-negative_n", "reduce-vc-negative_m"],
+             "reduce-vc-negative_n", "reduce-vc-negative_m", "reduce-vc-one_token"],
     )
     def test_bad_graph_or_k_exits_4(self, tmp_path, capsys, graph_text, k, message):
         graph, out = tmp_path / "g.txt", tmp_path / "vc.json"
@@ -950,6 +975,7 @@ class TestBench:
             "--seed", 2, "--out", instances / "good.json", "--quiet")
         (instances / "bad.json").write_text('{"n": 2}')
         (instances / "torn.json").write_text('{"n": ')
+        (instances / "deep.json").write_text(DEEP_JSON)
         # T=2 with one capacity: validated before the brute-force reference
         # runs, so the status does not depend on the brute budget.
         short = json.loads((instances / "good.json").read_text())
@@ -962,6 +988,8 @@ class TestBench:
         assert [(r["instance"], r["solver"], r["status"]) for r in rows] == [
             ("bad.json", "exact", "error:KeyError"),
             ("bad.json", "heuristic", "error:KeyError"),
+            ("deep.json", "exact", "error:ValueError"),
+            ("deep.json", "heuristic", "error:ValueError"),
             ("good.json", "exact", "ok"),
             ("good.json", "heuristic", "ok"),
             ("short.json", "exact", "error:InvalidInstance"),
@@ -971,6 +999,38 @@ class TestBench:
         ]
         (instances / "good.json").unlink()
         assert run("bench", "--instances", instances, "--out", out, "--quiet") == 1
+
+    def test_solve_error_fails_only_its_row(self, tmp_path):
+        instances = tmp_path / "instances"
+        instances.mkdir()
+        run("generate", "--family", "modular", "--n", 5, "-T", 2,
+            "--seed", 2, "--out", instances / "good.json", "--quiet")
+        out = tmp_path / "bench.csv"
+        assert run("bench", "--instances", instances, "--solvers", "exact,heuristic",
+                   "--limits", "max_n_exact=1", "--out", out, "--quiet") == 0
+        rows = list(csv.DictReader(out.open()))
+        assert [(r["solver"], r["status"]) for r in rows] == [
+            ("exact", "error:LimitsExceeded"),
+            ("heuristic", "ok"),
+        ]
+        assert rows[0]["value"] == rows[0]["ratio_to_brute"] == ""
+        assert rows[1]["ratio_to_brute"] != ""
+
+    def test_zero_brute_optimum_gives_ratio_one(self, tmp_path):
+        instances = tmp_path / "instances"
+        instances.mkdir()
+        path = instances / "flat.json"
+        run("generate", "--family", "modular", "--n", 5, "-T", 2,
+            "--seed", 2, "--out", path, "--quiet")
+        edit_json(path, lambda instance: instance.update(deltas=[0, 0]))
+        out = tmp_path / "bench.csv"
+        assert run("bench", "--instances", instances, "--solvers", "exact,heuristic",
+                   "--out", out, "--quiet") == 0
+        rows = list(csv.DictReader(out.open()))
+        assert [(r["status"], r["value"], r["ratio_to_brute"]) for r in rows] == [
+            ("ok", "0", "1.000000"),
+            ("ok", "0", "1.000000"),
+        ]
 
     @pytest.mark.parametrize(
         "solvers", ["exact,bogus", "", " , "], ids=["unknown", "empty", "blank"]

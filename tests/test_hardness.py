@@ -71,6 +71,14 @@ class TestBuildReduction:
         with pytest.raises(BadK):
             build_reduction(TRIANGLE, 4)
 
+    def test_horizon_below_1_rejected(self):
+        with pytest.raises(ValueError, match="horizon must be >= 1"):
+            build_reduction(TRIANGLE, 1, horizon=0)
+
+    def test_max_k_vertex_cover_rejects_bad_k(self):
+        with pytest.raises(BadK):
+            max_k_vertex_cover(TRIANGLE, 0)
+
     def test_random_graph_matches_subset_enumeration(self):
         graph = generate_subcubic(8, edge_prob=0.6, seed=11)
         value, _ = brute_force_chains(build_reduction(graph, 3))
@@ -141,6 +149,10 @@ class TestExtractCover:
 class TestGenerateSubcubic:
     def test_single_vertex(self):
         assert generate_subcubic(1, seed=3).edges == ()
+
+    def test_no_vertex_rejected(self):
+        with pytest.raises(ValueError, match="need at least one vertex"):
+            generate_subcubic(0)
 
     def test_degrees_within_bound(self):
         for seed in range(20):

@@ -318,6 +318,12 @@ class TestRestrictChainToBasis:
         restricted = restrict_chain_to_basis(inst, [1, 2, 3], basis, chain)
         assert restricted.sets() == [frozenset({1}), frozenset({1, 2})]
 
+    def test_chain_outside_the_class_rejected(self):
+        inst = uniform_class(3, 2)
+        basis = min_weight_basis(inst, [1, 2])
+        with pytest.raises(ValueError, match="chain leaves the profit class"):
+            restrict_chain_to_basis(inst, [1, 2], basis, Chain.from_sets([{3}]))
+
     def test_dependent_chain_rejected(self):
         inst = uniform_class(3, 1)
         basis = min_weight_basis(inst, [1, 2, 3])

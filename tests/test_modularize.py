@@ -25,6 +25,7 @@ from iknap import (
     OracleViolation,
     SolveLimits,
     SolveResult,
+    SolverFailure,
     brute_force_chains,
     chain_gammas,
     greedy_matroid_chain,
@@ -783,6 +784,11 @@ class TestSolveIkAon:
         monkeypatch.setattr(pipeline, "_run_ik_solver", broken)
         with pytest.raises(InfeasibleInternal):
             solve_ik_aon(inst)
+
+    def test_unknown_solver_name_is_an_internal_failure(self):
+        ik = make_modular_instance(3, 1, random.Random(31))
+        with pytest.raises(SolverFailure, match="unknown solver 'bogus'"):
+            pipeline._run_ik_solver("bogus", ik, SolveLimits(), 0)
 
     @pytest.mark.parametrize("solver", SOLVERS)
     def test_misreported_value_is_an_internal_failure(self, monkeypatch, solver):

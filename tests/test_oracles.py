@@ -149,6 +149,14 @@ class TestMatroidRank:
         with pytest.raises(ValueError, match=re.escape(message)):
             MatroidSpec.partition(groups)
 
+    def test_uniform_rejects_a_negative_cap(self):
+        with pytest.raises(ValueError, match="uniform matroid cap must be >= 0"):
+            MatroidSpec.uniform([1], -1)
+
+    def test_graphic_rejects_a_repeated_item(self):
+        with pytest.raises(ValueError, match="graphic matroid items must biject to edges"):
+            MatroidSpec.graphic([(1, 0, 1), (1, 1, 2)])
+
     def test_partition_group_may_repeat_its_own_ids(self):
         spec = MatroidSpec.partition([(iter([1, 1, 2]), 1), ((i for i in [3]), 0)])
         assert spec.ground == {1, 2, 3}
